@@ -498,15 +498,21 @@ void Rdmc::free_replicas(std::vector<mem::RemoteReplica> replicas,
     net::WireWriter w;
     w.put_u64(replica.rkey);
     w.put_u64(replica.offset);
-    node_.rpc().call(replica.node, kRpcFreeBlock, std::move(w).take(),
-                     config_.rpc_timeout,
-                     [state](StatusOr<std::vector<std::byte>> resp) {
-                       if (!resp.ok() && state->first_error.ok())
-                         state->first_error = resp.status();
-                       if (--state->pending == 0 && state->done)
-                         state->done(state->first_error);
-                     },
-                     trace);
+    const net::NodeId host = replica.node;
+    node_.rpc().call(
+        host, kRpcFreeBlock, std::move(w).take(), config_.rpc_timeout,
+        [this, state, host](StatusOr<std::vector<std::byte>> resp) {
+          // A block on a crashed host died with its DRAM, and the host's
+          // recovery drops every block it hosted: the free is done.
+          if (!resp.ok() && !node_.fabric().node_up(host)) {
+            ++node_.recv_pool().metrics().counter("rdmc.frees_on_dead_host");
+          } else if (!resp.ok() && state->first_error.ok()) {
+            state->first_error = resp.status();
+          }
+          if (--state->pending == 0 && state->done)
+            state->done(state->first_error);
+        },
+        trace);
   }
 }
 

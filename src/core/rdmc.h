@@ -118,8 +118,9 @@ class Rdmc {
                      std::uint64_t range_offset, std::span<std::byte> out,
                      ReadCallback done, net::TraceId trace = net::kNoTrace);
 
-  // Frees all replica blocks (best effort on dead hosts); done fires after
-  // every free settles.
+  // Frees all replica blocks; done fires after every free settles. A free
+  // that fails while its host is down counts as done (the block died with
+  // the host, whose recovery drops all it hosted).
   void free_replicas(std::vector<mem::RemoteReplica> replicas,
                      DoneCallback done = {},
                      net::TraceId trace = net::kNoTrace);

@@ -24,7 +24,7 @@ std::string_view to_string(LineState state) noexcept {
 
 CxlDirectory::CxlDirectory(net::Fabric& fabric, Config config)
     : fabric_(fabric), config_(config),
-      backing_(config.line_count * kLineBytes, std::byte{0}) {
+      backing_(config.line_count * kLineBytes) {
   auto rkey = fabric_.register_memory(config_.home,
                                       std::span<std::byte>(backing_));
   assert(rkey.ok() && "CXL home node must exist in the fabric");

@@ -55,6 +55,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/units.h"
+#include "common/zero_arena.h"
 #include "net/fabric.h"
 #include "net/rdma.h"
 #include "sim/simulator.h"
@@ -137,7 +138,7 @@ class CxlDirectory {
 
   net::Fabric& fabric_;
   Config config_;
-  std::vector<std::byte> backing_;
+  ZeroArena backing_;
   net::RKey rkey_ = net::kInvalidRKey;
   std::map<LineId, LineMeta> lines_;
   std::map<net::NodeId, CxlAgent*> agents_;

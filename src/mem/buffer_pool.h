@@ -22,6 +22,7 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
+#include "common/zero_arena.h"
 #include "net/fabric.h"
 
 namespace dm::mem {
@@ -87,7 +88,7 @@ class RegisteredBufferPool {
   net::Fabric& fabric_;
   net::NodeId owner_;
   Config config_;
-  std::vector<std::byte> arena_;
+  ZeroArena arena_;
   std::vector<Slab> slabs_;
   std::vector<SlabId> free_slabs_;
   std::vector<std::vector<SlabId>> partials_;  // per size class
@@ -117,7 +118,7 @@ class SendStagingPool {
   void reset() noexcept { cursor_ = 0; }
 
  private:
-  std::vector<std::byte> arena_;
+  ZeroArena arena_;
   std::uint64_t cursor_ = 0;
 };
 

@@ -20,6 +20,7 @@
 #include "common/lru.h"
 #include "common/metrics.h"
 #include "common/status.h"
+#include "common/zero_arena.h"
 #include "mem/slab_allocator.h"
 
 namespace dm::mem {
@@ -93,7 +94,7 @@ class SharedMemoryPool {
     return (static_cast<Key>(owner) << 48) | (id & 0xffffffffffffULL);
   }
 
-  std::vector<std::byte> arena_;
+  ZeroArena arena_;
   SlabAllocator allocator_;
   Config config_;
   std::unordered_map<ServerId, std::uint64_t> donations_;

@@ -17,6 +17,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/units.h"
+#include "common/zero_arena.h"
 #include "sim/latency_model.h"
 #include "sim/simulator.h"
 
@@ -58,7 +59,7 @@ class BlockDevice {
   sim::Simulator& sim_;
   Config config_;
   MetricsRegistry metrics_;
-  std::vector<std::byte> store_;
+  ZeroArena store_;
   SimTime next_free_ = 0;
   std::uint64_t head_pos_ = 0;  // byte offset just past the last I/O
 };

@@ -14,6 +14,7 @@
 //     live-migrated yields a span chain crossing at least two distinct
 //     nodes, none of them the vacated one.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -289,6 +290,30 @@ TEST(ClusterScaleSoakTest, ZipfianChurnAt128NodesIsLossFreeAndDeterministic) {
     ASSERT_TRUE(dump.is_open()) << path;
     dump << first.snapshot;
   }
+}
+
+// Resident set size of this process, from /proc/self/statm.
+std::int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t size_pages = 0;
+  std::int64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * sysconf(_SC_PAGESIZE);
+}
+
+// Host memory follows the bytes a run stores, not the capacity it
+// configures: bringing up the 128-node soak cluster (per node 256 KiB shm,
+// 1 MiB receive pool, 8 MiB send staging, 24 MiB disk — about 4.2 GiB
+// configured) must not make that capacity resident.
+TEST(ClusterScaleSoakTest, BuildingTheClusterLeavesCapacityNonResident) {
+  constexpr std::size_t kNodes = 128;
+  const std::int64_t before = resident_bytes();
+  DmSystem system(adaptive_config(kNodes, adaptive_setup()));
+  system.start();
+  for (std::size_t n = 0; n < system.node_count(); ++n)
+    (void)system.create_server(n, 8 * MiB);
+  EXPECT_EQ(system.node(0).send_pool().capacity(), 8 * MiB);
+  EXPECT_LT(resident_bytes() - before, static_cast<std::int64_t>(256 * MiB));
 }
 
 // Observability across migration: each copy-then-redirect runs under its

@@ -1,9 +1,14 @@
 // Unit tests for src/common: status, rng, histogram, lru, units, checksum,
-// metrics.
+// metrics, zero arena.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <fstream>
 #include <map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/checksum.h"
@@ -13,6 +18,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/units.h"
+#include "common/zero_arena.h"
 
 namespace dm {
 namespace {
@@ -284,6 +290,83 @@ TEST(MetricsTest, ToStringListsCounters) {
   m.counter("a") = 1;
   m.counter("b") = 2;
   EXPECT_EQ(m.to_string(), "a=1\nb=2\n");
+}
+
+// ---- ZeroArena ------------------------------------------------------------------
+
+// Resident set size of this process, from /proc/self/statm.
+std::int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t size_pages = 0;
+  std::int64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * sysconf(_SC_PAGESIZE);
+}
+
+TEST(ZeroArenaTest, ZeroSizeArenaIsEmpty) {
+  ZeroArena arena(0);
+  EXPECT_EQ(arena.size(), 0u);
+  EXPECT_TRUE(std::span(arena).empty());
+  ZeroArena moved(std::move(arena));
+  EXPECT_EQ(moved.size(), 0u);
+}
+
+TEST(ZeroArenaTest, UntouchedBytesReadZero) {
+  ZeroArena arena(3 * MiB + 5);
+  ASSERT_EQ(arena.size(), 3 * MiB + 5);
+  EXPECT_TRUE(std::all_of(arena.begin(), arena.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+}
+
+TEST(ZeroArenaTest, WrittenBytesReadBack) {
+  ZeroArena arena(256 * KiB + 3);
+  std::vector<std::byte> expected(arena.size());
+  for (std::size_t i = 0; i < expected.size(); i += 997)
+    expected[i] = static_cast<std::byte>(i % 251 + 1);
+  expected.back() = std::byte{0xFF};
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    if (expected[i] != std::byte{0}) arena.data()[i] = expected[i];
+  EXPECT_TRUE(std::equal(arena.begin(), arena.end(), expected.begin(),
+                         expected.end()));
+}
+
+// Slab spans registered with the fabric point into the arena, so a move
+// must hand over the mapping itself, not copy it.
+TEST(ZeroArenaTest, MoveKeepsDataAndEmptiesSource) {
+  ZeroArena source(1 * MiB);
+  std::byte* const base = source.data();
+  source.data()[4096] = std::byte{7};
+
+  ZeroArena moved(std::move(source));
+  EXPECT_EQ(moved.data(), base);
+  EXPECT_EQ(moved.size(), 1 * MiB);
+  EXPECT_EQ(moved.data()[4096], std::byte{7});
+  EXPECT_EQ(source.data(), nullptr);
+  EXPECT_EQ(source.size(), 0u);
+
+  ZeroArena assigned(64 * KiB);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.data(), base);
+  EXPECT_EQ(assigned.size(), 1 * MiB);
+  EXPECT_EQ(moved.data(), nullptr);
+  EXPECT_EQ(moved.size(), 0u);
+}
+
+// The point of the arena: configured capacity costs no resident memory
+// until it is written, and a write commits only the page it lands on.
+TEST(ZeroArenaTest, ResidentMemoryFollowsWrittenPages) {
+  const std::int64_t page = sysconf(_SC_PAGESIZE);
+  const std::int64_t before = resident_bytes();
+  ZeroArena arena(1 * GiB);
+  const std::int64_t mapped = resident_bytes();
+  EXPECT_LT(mapped - before, static_cast<std::int64_t>(4 * MiB));
+
+  arena.data()[512 * MiB + 123] = std::byte{1};
+  const std::int64_t written = resident_bytes();
+  EXPECT_GE(written - mapped, page);
+  // One page, or the 2 MiB huge page around it on hosts that back
+  // anonymous memory with transparent huge pages by default.
+  EXPECT_LE(written - mapped, static_cast<std::int64_t>(2 * MiB) + 16 * page);
 }
 
 }  // namespace

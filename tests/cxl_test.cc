@@ -240,6 +240,13 @@ TEST(CxlProtocolTest, RegionReadCollectsDirtyLinesFromOwners) {
   EXPECT_EQ(rig.dir->backing_line(40)[0], v);
 }
 
+TEST(CxlProtocolTest, FreshDirectoryLinesReadZero) {
+  CxlRig rig;
+  for (LineId line = 0; line < rig.dir->line_count(); ++line)
+    for (std::byte b : rig.dir->backing_line(line))
+      ASSERT_EQ(b, std::byte{0}) << "line " << line;
+}
+
 TEST(CxlProtocolTest, OutOfRangeLineFailsCleanly) {
   CxlRig rig;
   std::array<std::byte, kLineBytes> out{};

@@ -277,6 +277,15 @@ TEST_F(BufferPoolTest, BlockBytesWritable) {
   EXPECT_EQ(pool.block_bytes(*block)[0], std::byte{42});
 }
 
+TEST_F(BufferPoolTest, FreshBlockReadsZero) {
+  RegisteredBufferPool pool(fabric_, 0, {.arena_bytes = 1 * MiB});
+  auto block = pool.allocate(4096);
+  ASSERT_TRUE(block.ok());
+  auto bytes = pool.block_bytes(*block);
+  EXPECT_EQ(std::vector<std::byte>(bytes.begin(), bytes.end()),
+            std::vector<std::byte>(4096));
+}
+
 TEST_F(BufferPoolTest, FreeAndDoubleFree) {
   RegisteredBufferPool pool(fabric_, 0, {.arena_bytes = 1 * MiB});
   auto block = pool.allocate(4096);
@@ -354,6 +363,14 @@ TEST(SendStagingPoolTest, BumpAllocatesAndResets) {
   pool.reset();
   EXPECT_EQ(pool.staged_bytes(), 0u);
   EXPECT_TRUE(pool.stage(1024).ok());
+}
+
+TEST(SendStagingPoolTest, StagedRegionReadsZero) {
+  SendStagingPool pool(64 * KiB);
+  auto region = pool.stage(8192);
+  ASSERT_TRUE(region.ok());
+  EXPECT_EQ(std::vector<std::byte>(region->begin(), region->end()),
+            std::vector<std::byte>(8192));
 }
 
 // ---- MemoryMap --------------------------------------------------------------------

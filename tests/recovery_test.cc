@@ -650,5 +650,40 @@ TEST(RecoveryTest, ShardRepairRacingRemovalDoesNotResurrect) {
   EXPECT_EQ(hosted, 0u);
 }
 
+// Removing an erasure-coded entry while one of its shard hosts is down must
+// succeed. The map erase is the commit point, and the dead host's shard died
+// with its DRAM; the host's recovery drops every block it hosted. A remove
+// that reported the dead host's failed free after committing failed the swap
+// write that triggered it.
+TEST(RecoveryTest, RemoveWithShardHostDownCommitsAndFreesLiveShards) {
+  DmSystem system(ec_cluster_config(8, 4, 2, /*min_shards=*/0));
+  system.start();
+  auto& client = system.create_server(0, 64 * MiB, remote_only());
+  std::vector<std::size_t> hosted_before(system.node_count());
+  for (std::size_t i = 0; i < system.node_count(); ++i)
+    hosted_before[i] = system.service(i).rdms().hosted_blocks();
+
+  ASSERT_TRUE(client.put_sync(23, page_data(23)).ok());
+  auto loc = client.map().lookup(23);
+  ASSERT_TRUE(loc.ok());
+  ASSERT_EQ(loc->replicas.size(), 6u);
+  const std::size_t crashed = node_index(system, loc->replicas[0].node);
+  system.crash_node(crashed);
+
+  ASSERT_TRUE(client.remove_sync(23).ok());
+  EXPECT_FALSE(client.map().contains(23));
+  for (std::size_t i = 0; i < system.node_count(); ++i) {
+    if (i == crashed) continue;
+    EXPECT_EQ(system.service(i).rdms().hosted_blocks(), hosted_before[i])
+        << "node " << i;
+  }
+  EXPECT_EQ(system.node(0).recv_pool().metrics().counter_value(
+                "rdmc.frees_on_dead_host"),
+            1u);
+
+  system.recover_node(crashed);
+  EXPECT_EQ(system.service(crashed).rdms().hosted_blocks(), 0u);
+}
+
 }  // namespace
 }  // namespace dm::core

@@ -26,6 +26,17 @@ TEST(BlockDeviceTest, WriteReadRoundTrip) {
   EXPECT_EQ(out, data);
 }
 
+// Swap slots are read back only after being written, but the device
+// still promises what a fresh disk gives: never-written extents read zero.
+TEST(BlockDeviceTest, NeverWrittenExtentReadsZero) {
+  sim::Simulator sim;
+  BlockDevice disk(sim, {.capacity_bytes = 4 * MiB});
+  ASSERT_TRUE(disk.write_sync(0, pattern(4096)).ok());
+  std::vector<std::byte> out = pattern(8192, 9);
+  ASSERT_TRUE(disk.read_sync(3 * MiB, out).ok());
+  EXPECT_EQ(out, std::vector<std::byte>(8192));
+}
+
 TEST(BlockDeviceTest, OutOfRangeRejected) {
   sim::Simulator sim;
   BlockDevice disk(sim, {.capacity_bytes = 64 * KiB});

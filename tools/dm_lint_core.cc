@@ -69,6 +69,7 @@ const std::map<std::string, std::string>& owner_table() {
       {"LruTracker", "common/lru.h"},
       {"Logger", "common/logging.h"},
       {"fnv1a", "common/checksum.h"},
+      {"ZeroArena", "common/zero_arena.h"},
       {"Simulator", "sim/simulator.h"},
       {"Tracer", "sim/trace.h"},
       {"FailureInjector", "sim/failure_injector.h"},
