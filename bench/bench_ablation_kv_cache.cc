@@ -34,7 +34,7 @@ int main() {
       cluster.node_count = 4;
       cluster.node.shm.arena_bytes = 16 * MiB;
       cluster.node.recv.arena_bytes = 16 * MiB;
-      cluster.service.rdmc.replication = 1;
+      cluster.service.rdmc.ec_r = 0;  // one copy
       core::DmSystem system(cluster);
       system.start();
       auto& client = system.create_server(0, 64 * MiB);

@@ -29,7 +29,7 @@ int main() {
     config.node.recv.size_classes = {512,   1024,  2048,  4096, 8192,
                                      16384, 32768, 65536, 131072};
     config.node.recv.slab_bytes = 256 * KiB;
-    config.service.rdmc.replication = 1;
+    config.service.rdmc.ec_r = 0;  // one copy
     core::DmSystem system(config);
     system.start();
 

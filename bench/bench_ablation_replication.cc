@@ -27,7 +27,7 @@ int main() {
     core::DmSystem::Config config;
     config.node_count = 5;
     config.node.recv.arena_bytes = 32 * MiB;
-    config.service.rdmc.replication = k;
+    config.service.rdmc.ec_r = k - 1;  // k copies: RS(1, k - 1)
     core::DmSystem system(config);
     system.start();
     core::LdmcOptions options;

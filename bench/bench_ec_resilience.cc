@@ -3,8 +3,8 @@
 // Hydra's claim: Reed–Solomon striping gives crash resilience at a
 // (k+r)/k memory overhead instead of replication's full copies, at a
 // modest latency cost on the fault path. This bench runs the same
-// put/crash/read/repair scenario under replication factor 2 and two EC
-// shapes, and reports:
+// put/crash/read/repair scenario under three stripe shapes — 2 copies,
+// which is RS(1, 1), and two k > 1 codes — and reports:
 //   * memory overhead   — hosted remote bytes / logical bytes (the cost);
 //   * fault-free put/get latency (virtual time);
 //   * degraded-read latency right after a surprise crash (reconstruction);
@@ -29,8 +29,7 @@ namespace {
 
 struct Mode {
   std::string name;
-  std::size_t replication = 0;  // whole-copy mode when > 0
-  std::size_t ec_k = 0;         // EC mode when > 0
+  std::size_t ec_k = 1;  // k = 1: every parity shard is a whole copy
   std::size_t ec_r = 0;
 };
 
@@ -55,7 +54,7 @@ int main() {
 
   constexpr std::uint64_t kEntries = 128;
   const std::vector<Mode> modes = {
-      {"rep2", 2, 0, 0}, {"ec_2_1", 0, 2, 1}, {"ec_4_2", 0, 4, 2}};
+      {"rep2", 1, 1}, {"ec_2_1", 2, 1}, {"ec_4_2", 4, 2}};
 
   // Full per-mode metric snapshots ride along in a companion file (the
   // headline comparison JSON below keeps the stable, gated schema).
@@ -70,14 +69,9 @@ int main() {
     config.node.shm.arena_bytes = 2 * MiB;
     config.node.recv.arena_bytes = 32 * MiB;
     config.node.disk.capacity_bytes = 128 * MiB;
-    if (mode.replication > 0) {
-      config.service.rdmc.replication = mode.replication;
-      config.service.rdmc.min_replicas = 1;
-    } else {
-      config.service.rdmc.ec_k = mode.ec_k;
-      config.service.rdmc.ec_r = mode.ec_r;
-      config.service.rdmc.min_shards = mode.ec_k;
-    }
+    config.service.rdmc.ec_k = mode.ec_k;
+    config.service.rdmc.ec_r = mode.ec_r;
+    config.service.rdmc.min_shards = mode.ec_k;
     config.repair.enabled = true;
     config.repair.scan_period = 100 * kMilli;
     config.repair.max_repairs_per_scan = 256;
@@ -136,9 +130,7 @@ int main() {
         (system.simulator().now() - start) / static_cast<SimTime>(kEntries);
 
     // Recovery: let detection + repair scans restore full redundancy.
-    const std::size_t target = mode.replication > 0
-                                   ? mode.replication
-                                   : mode.ec_k + mode.ec_r;
+    const std::size_t target = mode.ec_k + mode.ec_r;
     bool restored = false;
     for (int round = 0; round < 400 && !restored; ++round) {
       system.run_for(100 * kMilli);

@@ -78,7 +78,7 @@ int main() {
         config.node.shm.arena_bytes = 32 * MiB;
         config.node.recv.arena_bytes = 32 * MiB;
         config.node.disk.capacity_bytes = 256 * MiB;
-        config.service.rdmc.replication = 1;
+        config.service.rdmc.ec_r = 0;  // one copy
         core::DmSystem system(config);
         system.start();
 

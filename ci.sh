@@ -7,7 +7,7 @@
 # byte-identical snapshot diff), a CXL-tier stage (the litmus battery +
 # coherence soak run twice same-seed cross-process and diffed, plus the
 # storage-tiers ablation gate), then a gcov-instrumented build gating
-# line coverage of the swap + compression + cxl layers.
+# line coverage of the swap + compression + cxl + ec layers.
 #
 # Usage: ./ci.sh [--lint-only|--plain-only|--sanitize-only|--obs-only|
 #                 --scale-only|--ec-only|--cxl-only|--coverage-only]
@@ -22,8 +22,8 @@
 # The sanitizer pass uses the DM_SANITIZE cache option defined in the root
 # CMakeLists.txt (compiles the whole tree with -fsanitize=address,undefined).
 # The coverage pass uses DM_COVERAGE and fails CI if line coverage of the
-# .cc files under src/swap/ + src/compress/ + src/cxl/ drops below the
-# floor.
+# .cc files under src/swap/ + src/compress/ + src/cxl/ + src/ec/ drops
+# below the floor.
 set -euo pipefail
 
 cd "$(dirname "$0")"
@@ -294,9 +294,10 @@ run_coverage() {
   local build_dir=build-cov
   # The swap/compress test set: unit, sweep, adaptive-engine, the
   # trace-replay model checker, and the crash-recovery suite (which is
-  # what reaches the write-back failure / degraded-fallback paths).
+  # what reaches the write-back failure / degraded-fallback paths), plus
+  # the codec battery: every remote byte goes through src/ec.
   local tests=(swap_test swap_adaptive_test swap_sweep_test model_test
-               compress_test recovery_test cxl_test)
+               compress_test recovery_test cxl_test ec_test)
   cmake -B "$build_dir" -S . -DDM_COVERAGE=ON -DCMAKE_BUILD_TYPE=Debug
   cmake --build "$build_dir" -j "$jobs" --target "${tests[@]}"
   find "$build_dir" -name '*.gcda' -delete
@@ -309,7 +310,7 @@ run_coverage() {
   mkdir -p "$covdir"
   : > "$covdir/lines.txt"
   local lib src objdir
-  for lib in swap compress cxl; do
+  for lib in swap compress cxl ec; do
     objdir="../src/$lib/CMakeFiles/dm_${lib}.dir"
     for src in src/"$lib"/*.cc; do
       # cmake names objects "<src>.cc.o", so gcov needs the object path
@@ -334,7 +335,7 @@ run_coverage() {
     END {
       if (total == 0) { print "coverage: no gcov data found"; exit 1 }
       pct = 100.0 * covered / total;
-      printf "==> swap+compress+cxl line coverage: %.2f%% (floor %.1f%%)\n",
+      printf "==> swap+compress+cxl+ec line coverage: %.2f%% (floor %.1f%%)\n",
              pct, floor;
       if (pct < floor) {
         print "==> COVERAGE GATE FAILED: below established level";
@@ -379,7 +380,7 @@ if [[ "$mode" == "all" || "$mode" == "--cxl-only" ]]; then
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--coverage-only" ]]; then
-  echo "==> coverage build + swap/compress/cxl gate"
+  echo "==> coverage build + swap/compress/cxl/ec gate"
   run_coverage
 fi
 

@@ -20,7 +20,7 @@ int main() {
   core::DmSystem::Config config;
   config.node_count = 5;
   config.node.recv.arena_bytes = 16 * MiB;
-  config.service.rdmc.replication = 3;  // §IV.D triple-replica writes
+  config.service.rdmc.ec_r = 2;  // §IV.D triple-replica writes: RS(1, 2)
   core::DmSystem system(config);
   sim::Tracer tracer(1 << 16);
   system.set_tracer(&tracer);

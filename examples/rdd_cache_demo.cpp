@@ -20,7 +20,7 @@ int main() {
     config.node_count = 4;
     config.node.shm.arena_bytes = 16 * MiB;
     config.node.recv.arena_bytes = 16 * MiB;
-    config.service.rdmc.replication = 1;
+    config.service.rdmc.ec_r = 0;  // one copy
     core::DmSystem system(config);
     system.start();
 

@@ -62,7 +62,7 @@ class Harvester {
     // Don't bother migrating off a node hosting less than this.
     std::uint64_t min_hosted_bytes = 64 * 1024;
     // Per-tick migration budget per hot node (each entry costs one
-    // read + one replicated put on the owner).
+    // shard read + one single-shard put on the owner).
     std::size_t migrate_entries_per_action = 8;
     // Reclaim a slab only while the hot node's donated pool is this full
     // or more (free fraction at or below the watermark): migrating hosted

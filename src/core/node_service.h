@@ -10,11 +10,12 @@
 //    route overflow to remote memory via the RDMC, and fall back to the
 //    local swap disk when the cluster has no room (§IV.B);
 //  * the get path: serve from whichever tier the entry's committed map
-//    location names, with replica failover;
+//    location names, failing over across copies or reconstructing a
+//    stripe around lost shards;
 //  * eviction notices from remote RDMSes draining a slab (§IV.F): migrate
 //    the named entries to new hosts, then free the old blocks;
-//  * failure repair (§IV.D): when membership declares a node dead, restore
-//    the replication factor of every local entry that had a replica there;
+//  * failure repair (§IV.D): when membership declares a node dead, rebuild
+//    the lost shard of every local entry that had one there;
 //  * the eviction monitor (§IV.F policies 1 and 2): watermark-triggered
 //    preemptive slab deregistration and ballooning advice for servers that
 //    hit disaggregated memory too often.
@@ -23,7 +24,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 
 #include "cluster/node.h"
 #include "common/metrics.h"
@@ -84,11 +84,11 @@ class NodeService {
     // puts + non-shm gets) is counted. The last full window's count is
     // what heartbeats advertise and load-aware placement discounts by.
     SimTime pressure_window = 1 * kSecond;
-    // Virtual-time CPU cost of the Reed–Solomon codec when rdmc.ec_k > 0
-    // (Hydra-style EC). The codec itself is pure computation, so its cost
-    // is modeled as latency here: encode on every remote put, decode on
-    // degraded reads and shard reconstruction. Defaults approximate a
-    // table-driven GF(2^8) software codec on one core.
+    // Virtual-time CPU cost of the Reed–Solomon codec when rdmc.ec_k > 1
+    // (k = 1 copies cost nothing). The codec itself is pure computation,
+    // so its cost is modeled as latency here: encode on every remote put,
+    // decode on degraded reads and shard reconstruction. Defaults
+    // approximate a table-driven GF(2^8) software codec on one core.
     sim::CostModel ec_encode_cost{2000, 4.0};
     sim::CostModel ec_decode_cost{3000, 3.0};
   };
@@ -149,10 +149,10 @@ class NodeService {
   void eviction_tick();
 
   // Restores one entry to its intended placement (§IV.D hardening): prunes
-  // replicas on dead hosts, tops a short remote replica set back up to the
-  // replication factor, and re-promotes degraded device-tier entries to
-  // remote memory. No-op for healthy entries. Driven by the RepairService;
-  // exposed for targeted recovery tests.
+  // shards on dead hosts, rebuilds a short stripe back to its k + r
+  // shards, and re-promotes degraded device-tier entries to remote memory.
+  // No-op for healthy entries. Driven by the RepairService; exposed for
+  // targeted recovery tests.
   void repair_entry(cluster::ServerId server, mem::EntryId entry,
                     DoneCallback done, net::TraceId trace = net::kNoTrace);
 
@@ -201,41 +201,39 @@ class NodeService {
   void put_remote(cluster::ServerId server, mem::EntryId entry,
                   std::span<const std::byte> data, bool allow_disk,
                   PutCallback done, net::TraceId trace = net::kNoTrace);
-  // --- erasure-coded remote tier (Hydra-style, active when rdmc.ec_k > 0) ---
+  // --- the stripe path: every remote entry is an RS(k, r) stripe -----------
+  // (Hydra-style; k = 1 is replication, its r parity shards whole copies.)
   // Encodes `data` into k+r shards, stripes them across distinct nodes,
-  // and reports the complete remote EntryLocation (ec fields, per-shard
-  // checksums, surviving shard set, degraded flag). Callers merge it into
-  // their committed entry; shared by the put, spill, and re-promotion
-  // paths.
-  void ec_store(cluster::ServerId server, mem::EntryId entry,
-                std::span<const std::byte> data,
-                std::function<void(StatusOr<mem::EntryLocation>)> done,
-                net::TraceId trace);
-  void put_remote_ec(cluster::ServerId server, mem::EntryId entry,
-                     std::span<const std::byte> data, bool allow_disk,
-                     PutCallback done, net::TraceId trace);
-  // Range read over an EC stripe: direct one-sided reads of the covering
-  // data shards when they all survive; otherwise reconstructs from any k
-  // surviving shards (the degraded-read path).
-  void get_entry_ec(const mem::EntryLocation& location, std::uint64_t offset,
-                    std::span<std::byte> out, DoneCallback done,
+  // and reports the complete remote EntryLocation (stripe shape, per-shard
+  // checksums when k > 1, surviving shard set, degraded flag). Callers
+  // merge it into their committed entry; shared by the put, spill, and
+  // re-promotion paths.
+  void store_stripe(cluster::ServerId server, mem::EntryId entry,
+                    std::span<const std::byte> data,
+                    std::function<void(StatusOr<mem::EntryLocation>)> done,
                     net::TraceId trace);
-  void ec_degraded_read(mem::EntryLocation location, std::uint64_t offset,
-                        std::span<std::byte> out, DoneCallback done,
-                        net::TraceId trace);
-  // Re-encodes the shards lost to crashed hosts onto fresh nodes ("min
+  // Range read: a k = 1 entry fails over across its copies in committed
+  // order; a k > 1 stripe reads the covering data shards directly when
+  // they all survive, and otherwise reconstructs from any k surviving
+  // shards (the degraded-read path).
+  void read_stripe(const mem::EntryLocation& location, std::uint64_t offset,
+                   std::span<std::byte> out, DoneCallback done,
+                   net::TraceId trace);
+  void degraded_read(mem::EntryLocation location, std::uint64_t offset,
+                     std::span<std::byte> out, DoneCallback done,
+                     net::TraceId trace);
+  // Rebuilds the shards lost to crashed hosts onto fresh nodes ("min
   // surviving shards" repair). Merges by shard index against the *current*
   // committed replica set, so a concurrent repair or migration never loses
   // shards, and preserves the stale re-check.
-  void repair_entry_ec(cluster::ServerId server, mem::EntryId entry,
-                       const mem::EntryLocation& loc, DoneCallback done,
-                       net::TraceId trace);
-  // Decodes an EC payload from fully-read shards (checksum-gated), or
-  // returns the codec error. Uses the cached codec when the stripe shape
-  // matches the node config, else builds a matching one.
-  [[nodiscard]] StatusOr<std::vector<std::byte>> ec_decode_shards(
-      const mem::EntryLocation& loc,
-      std::vector<std::vector<std::byte>>& shards);
+  void repair_stripe(cluster::ServerId server, mem::EntryId entry,
+                     const mem::EntryLocation& loc, DoneCallback done,
+                     net::TraceId trace);
+  // Clears every read shard whose bytes fail the location's committed
+  // per-shard checksum (k > 1 stripes carry them), so a corrupt shard
+  // counts as lost instead of poisoning a decode.
+  void drop_corrupt_shards(const mem::EntryLocation& loc,
+                           std::vector<std::vector<std::byte>>& shards);
   // Device tiers: NVM when present (and then disk on failure), else disk.
   void put_device(cluster::ServerId server, mem::EntryId entry,
                   std::span<const std::byte> data, PutCallback done,
@@ -275,9 +273,8 @@ class NodeService {
   Config config_;
   Rdms rdms_;
   Rdmc rdmc_;
-  // Reed–Solomon codec matching Config::rdmc.{ec_k, ec_r}; engaged only
-  // when EC mode is on (nullopt otherwise, or if the shape is invalid).
-  std::optional<ec::RsCodec> codec_;
+  // Reed–Solomon codec matching Config::rdmc.{ec_k, ec_r}.
+  ec::RsCodec codec_;
   MetricsRegistry metrics_;
   sim::SpanSink* spans_ = nullptr;
   // Ordered: repair and eviction scans iterate these and issue RPCs, so

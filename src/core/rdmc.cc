@@ -18,191 +18,22 @@ Rdmc::Rdmc(cluster::Node& node, Config config)
       policy_(cluster::make_placement_policy(config.placement)) {}
 
 void Rdmc::put(cluster::ServerId server, mem::EntryId entry,
-               std::span<const std::byte> data, PutCallback done,
-               std::span<const net::NodeId> exclude, std::size_t count,
+               std::vector<ShardPayload> shards, std::size_t min_needed,
+               PutCallback done, std::span<const net::NodeId> exclude,
                net::TraceId trace) {
   if (!candidates_) {
     done(FailedPreconditionError("no candidates provider bound"));
     return;
   }
-  if (trace == net::kNoTrace) trace = node_.next_trace_id();
-  // End-to-end transaction latency (placement + alloc RPCs + write fan-out),
-  // success and rollback alike.
-  const SimTime started = node_.simulator().now();
-  done = [this, started, inner = std::move(done)](
-             StatusOr<std::vector<mem::RemoteReplica>> result) {
-    node_.recv_pool().metrics().histogram("rdmc.put_ns")
-        .record(static_cast<std::uint64_t>(node_.simulator().now() - started));
-    inner(std::move(result));
-  };
-  if (count == 0) count = config_.replication;
-  // Degraded-mode floor: below this many written replicas the transaction
-  // rolls back; at or above it, a short replica set is an acceptable
-  // (degraded) outcome for the repair service to top up later.
-  const std::size_t min_needed =
-      config_.min_replicas == 0 ? count
-                                : std::min(config_.min_replicas, count);
-  auto candidates = candidates_();
-  // Remove self and excluded nodes.
-  std::erase_if(candidates, [&](const cluster::CandidateNode& c) {
-    if (c.node == node_.id()) return true;
-    return std::find(exclude.begin(), exclude.end(), c.node) != exclude.end();
-  });
-  auto targets = policy_->pick_recorded(candidates, count, data.size(),
-                                        node_.rng(),
-                                        &node_.recv_pool().metrics());
-  // Not enough candidates for the full factor: in degraded mode, retry the
-  // placement with progressively smaller replica sets down to the floor.
-  std::size_t want = count;
-  while (!targets.ok() && want > min_needed) {
-    --want;
-    targets = policy_->pick_recorded(candidates, want, data.size(),
-                                     node_.rng(),
-                                     &node_.recv_pool().metrics());
-  }
-  if (!targets.ok()) {
-    ++node_.recv_pool().metrics().counter("rdmc.put_no_candidates");
-    done(targets.status());
-    return;
-  }
-  if (targets->size() < count)
-    ++node_.recv_pool().metrics().counter("rdmc.put_short_placement");
-
-  // Shared transaction state across the async alloc + write fan-out.
-  struct PutTx {
-    std::vector<std::byte> payload;
-    std::vector<mem::RemoteReplica> replicas;
-    std::size_t pending = 0;
-    std::size_t min_needed = 0;
-    bool failed = false;
-    Status first_error;
-    PutCallback done;
-  };
-  auto tx = std::make_shared<PutTx>();
-  tx->payload.assign(data.begin(), data.end());
-  tx->pending = targets->size();
-  tx->min_needed = min_needed;
-  tx->done = std::move(done);
-
-  auto finish_allocs = [this, tx, trace]() {
-    if (tx->failed && tx->replicas.size() < tx->min_needed) {
-      // Roll back whatever was reserved; the caller's map is untouched.
-      free_replicas(std::move(tx->replicas), {}, trace);
-      tx->done(tx->first_error);
-      return;
-    }
-    if (tx->failed)
-      ++node_.recv_pool().metrics().counter("rdmc.put_degraded_alloc");
-    // Phase 2: one-sided writes to every reserved block. Per-replica
-    // success tracking: a failed write drops that replica (its block is
-    // freed); the put still succeeds if enough writes landed.
-    tx->failed = false;
-    tx->first_error = Status::Ok();
-    tx->pending = tx->replicas.size();
-    auto written = std::make_shared<std::vector<mem::RemoteReplica>>();
-    auto lost = std::make_shared<std::vector<mem::RemoteReplica>>();
-    auto settle_writes = [this, tx, written, lost, trace]() {
-      if (written->size() >= tx->min_needed) {
-        if (!lost->empty()) {
-          ++node_.recv_pool().metrics().counter("rdmc.put_degraded_write");
-          free_replicas(std::move(*lost), {}, trace);
-        }
-        tx->done(std::move(*written));
-      } else {
-        free_replicas(std::move(tx->replicas), {}, trace);
-        tx->done(tx->first_error.ok()
-                     ? UnavailableError("replica writes failed")
-                     : tx->first_error);
-      }
-    };
-    for (const auto& replica : tx->replicas) {
-      auto qp = node_.connections().ensure_data_channel(node_.id(),
-                                                        replica.node);
-      Status posted =
-          !qp.ok() ? qp.status()
-                   : (*qp)->post_write(
-                         replica.rkey, replica.offset, tx->payload,
-                         [tx, replica, written, lost,
-                          settle_writes](const net::Completion& c) {
-                           if (c.status.ok()) {
-                             written->push_back(replica);
-                           } else {
-                             lost->push_back(replica);
-                             if (tx->first_error.ok())
-                               tx->first_error = c.status;
-                           }
-                           if (--tx->pending == 0) settle_writes();
-                         },
-                         trace);
-      if (!posted.ok()) {
-        lost->push_back(replica);
-        if (tx->first_error.ok()) tx->first_error = posted;
-        if (--tx->pending == 0) settle_writes();
-      }
-    }
-  };
-
-  // Phase 1: reserve a block on each target.
-  for (net::NodeId target : *targets) {
-    Status channel = node_.connections().ensure_control_channel(node_.id(),
-                                                                target);
-    if (!channel.ok()) {
-      if (!tx->failed) {
-        tx->failed = true;
-        tx->first_error = channel;
-      }
-      if (--tx->pending == 0) finish_allocs();
-      continue;
-    }
-    net::WireWriter w;
-    w.put_u32(node_.id());
-    w.put_u32(server);
-    w.put_u64(entry);
-    w.put_u32(static_cast<std::uint32_t>(tx->payload.size()));
-    node_.rpc().call(
-        target, kRpcAllocBlock, std::move(w).take(), config_.rpc_timeout,
-        [tx, target, finish_allocs](StatusOr<std::vector<std::byte>> resp) {
-          if (resp.ok()) {
-            net::WireReader r(*resp);
-            mem::RemoteReplica replica;
-            replica.node = target;
-            replica.slab = r.u32();
-            replica.rkey = r.u64();
-            replica.offset = r.u64();
-            replica.block_size = r.u32();
-            if (r.ok()) {
-              tx->replicas.push_back(replica);
-            } else if (!tx->failed) {
-              tx->failed = true;
-              tx->first_error = r.status();
-            }
-          } else if (!tx->failed) {
-            tx->failed = true;
-            tx->first_error = resp.status();
-          }
-          if (--tx->pending == 0) finish_allocs();
-        },
-        trace);
-  }
-  ++node_.recv_pool().metrics().counter("rdmc.puts");
-}
-
-void Rdmc::put_shards(cluster::ServerId server, mem::EntryId entry,
-                      std::vector<ShardPayload> shards,
-                      std::size_t min_needed, PutCallback done,
-                      std::span<const net::NodeId> exclude,
-                      net::TraceId trace) {
-  if (!candidates_) {
-    done(FailedPreconditionError("no candidates provider bound"));
-    return;
-  }
   if (shards.empty()) {
-    done(InvalidArgumentError("put_shards: empty shard set"));
+    done(InvalidArgumentError("put: empty shard set"));
     return;
   }
   if (min_needed == 0 || min_needed > shards.size())
     min_needed = shards.size();
   if (trace == net::kNoTrace) trace = node_.next_trace_id();
+  // End-to-end transaction latency (placement + alloc RPCs + write fan-out),
+  // success and rollback alike.
   const SimTime started = node_.simulator().now();
   done = [this, started, inner = std::move(done)](
              StatusOr<std::vector<mem::RemoteReplica>> result) {
@@ -219,8 +50,9 @@ void Rdmc::put_shards(cluster::ServerId server, mem::EntryId entry,
   auto targets = policy_->pick_recorded(candidates, shards.size(),
                                         shard_bytes, node_.rng(),
                                         &node_.recv_pool().metrics());
-  // Short placement sheds shards from the back (parity-last ordering)
-  // down to the floor — the EC analogue of put()'s degraded retry.
+  // Not enough candidates for every shard: retry the placement with
+  // progressively fewer shards, shedding from the back (parity last) down
+  // to the degraded floor.
   std::size_t want = shards.size();
   while (!targets.ok() && want > min_needed) {
     --want;
@@ -236,6 +68,7 @@ void Rdmc::put_shards(cluster::ServerId server, mem::EntryId entry,
   if (targets->size() < shards.size())
     ++node_.recv_pool().metrics().counter("rdmc.put_short_placement");
 
+  // Shared transaction state across the async alloc + write fan-out.
   struct ShardTx {
     std::vector<ShardPayload> shards;
     std::vector<mem::RemoteReplica> replicas;
@@ -253,12 +86,16 @@ void Rdmc::put_shards(cluster::ServerId server, mem::EntryId entry,
 
   auto finish_allocs = [this, tx, trace]() {
     if (tx->failed && tx->replicas.size() < tx->min_needed) {
+      // Roll back whatever was reserved; the caller's map is untouched.
       free_replicas(std::move(tx->replicas), {}, trace);
       tx->done(tx->first_error);
       return;
     }
     if (tx->failed)
       ++node_.recv_pool().metrics().counter("rdmc.put_degraded_alloc");
+    // Phase 2: one-sided writes to every reserved block. A failed write
+    // drops that shard (its block is freed); the put still succeeds if
+    // enough writes landed.
     tx->failed = false;
     tx->first_error = Status::Ok();
     tx->pending = tx->replicas.size();
@@ -279,8 +116,6 @@ void Rdmc::put_shards(cluster::ServerId server, mem::EntryId entry,
       }
     };
     for (const auto& replica : tx->replicas) {
-      // Each replica carries its own shard's bytes (unlike put(), where
-      // every target receives the full payload).
       const ShardPayload* payload = nullptr;
       for (const auto& s : tx->shards)
         if (s.shard == replica.shard) payload = &s;
@@ -310,6 +145,7 @@ void Rdmc::put_shards(cluster::ServerId server, mem::EntryId entry,
     }
   };
 
+  // Phase 1: reserve a block for shard i on target i.
   for (std::size_t i = 0; i < targets->size(); ++i) {
     const net::NodeId target = (*targets)[i];
     const std::uint32_t shard_id = tx->shards[i].shard;

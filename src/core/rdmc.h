@@ -1,18 +1,22 @@
 // Remote Disaggregated Memory Client (paper Fig. 1–2, §IV.B, §IV.D–E).
 //
 // The RDMC is the per-node service through which local data leaves for
-// remote memory. A replicated put is the §IV.D atomic transaction:
+// remote memory. Every remote entry is a systematic Reed–Solomon stripe of
+// ec_k data and ec_r parity shards, one shard per node (Hydra-style, §IV.D).
+// Replication is the k = 1 corner of that space: every coding row is all
+// ones, so each parity shard is a verbatim copy and RS(1, r) keeps r + 1
+// copies. A put is the §IV.D atomic transaction:
 //
-//   1. pick `replication` distinct target nodes via the configured
+//   1. pick one distinct target node per shard via the configured
 //      placement policy (§IV.E) over the current candidate set,
 //   2. reserve a block on each target (control-plane RPC to its RDMS),
-//   3. one-sided RDMA WRITE the payload into every reserved block,
-//   4. succeed only if *all* replicas acked — otherwise free whatever was
+//   3. one-sided RDMA WRITE each shard into its reserved block,
+//   4. succeed only if enough shards acked — otherwise free whatever was
 //      reserved and report failure, leaving the caller's memory map
-//      untouched (all-or-nothing).
+//      untouched (all-or-nothing down to the degraded floor).
 //
-// Reads are one-sided RDMA READs that fail over across replicas, so a dead
-// replica host costs one detection timeout, not data loss.
+// Reads are one-sided RDMA READs that fail over across the blocks they are
+// given, so a dead copy's host costs one detection timeout, not data loss.
 #pragma once
 
 #include <functional>
@@ -31,25 +35,18 @@ namespace dm::core {
 class Rdmc {
  public:
   struct Config {
-    std::size_t replication = 3;
-    // Degraded-mode floor: a put that cannot reach the full replication
-    // factor (dead targets, exhausted candidates) still succeeds once at
-    // least this many replicas are written, reporting the short replica
-    // set; the repair service tops it up later. 0 = strict all-or-nothing
-    // (the historical §IV.D transaction).
-    std::size_t min_replicas = 0;
-    // Erasure coding (Hydra-style, §IV.D alternative): when ec_k > 0 the
-    // LDMS stores each remote entry as ec_k data + ec_r parity shards,
-    // one per node, via put_shards() instead of whole-copy replication —
-    // ~(ec_k+ec_r)/ec_k memory overhead instead of replication's factor.
-    // The entry survives any ec_r shard losses; degraded reads
-    // reconstruct from the surviving >= ec_k shards.
-    std::size_t ec_k = 0;
-    std::size_t ec_r = 0;
-    // Degraded floor for shard placement, the EC analogue of
-    // min_replicas: a put that cannot stripe all ec_k+ec_r shards still
-    // succeeds once this many landed (clamped to >= ec_k, since fewer
-    // could never be read back). 0 = all shards required.
+    // Stripe shape: ec_k data + ec_r parity shards on ec_k + ec_r distinct
+    // nodes, ~(ec_k+ec_r)/ec_k memory overhead. The entry survives any
+    // ec_r shard losses; degraded reads reconstruct from >= ec_k
+    // survivors. n-way replication is (1, n - 1); the default keeps 3
+    // copies.
+    std::size_t ec_k = 1;
+    std::size_t ec_r = 2;
+    // Degraded-mode floor: a put that cannot place all ec_k+ec_r shards
+    // (dead targets, exhausted candidates) still succeeds once this many
+    // landed (clamped to >= ec_k, since fewer could never be read back),
+    // reporting the short stripe for the repair service to top up.
+    // 0 = strict all-or-nothing (the historical §IV.D transaction).
     std::size_t min_shards = 0;
     cluster::PlacementPolicyKind placement =
         cluster::PlacementPolicyKind::kPowerOfTwoChoices;
@@ -72,39 +69,32 @@ class Rdmc {
 
   const Config& config() const noexcept { return config_; }
 
-  // Replicated put; `exclude` removes nodes from candidacy (used when
-  // migrating an entry *away* from a node). `count` overrides the number of
-  // replicas written (0 = the configured replication factor) — repair paths
-  // top up a degraded entry with exactly one fresh replica. `trace` joins
-  // the alloc RPCs and data-plane writes to the caller's causal chain
-  // (kNoTrace = start a fresh chain at this node).
-  void put(cluster::ServerId server, mem::EntryId entry,
-           std::span<const std::byte> data, PutCallback done,
-           std::span<const net::NodeId> exclude = {}, std::size_t count = 0,
-           net::TraceId trace = net::kNoTrace);
-
-  // One erasure-coded shard bound for its own node.
+  // One shard bound for its own node: index `shard` within the (k, r)
+  // stripe (for k = 1, a copy id), with the bytes that block holds.
   struct ShardPayload {
-    std::uint32_t shard = 0;  // index within the (k, r) stripe
+    std::uint32_t shard = 0;
     std::vector<std::byte> bytes;
   };
 
-  // Erasure-coded put: stripes the given shards across distinct nodes (one
-  // shard per node, same two-phase reserve/write transaction as put()).
-  // Succeeds once >= min_needed shards are written — the survivors, with
-  // RemoteReplica::shard identifying each — and rolls everything back
-  // below that. When placement comes up short, shards are dropped from the
-  // *back* of the vector down to min_needed, so callers order them
-  // data-first/parity-last to shed parity before data. Repair paths call
-  // this with just the missing shards (min_needed = 1) to top up a
-  // degraded stripe.
-  void put_shards(cluster::ServerId server, mem::EntryId entry,
-                  std::vector<ShardPayload> shards, std::size_t min_needed,
-                  PutCallback done, std::span<const net::NodeId> exclude = {},
-                  net::TraceId trace = net::kNoTrace);
+  // Stripes the given shards across distinct nodes, one shard per node.
+  // Succeeds once >= min_needed shards are written (0 = all) — the
+  // survivors, with RemoteReplica::shard identifying each — and rolls
+  // everything back below that. When placement comes up short, shards are
+  // dropped from the *back* of the vector down to min_needed, so callers
+  // order them data-first/parity-last to shed parity before data. `exclude`
+  // removes nodes from candidacy (migration and repair place fresh shards
+  // away from every current host); repair paths pass just the missing
+  // shards with min_needed = 1. `trace` joins the alloc RPCs and data-plane
+  // writes to the caller's causal chain (kNoTrace = start a fresh chain at
+  // this node).
+  void put(cluster::ServerId server, mem::EntryId entry,
+           std::vector<ShardPayload> shards, std::size_t min_needed,
+           PutCallback done, std::span<const net::NodeId> exclude = {},
+           net::TraceId trace = net::kNoTrace);
 
-  // Reads out.size() bytes at `range_offset` within the entry, failing over
-  // across replicas in order.
+  // Reads out.size() bytes at `range_offset` within a block, failing over
+  // across `replicas` in order (every one must hold the same bytes: one
+  // shard, or any copy of a k = 1 entry).
   void read(const std::vector<mem::RemoteReplica>& replicas,
             std::uint64_t range_offset, std::span<std::byte> out,
             ReadCallback done, net::TraceId trace = net::kNoTrace);

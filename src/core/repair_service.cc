@@ -38,10 +38,9 @@ void RepairService::scan_tick(std::function<void()> done) {
     return;
   }
   ++service_.metrics().counter("repair.scans");
-  const std::size_t replication = service_.rdmc().config().replication;
   auto work = std::make_shared<std::vector<WorkItem>>();
   service_.for_each_client([&](cluster::ServerId server, Ldmc& client) {
-    for (mem::EntryId entry : client.map().repair_candidates(replication)) {
+    for (mem::EntryId entry : client.map().repair_candidates()) {
       if (work->size() >= config_.max_repairs_per_scan) return;
       work->push_back({server, entry});
     }

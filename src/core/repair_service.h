@@ -1,13 +1,13 @@
 // Background re-replication (§IV.D hardening).
 //
 // Degraded-mode writes and node failures leave entries below their intended
-// placement: remote entries with fewer replicas than the replication
-// factor, and disk-fallback entries awaiting re-promotion to remote memory.
-// The RepairService is the per-node janitor that finds them and restores
-// the invariant: a periodic scan walks every local virtual server's memory
-// map for repair candidates and tops each one up through
-// NodeService::repair_entry (which reuses the Rdmc::put(count=1) repair
-// hook from the failure path).
+// placement: remote stripes holding fewer than their k + r shards (for
+// k = 1, fewer copies), and disk-fallback entries awaiting re-promotion to
+// remote memory. The RepairService is the per-node janitor that finds them
+// and restores the invariant: a periodic scan walks every local virtual
+// server's memory map for repair candidates and tops each one up through
+// NodeService::repair_entry (which rebuilds the missing shards and places
+// them with the same Rdmc::put as the failure path).
 //
 // Repairs within one scan run serially — the point is steady background
 // convergence, not a recovery storm that competes with foreground traffic.

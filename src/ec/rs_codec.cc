@@ -124,7 +124,10 @@ StatusOr<std::vector<std::vector<std::byte>>> RsCodec::encode(
       std::copy_n(data.data() + begin, take, shards[i].data());
     }
   }
-  if (r_ > 0) {
+  if (k_ == 1) {
+    // Every coding row of RS(1, r) is all ones: parity is a verbatim copy.
+    for (std::size_t i = 1; i < total_shards(); ++i) shards[i] = shards[0];
+  } else if (r_ > 0) {
     std::vector<const std::uint8_t*> src(k_);
     for (std::size_t i = 0; i < k_; ++i) src[i] = bytes(shards[i]);
     std::vector<std::uint8_t*> out(r_);
@@ -154,6 +157,12 @@ Status RsCodec::reconstruct(std::vector<std::vector<std::byte>>& shards) const {
   if (present.size() < k_)
     return DataLossError("rs: fewer than k shards survive");
   if (present.size() == total_shards()) return Status::Ok();
+  if (k_ == 1) {
+    // Any survivor of RS(1, r) is the whole payload: copy it into the gaps.
+    for (auto& shard : shards)
+      if (shard.empty()) shard = shards[present.front()];
+    return Status::Ok();
+  }
 
   // Decode matrix: the k coding-matrix rows of the first k survivors,
   // inverted. survivors = rows * data  =>  data = rows^-1 * survivors.

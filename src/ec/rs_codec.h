@@ -10,6 +10,11 @@
 // remain linearly independent, which is exactly the MDS property degraded
 // reads rely on.
 //
+// k = 1 is replication: every row of the coding matrix is all ones
+// (gf_pow(i, 0) == 1), so each parity shard is a verbatim copy of the one
+// data shard. encode and reconstruct take that shape by copying, with no
+// GF(2^8) arithmetic.
+//
 // The codec is pure computation: no clocks, no randomness, no I/O. Callers
 // in the simulation account for encode/decode CPU cost via the virtual-time
 // CostModel; the codec itself only transforms bytes, so it is trivially

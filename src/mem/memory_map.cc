@@ -57,21 +57,14 @@ std::vector<EntryId> MemoryMap::entries_with_replica_on(
   return out;
 }
 
-std::vector<EntryId> MemoryMap::repair_candidates(
-    std::size_t replication) const {
+std::vector<EntryId> MemoryMap::repair_candidates() const {
   std::vector<EntryId> out;
   for (const auto& shard : shards_) {
     for (const auto& [id, loc] : shard) {
-      // Erasure-coded entries carry their own target ("min surviving
-      // shards" generalizes min_replicas): all k+r shards placed. Plain
-      // replication keeps the caller-supplied factor.
-      const std::size_t target =
-          loc.ec_k > 0
-              ? static_cast<std::size_t>(loc.ec_k) + loc.ec_r
-              : replication;
-      const bool under_replicated =
-          loc.tier == Tier::kRemote && loc.replicas.size() < target;
-      if (under_replicated || loc.degraded) out.push_back(id);
+      const bool short_stripe =
+          loc.tier == Tier::kRemote &&
+          loc.replicas.size() < static_cast<std::size_t>(loc.ec_k) + loc.ec_r;
+      if (short_stripe || loc.degraded) out.push_back(id);
     }
   }
   // Sorted so the repair order is independent of hash-table iteration.

@@ -21,9 +21,10 @@ SystemSetup make_system(SystemKind kind, std::uint64_t resident_pages) {
   SystemSetup setup;
   setup.name = to_string(kind);
   setup.swap.resident_pages = resident_pages;
-  // The measured prototypes run unreplicated; the replication ablation
-  // bench raises this to 2 and 3.
-  setup.service.rdmc.replication = 1;
+  // The measured prototypes run unreplicated: one copy, RS(1, 0). The
+  // replication ablation bench raises this to 2 and 3 copies.
+  setup.service.rdmc.ec_k = 1;
+  setup.service.rdmc.ec_r = 0;
 
   switch (kind) {
     case SystemKind::kFastSwap:

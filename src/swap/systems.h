@@ -4,8 +4,8 @@
 // Each preset fixes (a) the LDMC routing policy — which tiers this system
 // may use and in what ratio, (b) the SwapManager mechanics — batching, PBS,
 // compression, backup, per-op overheads, and (c) the node-service knobs —
-// notably the replication factor (the research prototypes the paper
-// measures do not replicate; the ablation bench sweeps factors 1–3).
+// notably the number of remote copies (the research prototypes the paper
+// measures keep one, RS(1, 0); the ablation bench sweeps 1–3 copies).
 //
 // FS-SM / FS-9:1 / FS-7:3 / FS-5:5 / FS-RDMA (Fig 8) are FastSwap with the
 // shared-memory fraction pinned to 1.0 / 0.9 / 0.7 / 0.5 / 0.0.

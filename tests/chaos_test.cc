@@ -68,8 +68,8 @@ SoakResult run_soak(std::uint64_t seed) {
   config.node.shm.arena_bytes = 2 * MiB;
   config.node.recv.arena_bytes = 16 * MiB;
   config.node.disk.capacity_bytes = 64 * MiB;
-  config.service.rdmc.replication = 2;
-  config.service.rdmc.min_replicas = 1;  // degraded-mode writes allowed
+  config.service.rdmc.ec_r = 1;  // 2 copies
+  config.service.rdmc.min_shards = 1;  // degraded-mode writes allowed
   config.rpc_retry.max_attempts = 3;
   config.rpc_retry.base_backoff = 500 * kMicro;
   config.rpc_retry.max_backoff = 2 * kMilli;
@@ -193,7 +193,8 @@ SoakResult run_soak(std::uint64_t seed) {
   client.map().for_each([&](mem::EntryId, const mem::EntryLocation& loc) {
     if (loc.degraded) result.placement_restored = false;
     if (loc.tier == mem::Tier::kRemote &&
-        loc.replicas.size() < config.service.rdmc.replication)
+        loc.replicas.size() <
+            config.service.rdmc.ec_k + config.service.rdmc.ec_r)
       result.placement_restored = false;
   });
 
@@ -278,8 +279,8 @@ SwapSoakResult run_swap_soak(std::uint64_t seed) {
   config.node.shm.arena_bytes = 2 * MiB;
   config.node.recv.arena_bytes = 16 * MiB;
   config.node.disk.capacity_bytes = 64 * MiB;
-  config.service.rdmc.replication = 2;
-  config.service.rdmc.min_replicas = 1;
+  config.service.rdmc.ec_r = 1;  // 2 copies
+  config.service.rdmc.min_shards = 1;
   config.rpc_retry.max_attempts = 3;
   config.rpc_retry.base_backoff = 500 * kMicro;
   config.rpc_retry.max_backoff = 2 * kMilli;
@@ -501,7 +502,7 @@ EcSoakResult run_ec_soak(std::uint64_t seed) {
   hooks.can_crash = [&](sim::ChaosSchedule::NodeRef victim) {
     bool safe = true;
     client.map().for_each([&](mem::EntryId, const mem::EntryLocation& loc) {
-      if (loc.tier != mem::Tier::kRemote || loc.ec_k == 0) return;
+      if (loc.tier != mem::Tier::kRemote) return;
       std::size_t live = 0;
       for (const auto& r : loc.replicas)
         if (r.node != victim && system.fabric().node_up(r.node)) ++live;
@@ -569,7 +570,7 @@ EcSoakResult run_ec_soak(std::uint64_t seed) {
   result.stripes_restored = true;
   client.map().for_each([&](mem::EntryId, const mem::EntryLocation& loc) {
     if (loc.degraded) result.stripes_restored = false;
-    if (loc.tier != mem::Tier::kRemote || loc.ec_k == 0) return;
+    if (loc.tier != mem::Tier::kRemote) return;
     if (loc.replicas.size() <
         static_cast<std::size_t>(loc.ec_k) + loc.ec_r)
       result.stripes_restored = false;
@@ -668,8 +669,8 @@ FlightSoakResult run_flight_soak(std::uint64_t seed, const std::string& dir) {
   config.node.shm.arena_bytes = 2 * MiB;
   config.node.recv.arena_bytes = 16 * MiB;
   config.node.disk.capacity_bytes = 64 * MiB;
-  config.service.rdmc.replication = 2;
-  config.service.rdmc.min_replicas = 1;
+  config.service.rdmc.ec_r = 1;  // 2 copies
+  config.service.rdmc.min_shards = 1;
   config.rpc_retry.max_attempts = 3;
   config.rpc_retry.base_backoff = 500 * kMicro;
   config.rpc_retry.max_backoff = 2 * kMilli;

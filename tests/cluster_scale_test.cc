@@ -327,7 +327,7 @@ TEST(ClusterScaleSoakTest, TracedGetCrossesMigratedRegion) {
   config.node.shm.arena_bytes = 4 * MiB;
   config.node.recv.arena_bytes = 8 * MiB;
   config.node.disk.capacity_bytes = 64 * MiB;
-  config.service.rdmc.replication = 1;
+  config.service.rdmc.ec_r = 0;  // one copy
   DmSystem system(config);
   obs::SpanTracer tracer(system.simulator());
   system.set_span_sink(&tracer);

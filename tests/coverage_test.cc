@@ -28,7 +28,7 @@ core::DmSystem::Config cluster(std::size_t nodes = 4) {
   config.node.shm.arena_bytes = 4 * MiB;
   config.node.recv.arena_bytes = 8 * MiB;
   config.node.disk.capacity_bytes = 64 * MiB;
-  config.service.rdmc.replication = 1;
+  config.service.rdmc.ec_r = 0;  // one copy
   return config;
 }
 

@@ -103,6 +103,15 @@ TEST(RsCodecTest, SystematicMatrixTopIsIdentity) {
     for (std::size_t j = 0; j < 5; ++j)
       EXPECT_EQ(row[j], i == j ? 1 : 0) << "row " << i << " col " << j;
   }
+  // k = 1 is replication: every coding row is all ones, so each parity
+  // shard is a verbatim copy of the data shard.
+  auto copies = RsCodec::make(1, 4);
+  ASSERT_TRUE(copies.ok());
+  for (std::size_t i = 0; i < 5; ++i) {
+    auto row = copies->matrix_row(i);
+    ASSERT_EQ(row.size(), 1u);
+    EXPECT_EQ(row[0], 1) << "row " << i;
+  }
 }
 
 TEST(RsCodecTest, ShardSizeArithmetic) {
@@ -171,6 +180,9 @@ void every_loss_subset(std::size_t k, std::size_t r) {
   }
 }
 
+TEST(RsCodecTest, ReconstructsFromEveryLossSubset12) {
+  every_loss_subset(1, 2);
+}
 TEST(RsCodecTest, ReconstructsFromEveryLossSubset21) {
   every_loss_subset(2, 1);
 }

@@ -27,7 +27,7 @@ TEST(EnduranceTest, MixedTenantsSurviveRollingFaults) {
   config.node.shm.arena_bytes = 16 * MiB;
   config.node.recv.arena_bytes = 16 * MiB;
   config.node.disk.capacity_bytes = 128 * MiB;
-  config.service.rdmc.replication = 3;
+  config.service.rdmc.ec_r = 2;  // 3 copies
   config.service.eviction.enabled = true;
   config.service.leader_candidates = true;
   core::DmSystem system(config);
@@ -35,7 +35,7 @@ TEST(EnduranceTest, MixedTenantsSurviveRollingFaults) {
 
   // Tenant 1: FastSwap ML job on node 0.
   auto swap_setup = swap::make_system(swap::SystemKind::kFastSwap, 48);
-  swap_setup.service.rdmc.replication = 3;
+  swap_setup.service.rdmc.ec_r = 2;  // 3 copies
   auto& swap_client = system.create_server(0, 16 * MiB, swap_setup.ldmc);
   swap::SwapManager memory(swap_client, swap_setup.swap,
                            [](std::uint64_t page, std::span<std::byte> out) {

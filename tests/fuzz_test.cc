@@ -203,8 +203,8 @@ TEST(SystemPropertyFuzz, LiveKeysReadableAndReplicasBounded) {
   config.node.shm.arena_bytes = 2 * MiB;
   config.node.recv.arena_bytes = 8 * MiB;
   config.node.disk.capacity_bytes = 64 * MiB;
-  config.service.rdmc.replication = 2;
-  config.service.rdmc.min_replicas = 1;
+  config.service.rdmc.ec_r = 1;  // 2 copies
+  config.service.rdmc.min_shards = 1;
   config.rpc_retry.max_attempts = 2;
   config.repair.enabled = true;
   DmSystem system(config);
@@ -228,7 +228,8 @@ TEST(SystemPropertyFuzz, LiveKeysReadableAndReplicasBounded) {
   Rng op_rng(4242);
   std::map<mem::EntryId, std::uint64_t> shadow;
   mem::EntryId next_key = 1;
-  const std::size_t replication = config.service.rdmc.replication;
+  const std::size_t replication =
+      config.service.rdmc.ec_k + config.service.rdmc.ec_r;
   for (int round = 0; round < 40; ++round) {
     const std::uint64_t dice = op_rng.next_below(10);
     if (dice < 6 || shadow.empty()) {
@@ -340,7 +341,7 @@ TEST(SystemPropertyFuzz, EcStripesBoundedAndKeysReadable) {
     }
     // Invariant (1) holds at every step, not just at the end.
     client.map().for_each([&](mem::EntryId, const mem::EntryLocation& loc) {
-      if (loc.tier != mem::Tier::kRemote || loc.ec_k == 0) return;
+      if (loc.tier != mem::Tier::kRemote) return;
       EXPECT_LE(loc.replicas.size(),
                 static_cast<std::size_t>(loc.ec_k) + loc.ec_r);
       std::set<std::uint32_t> shards;

@@ -29,7 +29,7 @@ core::DmSystem::Config big_cluster(std::size_t nodes = 8) {
 
 TEST(IntegrationTest, TwoTenantsShareTheCluster) {
   auto config = big_cluster(4);
-  config.service.rdmc.replication = 1;
+  config.service.rdmc.ec_r = 0;  // one copy
   core::DmSystem system(config);
   system.start();
 
@@ -56,13 +56,13 @@ TEST(IntegrationTest, TwoTenantsShareTheCluster) {
 
 TEST(IntegrationTest, NodeCrashDuringSwapWorkloadIsSurvivable) {
   auto config = big_cluster(5);
-  config.service.rdmc.replication = 3;  // §IV.D triple replica
+  config.service.rdmc.ec_r = 2;  // §IV.D triple replica: RS(1, 2)
   core::DmSystem system(config);
   system.start();
 
   auto setup = swap::make_system(swap::SystemKind::kFastSwap, 24);
   setup.ldmc.shm_fraction = 0.0;  // everything remote: worst case for crash
-  setup.service.rdmc.replication = 3;
+  setup.service.rdmc.ec_r = 2;  // 3 copies
   // Rebuild with replication: the rig must use the same service config.
   auto& client = system.create_server(0, 64 * MiB, setup.ldmc);
   swap::SwapManager manager(
@@ -93,7 +93,7 @@ TEST(IntegrationTest, NodeCrashDuringSwapWorkloadIsSurvivable) {
 TEST(IntegrationTest, GroupsLimitCandidateSets) {
   auto config = big_cluster(8);
   config.group_size = 4;
-  config.service.rdmc.replication = 3;
+  config.service.rdmc.ec_r = 2;  // 3 copies
   core::DmSystem system(config);
   system.start();
 
@@ -137,7 +137,7 @@ TEST(IntegrationTest, RegroupingMovesDonorIntoStarvedGroup) {
 TEST(IntegrationTest, DynamicRegroupingRescuesStarvedGroup) {
   auto config = big_cluster(8);
   config.group_size = 4;
-  config.service.rdmc.replication = 1;
+  config.service.rdmc.ec_r = 0;  // one copy
   config.node.recv.arena_bytes = 1 * MiB;
   core::DmSystem system(config);
   system.start();
@@ -201,7 +201,7 @@ TEST(IntegrationTest, AutomaticRegroupWatermark) {
 
 TEST(IntegrationTest, SparkAndSwapCoexist) {
   auto config = big_cluster(4);
-  config.service.rdmc.replication = 1;
+  config.service.rdmc.ec_r = 0;  // one copy
   core::DmSystem system(config);
   system.start();
 
@@ -238,7 +238,7 @@ TEST(IntegrationTest, SparkAndSwapCoexist) {
 TEST(IntegrationTest, WholeStackDeterminism) {
   auto run_once = [] {
     auto config = big_cluster(4);
-    config.service.rdmc.replication = 2;
+    config.service.rdmc.ec_r = 1;  // 2 copies
     core::DmSystem system(config);
     system.start();
     auto setup = swap::make_system(swap::SystemKind::kFastSwap, 32);

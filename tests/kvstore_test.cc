@@ -19,7 +19,7 @@ struct KvRig {
     cluster.node.shm.arena_bytes = 8 * MiB;
     cluster.node.recv.arena_bytes = 8 * MiB;
     cluster.node.disk.capacity_bytes = 64 * MiB;
-    cluster.service.rdmc.replication = 1;
+    cluster.service.rdmc.ec_r = 0;  // one copy
     system = std::make_unique<core::DmSystem>(cluster);
     system->start();
     client = &system->create_server(0, 64 * MiB);

@@ -14,6 +14,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <tuple>
 #include <unordered_map>
 
 #include "common/checksum.h"
@@ -680,9 +681,10 @@ TEST(SwapModelTest, SameSeedReplaysAreByteIdentical) {
 
 // --- erasure-coded stripe invariants (Hydra-style EC model checker) ----------
 //
-// A seeded op stream (EC puts, reads, guarded crashes/recoveries, repair
+// A seeded op stream (stripe puts, reads, guarded crashes/recoveries, repair
 // scans) runs against a live cluster while four invariants are re-checked
-// after every step:
+// after every step, for a k > 1 code and for k = 1 (replication, where
+// every shard is a whole copy):
 //   E1  every EC stripe carries unique shard indices, at most k+r of them;
 //   E2  any entry with >= k live shard hosts is readable, byte-exact —
 //       including through the degraded reconstruction path;
@@ -699,9 +701,14 @@ std::vector<std::byte> ec_page(std::uint64_t id) {
   return bytes;
 }
 
-TEST(EcModelTest, StripeInvariantsHoldOverRandomOps) {
-  constexpr std::size_t kEcK = 2;
-  constexpr std::size_t kEcR = 2;
+// (k, r) stripe shape.
+using StripeShape = std::tuple<std::size_t, std::size_t>;
+
+class EcModelTest : public ::testing::TestWithParam<StripeShape> {};
+
+TEST_P(EcModelTest, StripeInvariantsHoldOverRandomOps) {
+  const std::size_t kEcK = std::get<0>(GetParam());
+  const std::size_t kEcR = std::get<1>(GetParam());
   DmSystem::Config config;
   config.node_count = 8;
   config.node.shm.arena_bytes = 4 * MiB;
@@ -769,7 +776,7 @@ TEST(EcModelTest, StripeInvariantsHoldOverRandomOps) {
       bool ok = system.fabric().node_up(system.node(victim).id());
       client.map().for_each(
           [&](mem::EntryId, const mem::EntryLocation& loc) {
-            if (loc.tier != mem::Tier::kRemote || loc.ec_k == 0) return;
+            if (loc.tier != mem::Tier::kRemote) return;
             std::size_t live = 0;
             for (const auto& replica : loc.replicas)
               if (replica.node != system.node(victim).id() &&
@@ -812,6 +819,10 @@ TEST(EcModelTest, StripeInvariantsHoldOverRandomOps) {
   check_stripes();
   EXPECT_GT(live_keys.size(), 20u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shapes, EcModelTest,
+                         ::testing::Values(StripeShape{2, 2},
+                                           StripeShape{1, 2}));
 
 }  // namespace
 }  // namespace dm::core

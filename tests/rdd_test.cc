@@ -14,7 +14,7 @@ core::DmSystem::Config cluster_config() {
   config.node.shm.arena_bytes = 16 * MiB;
   config.node.recv.arena_bytes = 16 * MiB;
   config.node.disk.capacity_bytes = 128 * MiB;
-  config.service.rdmc.replication = 1;
+  config.service.rdmc.ec_r = 0;  // one copy
   return config;
 }
 

@@ -28,7 +28,7 @@ struct SweepRig {
     config.node.shm.arena_bytes = 8 * MiB;
     config.node.recv.arena_bytes = 8 * MiB;
     config.node.disk.capacity_bytes = 64 * MiB;
-    config.service.rdmc.replication = 1;
+    config.service.rdmc.ec_r = 0;  // one copy
     system = std::make_unique<core::DmSystem>(config);
     system->start();
     client = &system->create_server(0, 64 * MiB, ldmc);
