@@ -6,11 +6,13 @@
 # multi-tenant soak run twice same-seed in separate processes with a
 # byte-identical snapshot diff), a CXL-tier stage (the litmus battery +
 # coherence soak run twice same-seed cross-process and diffed, plus the
-# storage-tiers ablation gate), then a gcov-instrumented build gating
-# line coverage of the swap + compression + cxl + ec layers.
+# storage-tiers ablation gate), a gcov-instrumented build gating
+# line coverage of the swap + compression + cxl + ec layers, then a
+# perfbench stage pinning the benchmark's virtual numbers to a golden.
 #
 # Usage: ./ci.sh [--lint-only|--plain-only|--sanitize-only|--obs-only|
-#                 --scale-only|--ec-only|--cxl-only|--coverage-only]
+#                 --scale-only|--ec-only|--cxl-only|--coverage-only|
+#                 --perf-only]
 #
 # The lint pass builds the tree with -DDM_WERROR=ON (so -Wall -Wextra
 # -Wshadow are hard errors in CI), runs tools/dm_lint over the source tree
@@ -344,6 +346,27 @@ run_coverage() {
     }' "$covdir/lines.txt"
 }
 
+run_perf() {
+  local build_dir=.bench_build
+  # Configured the way perfbench/run.py configures it, so this stage and
+  # the benchmark share one build.
+  if [[ ! -f "$build_dir/CMakeCache.txt" ]]; then
+    if command -v ninja > /dev/null; then
+      cmake -S perfbench -B "$build_dir" -DCMAKE_BUILD_TYPE=Release -G Ninja
+    else
+      cmake -S perfbench -B "$build_dir" -DCMAKE_BUILD_TYPE=Release
+    fi
+  fi
+  cmake --build "$build_dir" --target perfbench_driver -j "$jobs"
+
+  # Every workload at the default and held-out seeds, untraced; the
+  # "virt" object of each run must match the golden exactly. A change
+  # that moves virtual numbers regenerates it with --update.
+  echo "==> perf: perfbench virtual numbers against the golden"
+  python3 tools/perf_golden.py --driver "$build_dir/perfbench_driver" \
+    --golden tests/goldens/perfbench_virt.json
+}
+
 if [[ "$mode" == "all" || "$mode" == "--lint-only" ]]; then
   echo "==> lint build (-Werror) + dm_lint"
   run_lint
@@ -382,6 +405,11 @@ fi
 if [[ "$mode" == "all" || "$mode" == "--coverage-only" ]]; then
   echo "==> coverage build + swap/compress/cxl/ec gate"
   run_coverage
+fi
+
+if [[ "$mode" == "all" || "$mode" == "--perf-only" ]]; then
+  echo "==> perfbench virtual-number golden"
+  run_perf
 fi
 
 echo "==> ci passed"
