@@ -37,7 +37,7 @@ void Ldmc::put(mem::EntryId entry, std::span<const std::byte> data,
       static_cast<double>(put_counter_ % 100) <
           config_.shm_fraction * 100.0;
   ++put_counter_;
-  const std::uint64_t checksum = fnv1a(data);
+  const std::uint64_t checksum = word_checksum(data);
   const auto logical = static_cast<std::uint32_t>(data.size());
   service_.put_entry(
       server_, entry, data, prefer_shm, config_.allow_remote,
@@ -77,7 +77,7 @@ void Ldmc::get(mem::EntryId entry, std::span<std::byte> out,
   service_.get_entry(
       server_, entry, *location, 0, window,
       [window, expect, verify, done = std::move(done)](const Status& s) {
-        if (s.ok() && verify && fnv1a(window) != expect) {
+        if (s.ok() && verify && word_checksum(window) != expect) {
           done(DataLossError("checksum mismatch on get"));
           return;
         }

@@ -239,7 +239,7 @@ void NodeService::store_stripe(
   for (std::size_t i = 0; i < total; ++i) {
     payloads[i].shard = static_cast<std::uint32_t>(i);
     payloads[i].bytes = std::move((*shards)[i]);
-    if (k > 1) checksums.push_back(fnv1a(payloads[i].bytes));
+    if (k > 1) checksums.push_back(word_checksum(payloads[i].bytes));
   }
   // Degraded floor ("min surviving shards"): never below k — fewer could
   // not be read back — and min_shards = 0 means all-or-nothing.
@@ -303,7 +303,7 @@ void NodeService::drop_corrupt_shards(
   // poison the decode.
   for (std::size_t i = 0; i < shards.size(); ++i) {
     if (shards[i].empty() || i >= loc.shard_checksums.size()) continue;
-    if (fnv1a(shards[i]) != loc.shard_checksums[i]) {
+    if (word_checksum(shards[i]) != loc.shard_checksums[i]) {
       shards[i].clear();
       ++metrics_.counter("ec.corrupt_shards");
     }

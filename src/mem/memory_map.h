@@ -64,7 +64,7 @@ struct EntryLocation {
   std::uint32_t stored_size = 0;   // bytes as stored (post-compression)
   bool compressed = false;
   bool raw_fallback = false;       // compressed=true but stored raw
-  std::uint64_t checksum = 0;      // fnv1a of the logical bytes
+  std::uint64_t checksum = 0;      // word_checksum of the logical bytes
   std::uint64_t disk_offset = 0;   // device offset (tier kDisk or kNvm)
   // Degraded mode (§IV.D hardening): the entry is durable but below its
   // intended placement — written with fewer shards than its stripe, or
@@ -79,9 +79,9 @@ struct EntryLocation {
   // is replication: every shard is a whole copy.
   std::uint8_t ec_k = 0;
   std::uint8_t ec_r = 0;
-  // fnv1a per stored shard (index-aligned with shard ids, size ec_k+ec_r)
-  // so degraded reads can reject corrupted shards before decoding. Empty
-  // for k = 1, whose copies are each covered by `checksum`.
+  // word_checksum per stored shard (index-aligned with shard ids, size
+  // ec_k+ec_r) so degraded reads can reject corrupted shards before
+  // decoding. Empty for k = 1, whose copies are each covered by `checksum`.
   std::vector<std::uint64_t> shard_checksums;
   std::vector<RemoteReplica> replicas;  // valid when tier == kRemote
 };

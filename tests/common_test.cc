@@ -267,6 +267,34 @@ TEST(ChecksumTest, EmptyHasKnownValue) {
   EXPECT_EQ(fnv1a({}), 0xcbf29ce484222325ULL);
 }
 
+// The data-path checksum must catch a single-byte change at every offset:
+// over a page, over a whole 8-page batch, and over lengths that leave a
+// partial lane block and a partial word.
+TEST(ChecksumTest, WordChecksumCatchesEverySingleByteChange) {
+  Rng rng(17);
+  for (std::size_t size : {std::size_t{4 * KiB}, std::size_t{32 * KiB},
+                           std::size_t{1}, std::size_t{7}, std::size_t{13},
+                           std::size_t{4 * KiB + 5}, std::size_t{1001}}) {
+    std::vector<std::byte> data(size);
+    for (auto& b : data) b = static_cast<std::byte>(rng.next_u64() & 0xff);
+    const std::uint64_t clean = word_checksum(data);
+    EXPECT_EQ(word_checksum(data), clean);
+    for (std::size_t i = 0; i < size; ++i) {
+      const std::byte saved = data[i];
+      data[i] = saved ^ static_cast<std::byte>(1 + rng.next_below(255));
+      ASSERT_NE(word_checksum(data), clean)
+          << "size " << size << " offset " << i;
+      data[i] = saved;
+    }
+  }
+}
+
+TEST(ChecksumTest, WordChecksumSeesTrailingZerosAndEmptyInput) {
+  std::vector<std::byte> data(13, std::byte{0});
+  EXPECT_NE(word_checksum(std::span(data).first(12)), word_checksum(data));
+  EXPECT_NE(word_checksum({}), word_checksum(std::span(data).first(1)));
+}
+
 // ---- metrics --------------------------------------------------------------------
 
 TEST(MetricsTest, CountersStartAtZero) {
