@@ -37,12 +37,33 @@ void Ldmc::put(mem::EntryId entry, std::span<const std::byte> data,
       static_cast<double>(put_counter_ % 100) <
           config_.shm_fraction * 100.0;
   ++put_counter_;
+  store(entry, data, prefer_shm, config_.allow_remote, config_.allow_disk,
+        /*routed=*/true, std::move(done), trace);
+}
+
+void Ldmc::put_in_tier(mem::EntryId entry, std::span<const std::byte> data,
+                       mem::Tier tier,
+                       std::function<void(const Status&)> done,
+                       net::TraceId trace) {
+  if (tier != mem::Tier::kSharedMemory && tier != mem::Tier::kRemote) {
+    done(InvalidArgumentError("put_in_tier takes shared or remote memory"));
+    return;
+  }
+  if (trace == net::kNoTrace) trace = service_.node().next_trace_id();
+  const bool shm = tier == mem::Tier::kSharedMemory;
+  store(entry, data, /*prefer_shm=*/shm, /*allow_remote=*/!shm,
+        /*allow_disk=*/false, /*routed=*/false, std::move(done), trace);
+}
+
+void Ldmc::store(mem::EntryId entry, std::span<const std::byte> data,
+                 bool prefer_shm, bool allow_remote, bool allow_disk,
+                 bool routed, std::function<void(const Status&)> done,
+                 net::TraceId trace) {
   const std::uint64_t checksum = word_checksum(data);
   const auto logical = static_cast<std::uint32_t>(data.size());
   service_.put_entry(
-      server_, entry, data, prefer_shm, config_.allow_remote,
-      config_.allow_disk,
-      [this, entry, checksum, logical,
+      server_, entry, data, prefer_shm, allow_remote, allow_disk,
+      [this, entry, checksum, logical, routed,
        done = std::move(done)](StatusOr<mem::EntryLocation> location) {
         if (!location.ok()) {
           done(location.status());
@@ -50,11 +71,13 @@ void Ldmc::put(mem::EntryId entry, std::span<const std::byte> data,
         }
         location->checksum = checksum;
         location->logical_size = logical;
-        switch (location->tier) {
-          case mem::Tier::kSharedMemory: ++puts_shm_; break;
-          case mem::Tier::kRemote: ++puts_remote_; break;
-          case mem::Tier::kNvm: ++puts_nvm_; break;
-          case mem::Tier::kDisk: ++puts_disk_; break;
+        if (routed) {
+          switch (location->tier) {
+            case mem::Tier::kSharedMemory: ++puts_shm_; break;
+            case mem::Tier::kRemote: ++puts_remote_; break;
+            case mem::Tier::kNvm: ++puts_nvm_; break;
+            case mem::Tier::kDisk: ++puts_disk_; break;
+          }
         }
         map_.commit(entry, *std::move(location));
         done(Status::Ok());

@@ -53,6 +53,15 @@ class Ldmc {
                  net::TraceId trace = net::kNoTrace);
   void remove(mem::EntryId entry, std::function<void(const Status&)> done,
               net::TraceId trace = net::kNoTrace);
+  // Puts a new entry into exactly `tier`, which must be shared memory or
+  // remote memory: no shm-LRU spill, no fall down-tier, and the shm-ratio
+  // routing sequence does not advance, so routed puts keep their tiers.
+  // Fails when the tier cannot take the entry. `data` is copied before
+  // the call returns. The swap layer's batch compaction rewrites an entry
+  // into the tier its source lives in.
+  void put_in_tier(mem::EntryId entry, std::span<const std::byte> data,
+                   mem::Tier tier, std::function<void(const Status&)> done,
+                   net::TraceId trace = net::kNoTrace);
 
   // --- synchronous wrappers (drive the simulator until completion) ------------
   // `trace` threads the caller's chain exactly as in the async API, so
@@ -76,7 +85,8 @@ class Ldmc {
   [[nodiscard]] StatusOr<std::size_t> stored_size(mem::EntryId entry) const;
   bool contains(mem::EntryId entry) const { return map_.contains(entry); }
 
-  // Tier occupancy counters (bench/tests).
+  // Per-tier counts of routed puts (bench/tests); put_in_tier is not
+  // routed and not counted.
   std::uint64_t puts_to_shm() const noexcept { return puts_shm_; }
   std::uint64_t puts_to_remote() const noexcept { return puts_remote_; }
   std::uint64_t puts_to_disk() const noexcept { return puts_disk_; }
@@ -86,6 +96,11 @@ class Ldmc {
   friend class NodeService;  // migration/repair rewrite committed locations
 
   Status wait(const bool& flag, const Status& result);
+  // Hands `data` to the node service and commits the location it reports;
+  // `routed` puts count in the per-tier counters.
+  void store(mem::EntryId entry, std::span<const std::byte> data,
+             bool prefer_shm, bool allow_remote, bool allow_disk, bool routed,
+             std::function<void(const Status&)> done, net::TraceId trace);
 
   NodeService& service_;
   cluster::ServerId server_;

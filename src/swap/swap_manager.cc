@@ -14,6 +14,12 @@
 namespace dm::swap {
 namespace {
 
+// Batch compaction's one-third rule: an entry is rewritten once its live
+// members hold at most 1/kCompactionRatio of its stored bytes. Rewriting
+// L live bytes then frees S >= 3L stored ones, so each rewritten byte
+// frees at least two dead ones.
+constexpr std::uint64_t kCompactionRatio = 3;
+
 compress::GranularityMode granularity_of(CompressionMode mode) {
   return mode == CompressionMode::kTwoGranularity
              ? compress::GranularityMode::kTwo
@@ -47,7 +53,13 @@ SwapManager::SwapManager(core::Ldmc& client, Config config,
   backup_cursor_ = client_.service().node().disk().capacity() / 2;
 }
 
-SwapManager::~SwapManager() { *alive_ = false; }
+SwapManager::~SwapManager() {
+  *alive_ = false;
+  // A landed, uncommitted rewrite duplicates pages its source still holds,
+  // so it goes; a rewrite still in flight frees its entry when it lands.
+  for (const auto& [target, compaction] : compactions_)
+    if (compaction.landed && compaction.landed->ok()) free_entry(target);
+}
 
 void SwapManager::charge(SimTime cost) {
   auto& sim = client_.service().node().simulator();
@@ -81,8 +93,10 @@ bool SwapManager::pbs_fanout_suppressed() {
 
 Status SwapManager::touch(std::uint64_t page, bool write) {
   // Safe point: roll back any write-back flush that failed while previous
-  // faults were in flight (pages return resident+dirty, nothing is lost).
+  // faults were in flight (pages return resident+dirty, nothing is lost),
+  // and commit the batch rewrites that landed meanwhile.
   if (wb_enabled()) (void)wb_process_failures();
+  compact_commit();
   auto& latency = client_.service().node().fabric().config().latency;
   auto it = resident_.find(page);
   if (it != resident_.end()) {
@@ -245,9 +259,14 @@ Status SwapManager::invalidate_backing(std::uint64_t page) {
   }
   if (members.empty()) {
     batches_.erase(batch_it);
-    DM_RETURN_IF_ERROR(client_.remove_sync(entry, active_trace_));
+    free_entry(entry);
   }
   return Status::Ok();
+}
+
+void SwapManager::free_entry(mem::EntryId entry) {
+  // A fresh trace: frees stay out of the fault that triggered them.
+  client_.remove(entry, [](const Status&) {});
 }
 
 Status SwapManager::make_room(std::uint64_t incoming_pages) {
@@ -730,6 +749,7 @@ Status SwapManager::fault_in(std::uint64_t page) {
           member_info));
     }
     ++metrics_.counter("swap.pbs_batch_ins");
+    compact_batch(info.batch, buffer);
     return Status::Ok();
   }
 
@@ -750,6 +770,7 @@ Status SwapManager::fault_in(std::uint64_t page) {
         page,
         std::span<const std::byte>(buffer).subspan(info.offset, info.length),
         info));
+    compact_batch(info.batch, buffer);
   } else {
     std::vector<std::byte> stored(info.length);
     DM_RETURN_IF_ERROR(client_.get_range_sync(info.batch, info.offset,
@@ -761,8 +782,100 @@ Status SwapManager::fault_in(std::uint64_t page) {
   return Status::Ok();
 }
 
+void SwapManager::compact_batch(mem::EntryId entry,
+                                std::span<const std::byte> stored) {
+  auto batch_it = batches_.find(entry);
+  if (batch_it == batches_.end()) return;
+  for (const auto& [target, compaction] : compactions_)
+    if (compaction.source == entry) return;  // already being rewritten
+  // Device tiers are never rewritten: their space is not the scarce DRAM
+  // disaggregation harvests.
+  auto location = client_.map().lookup(entry);
+  if (!location.ok() || (location->tier != mem::Tier::kSharedMemory &&
+                         location->tier != mem::Tier::kRemote))
+    return;
+  std::uint64_t live = 0;
+  for (std::uint64_t member : batch_it->second.pages)
+    live += backed_.at(member).length;
+  if (live * kCompactionRatio > stored.size()) return;
+
+  const mem::EntryId target = next_batch_++;
+  Compaction compaction;
+  compaction.source = entry;
+  std::vector<std::byte> buffer;
+  buffer.reserve(live);
+  for (std::uint64_t member : batch_it->second.pages) {
+    Backing moved = backed_.at(member);
+    const auto bytes = stored.subspan(moved.offset, moved.length);
+    moved.batch = target;
+    moved.offset = static_cast<std::uint32_t>(buffer.size());
+    buffer.insert(buffer.end(), bytes.begin(), bytes.end());
+    compaction.members.emplace_back(member, moved);
+  }
+  compactions_.emplace(target, std::move(compaction));
+  ++metrics_.counter("swap.compact.issued");
+  // Off the app's clock, on a fresh trace: completion only marks the
+  // compaction landed (the page maps may be mid-walk in a fault).
+  auto alive = alive_;
+  core::Ldmc* client = &client_;
+  client_.put_in_tier(
+      target, buffer, location->tier,
+      [this, alive, client, target](const Status& stored_status) {
+        if (!*alive) {
+          // The manager is gone; nothing will ever name this entry.
+          if (stored_status.ok()) client->remove(target, [](const Status&) {});
+          return;
+        }
+        auto it = compactions_.find(target);
+        if (it != compactions_.end()) it->second.landed = stored_status;
+      });
+}
+
+void SwapManager::compact_commit() {
+  for (auto it = compactions_.begin(); it != compactions_.end();) {
+    if (!it->second.landed) {
+      ++it;
+      continue;
+    }
+    const mem::EntryId target = it->first;
+    const Compaction& compaction = it->second;
+    if (!compaction.landed->ok()) {
+      // The put did not land in the source's tier: the source entry stays
+      // authoritative and nothing moves.
+      ++metrics_.counter("swap.compact.abandoned");
+    } else {
+      // Members still backed by the source move to the new entry, in
+      // member order, so PBS restores the same group. A member rewritten
+      // meanwhile stays dead in the new entry. Membership only shrinks,
+      // so the source is left with no member and is freed.
+      BatchInfo moved;
+      if (auto source = batches_.find(compaction.source);
+          source != batches_.end()) {
+        for (const auto& [page, backing] : compaction.members) {
+          auto backing_it = backed_.find(page);
+          if (backing_it == backed_.end() ||
+              backing_it->second.batch != compaction.source)
+            continue;
+          backing_it->second = backing;
+          moved.pages.push_back(page);
+        }
+        batches_.erase(source);
+        free_entry(compaction.source);
+      }
+      if (moved.pages.empty()) {
+        free_entry(target);  // every member died while the put was out
+      } else {
+        batches_.emplace(target, std::move(moved));
+      }
+      ++metrics_.counter("swap.compact.committed");
+    }
+    it = compactions_.erase(it);
+  }
+}
+
 Status SwapManager::flush_all() {
   if (wb_enabled()) (void)wb_process_failures();
+  compact_commit();
   while (!resident_.empty()) {
     DM_RETURN_IF_ERROR(evict_for_space());
   }
@@ -774,6 +887,13 @@ Status SwapManager::flush_all() {
   // Crash-consistency barrier: Fig 9's cold restart (and any recovery
   // scenario) must find every page durable down-tier, not staged in DRAM.
   if (wb_enabled()) DM_RETURN_IF_ERROR(wb_barrier());
+  // And in exactly one entry: settle every batch rewrite in flight.
+  DM_RETURN_IF_ERROR(client_.drain_until([this]() {
+    return std::all_of(
+        compactions_.begin(), compactions_.end(),
+        [](const auto& kv) { return kv.second.landed.has_value(); });
+  }));
+  compact_commit();
   return Status::Ok();
 }
 

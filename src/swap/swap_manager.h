@@ -27,6 +27,17 @@
 // batch swap-in would penalize steady-state random access by rewriting
 // unmodified pages on every eviction.
 //
+// Batch compaction (copy-forward cleaning, as in LFS and RAMCloud): a
+// rewritten page leaves a dead copy in its batch entry, and the entry is
+// freed only once every member is dead. When a fault has read a whole
+// shared-memory or remote entry whose live members hold at most a third of
+// its stored bytes, their stored bytes — sliced from the buffer the fault
+// already holds, so no extra read and no recompression — go out as a new
+// entry in the same tier with exactly those members, off the app's clock
+// on a fresh trace. The rewrite commits at the next safe point (top of
+// touch(), flush_all): members still backed by the old entry move to the
+// new one and the old entry is freed. Frees never wait on the fault path.
+//
 // Adaptive swap-path engine (all knobs default-off, so the baselines above
 // stay byte-identical):
 //
@@ -59,6 +70,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -194,6 +206,15 @@ class SwapManager {
   AccessPattern current_pattern() const noexcept;
   std::size_t wb_staged_batches() const noexcept { return wb_.size(); }
   std::uint64_t wb_in_flight() const noexcept { return wb_inflight_; }
+  // Batch compactions issued and not yet committed or abandoned.
+  std::size_t compactions_pending() const noexcept {
+    return compactions_.size();
+  }
+  // Whether a backed page or a pending compaction names `entry`. Every
+  // entry in the client's map must be named (the no-orphan invariant).
+  bool names_entry(mem::EntryId entry) const {
+    return batches_.count(entry) > 0 || compactions_.count(entry) > 0;
+  }
 
   // --- CXL tier observability and pressure hook -------------------------
   bool in_cxl(std::uint64_t page) const {
@@ -229,6 +250,14 @@ class SwapManager {
     mem::EntryId entry = 0;
     std::vector<std::byte> buffer;
     Status status;
+  };
+  // A batch rewrite in flight, keyed by its new entry.
+  struct Compaction {
+    mem::EntryId source = 0;
+    // The source's live members at issue time, in member order, with
+    // their backing inside the new entry.
+    std::vector<std::pair<std::uint64_t, Backing>> members;
+    std::optional<Status> landed;  // the put's result, once it completes
   };
 
   Status fault_in(std::uint64_t page);
@@ -272,6 +301,15 @@ class SwapManager {
   // Rolls back every deferred flush failure; returns the first failure.
   Status wb_process_failures();
 
+  // Batch compaction. compact_batch runs after a fault read all of
+  // `entry` into `stored` and issues the rewrite when the entry is sparse
+  // enough; its put completion only marks the compaction landed. The page
+  // maps move exclusively in compact_commit, at safe points.
+  void compact_batch(mem::EntryId entry, std::span<const std::byte> stored);
+  void compact_commit();
+  // Frees an entry without waiting: the map erase is the commit point.
+  void free_entry(mem::EntryId entry);
+
   core::Ldmc& client_;
   Config config_;
   PageContentFn content_;
@@ -296,6 +334,8 @@ class SwapManager {
   std::deque<mem::EntryId> wb_order_;
   std::uint64_t wb_inflight_ = 0;
   std::vector<WbFailure> wb_failures_;
+  // Ordered by new entry id, i.e. issue order, so commits are deterministic.
+  std::map<mem::EntryId, Compaction> compactions_;
   // Guards the async flush callbacks against a destroyed manager (events
   // may still be queued on the simulator).
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

@@ -7,7 +7,7 @@
 // SwapOracle — a pure-function reference that mirrors the paging layer's
 // membership semantics (resident set, dirty set, swap-cache backing, batch
 // composition, LRU order, the adaptive-PBS policy state machines, and the
-// admission-control decision). Seventeen numbered properties (P1–P17) are
+// admission-control decision). Eighteen numbered properties (P1–P18) are
 // asserted along the trace; see SwapModelChecker::check_*.
 #include <gtest/gtest.h>
 
@@ -442,8 +442,8 @@ class SwapModelChecker {
     config.service = setup.service;
     system_ = std::make_unique<core::DmSystem>(config);
     system_->start();
-    auto& client = system_->create_server(0, 64 * MiB, setup.ldmc);
-    manager_ = std::make_unique<SwapManager>(client, setup.swap,
+    client_ = &system_->create_server(0, 64 * MiB, setup.ldmc);
+    manager_ = std::make_unique<SwapManager>(*client_, setup.swap,
                                              model_content);
     oracle_ = std::make_unique<SwapOracle>(manager_->config());
   }
@@ -492,6 +492,10 @@ class SwapModelChecker {
         ASSERT_EQ(manager_->resident_count(), 0u);
         ASSERT_EQ(oracle_->resident().size(), 0u);
         ASSERT_EQ(manager_->wb_staged_batches(), 0u);
+        // P18 at quiescence: no batch rewrite is left pending, so every
+        // map entry is named by a backed page.
+        ASSERT_EQ(manager_->compactions_pending(), 0u);
+        check_no_orphans(step);
       }
     }
     check_full(steps);
@@ -582,11 +586,26 @@ class SwapModelChecker {
       ASSERT_TRUE(bytes.ok());
       ASSERT_EQ(fnv1a(*bytes), model_checksum(page)) << "page " << page;
     }
+    check_no_orphans(step);
+  }
+
+  // P18: no orphaned entry. Every entry in the client's map is named by a
+  // backed page or by a batch compaction still pending.
+  void check_no_orphans(int step) {
+    std::vector<mem::EntryId> orphans;
+    client_->map().for_each(
+        [this, &orphans](mem::EntryId id, const mem::EntryLocation&) {
+          if (!manager_->names_entry(id)) orphans.push_back(id);
+        });
+    ASSERT_TRUE(orphans.empty())
+        << orphans.size() << " orphaned entries at step " << step
+        << ", first " << orphans.front();
   }
 
   std::uint64_t page_space_;
   Rng rng_;
   std::unique_ptr<core::DmSystem> system_;
+  core::Ldmc* client_ = nullptr;
   std::unique_ptr<SwapManager> manager_;
   std::unique_ptr<SwapOracle> oracle_;
   std::set<std::uint64_t> touched_;
@@ -597,14 +616,23 @@ SystemSetup small_setup(SystemKind kind, std::uint64_t resident = 32) {
   return setup;
 }
 
+// Batch compaction runs in every shared-memory and remote configuration;
+// it keeps membership sets, so the oracle stays exact with it on. These two
+// also prove the trace exercises it.
 TEST(SwapModelTest, FastSwapFixedWindowMatchesOracle) {
   SwapModelChecker checker(small_setup(SystemKind::kFastSwap), 1001);
   checker.run(1500);
+  EXPECT_GT(checker.manager().metrics().counter_value(
+                "swap.compact.committed"),
+            0u);
 }
 
 TEST(SwapModelTest, NoPbsMatchesOracle) {
   SwapModelChecker checker(small_setup(SystemKind::kFastSwapNoPbs), 1002);
   checker.run(1500);
+  EXPECT_GT(checker.manager().metrics().counter_value(
+                "swap.compact.committed"),
+            0u);
 }
 
 TEST(SwapModelTest, PerPageBatchingMatchesOracle) {

@@ -566,6 +566,59 @@ TEST(RecoveryTest, CrashDuringWriteBackFlushRollsBackWithoutLoss) {
   }
 }
 
+// --- crash during a batch compaction -----------------------------------------
+
+// A sparse batch's rewrite is in flight to remote memory when one of the
+// two hosts it must land on crashes. The all-or-nothing put fails, so the
+// compaction is abandoned: the source entry stays authoritative, its
+// surviving copy serves every read, and no page is lost.
+TEST(RecoveryTest, CompactionLostToACrashedHostIsAbandoned) {
+  auto config = cluster_config(3, 2);
+  config.rpc_retry.max_attempts = 3;
+  config.rpc_retry.base_backoff = 500 * kMicro;
+  config.rpc_retry.max_backoff = 2 * kMilli;
+  DmSystem system(config);
+  system.start();
+  LdmcOptions options;
+  options.shm_fraction = 0.0;
+  auto& client = system.create_server(0, 64 * MiB, options);
+  swap::SwapManager::Config swap_config;
+  swap_config.resident_pages = 8;
+  swap_config.batch_pages = 8;
+  swap_config.compression = swap::CompressionMode::kOff;
+  swap::SwapManager manager(client, swap_config, swap_content);
+
+  // Pages 0..7 go out as one batch; 0..5 are rewritten and go out again,
+  // leaving 6 and 7 as the batch's only live members.
+  for (std::uint64_t p = 0; p < 16; ++p) ASSERT_TRUE(manager.touch(p).ok());
+  for (std::uint64_t p = 0; p < 6; ++p)
+    ASSERT_TRUE(manager.touch(p, /*write=*/true).ok());
+  for (std::uint64_t p = 8; p < 16; ++p) ASSERT_TRUE(manager.touch(p).ok());
+  const std::size_t entries = client.map().size();
+
+  ASSERT_TRUE(manager.touch(6).ok());  // reads the sparse batch: rewrite
+  ASSERT_EQ(manager.compactions_pending(), 1u);
+  ASSERT_EQ(client.map().size(), entries);  // the put has not landed
+  system.crash_node(2);
+  system.run_for(1 * kSecond);
+  ASSERT_TRUE(manager.touch(7).ok());  // safe point
+  EXPECT_EQ(manager.metrics().counter_value("swap.compact.abandoned"), 1u);
+  EXPECT_EQ(manager.metrics().counter_value("swap.compact.committed"), 0u);
+  EXPECT_EQ(client.map().size(), entries);
+  client.map().for_each(
+      [&manager](mem::EntryId id, const mem::EntryLocation&) {
+        EXPECT_TRUE(manager.names_entry(id)) << "orphaned entry " << id;
+      });
+
+  ASSERT_TRUE(manager.flush_all().ok());
+  for (std::uint64_t p = 0; p < 16; ++p) {
+    ASSERT_TRUE(manager.touch(p).ok()) << "page " << p;
+    auto bytes = manager.resident_bytes(p);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(fnv1a(*bytes), swap_checksum(p)) << "page " << p;
+  }
+}
+
 // --- erasure-coded shard repair under fire -----------------------------------
 
 DmSystem::Config ec_cluster_config(std::size_t nodes, std::size_t k,

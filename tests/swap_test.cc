@@ -2,11 +2,17 @@
 // compression integration, baseline behaviours, and page integrity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "common/checksum.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/dm_system.h"
 #include "core/ldmc.h"
+#include "mem/memory_map.h"
 #include "swap/swap_manager.h"
 #include "swap/systems.h"
 #include "swap/zswap_cache.h"
@@ -224,6 +230,202 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, SwapIntegrity,
                              if (c == '-') c = '_';
                            return name;
                          });
+
+// ---- batch compaction --------------------------------------------------------
+
+// 8 resident pages and 8-page batches without compression, so a batch entry
+// stores exactly 8 x 4 KiB.
+SystemSetup compaction_setup(double shm_fraction = 1.0) {
+  auto setup = make_system(SystemKind::kFastSwap, 8);
+  setup.swap.compression = CompressionMode::kOff;
+  setup.ldmc.shm_fraction = shm_fraction;
+  return setup;
+}
+
+// Leaves the batch entry of pages 0..7 with two live members, 6 and 7,
+// both swapped out clean: the next fault on either reads the whole entry,
+// 8 KiB live of 32 KiB stored, inside the one-third rule.
+void make_sparse_batch(SwapManager& manager) {
+  for (std::uint64_t p = 0; p < 16; ++p)
+    ASSERT_TRUE(manager.touch(p).ok());  // 0..7 go out as one batch
+  for (std::uint64_t p = 0; p < 6; ++p)
+    ASSERT_TRUE(manager.touch(p, /*write=*/true).ok());  // 6 members die
+  for (std::uint64_t p = 8; p < 16; ++p)
+    ASSERT_TRUE(manager.touch(p).ok());  // 0..5 go out; 6 and 7 drop clean
+  ASSERT_FALSE(manager.is_resident(6));
+  ASSERT_TRUE(manager.is_backed(6));
+}
+
+std::map<mem::EntryId, std::size_t> stored_entries(core::Ldmc& client) {
+  std::map<mem::EntryId, std::size_t> entries;
+  client.map().for_each(
+      [&entries](mem::EntryId id, const mem::EntryLocation& location) {
+        entries[id] = location.stored_size;
+      });
+  return entries;
+}
+
+// Entries of `a` that `b` does not hold.
+std::vector<mem::EntryId> entries_missing(
+    const std::map<mem::EntryId, std::size_t>& a,
+    const std::map<mem::EntryId, std::size_t>& b) {
+  std::vector<mem::EntryId> missing;
+  for (const auto& [id, size] : a)
+    if (b.count(id) == 0) missing.push_back(id);
+  return missing;
+}
+
+void expect_no_orphans(Rig& rig) {
+  for (const auto& [id, size] : stored_entries(*rig.client))
+    EXPECT_TRUE(rig.manager->names_entry(id)) << "orphaned entry " << id;
+}
+
+void expect_pages_intact(Rig& rig, std::uint64_t pages) {
+  for (std::uint64_t p = 0; p < pages; ++p) {
+    ASSERT_TRUE(rig.manager->touch(p).ok()) << "page " << p;
+    auto bytes = rig.manager->resident_bytes(p);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(fnv1a(*bytes), expected_checksum(p)) << "page " << p;
+  }
+}
+
+std::uint64_t compact_counter(Rig& rig, const char* name) {
+  return rig.manager->metrics().counter_value(std::string("swap.compact.") +
+                                              name);
+}
+
+TEST(SwapCompactionTest, SparseBatchIsRewrittenOnFault) {
+  Rig rig(compaction_setup());
+  make_sparse_batch(*rig.manager);
+  const auto before = stored_entries(*rig.client);
+  ASSERT_TRUE(rig.manager->touch(6).ok());  // reads all of it: rewrite
+  EXPECT_EQ(rig.manager->compactions_pending(), 1u);
+  rig.system->run_for(1 * kMilli);
+  ASSERT_TRUE(rig.manager->touch(7).ok());  // resident hit: safe point
+  EXPECT_EQ(rig.manager->compactions_pending(), 0u);
+  EXPECT_EQ(compact_counter(rig, "committed"), 1u);
+
+  // The 32 KiB source left the map; the new entry stores the live bytes.
+  const auto after = stored_entries(*rig.client);
+  const auto gone = entries_missing(before, after);
+  const auto added = entries_missing(after, before);
+  ASSERT_EQ(gone.size(), 1u);
+  ASSERT_EQ(added.size(), 1u);
+  EXPECT_EQ(before.at(gone[0]), 8 * kPageBytes);
+  EXPECT_EQ(after.at(added[0]), 2 * kPageBytes);
+  expect_no_orphans(rig);
+
+  // The new entry keeps exactly the batch's live members as a PBS group.
+  ASSERT_TRUE(rig.manager->flush_all().ok());
+  const std::uint64_t ins = rig.manager->swap_ins();
+  ASSERT_TRUE(rig.manager->touch(6).ok());
+  EXPECT_EQ(rig.manager->swap_ins() - ins, 2u);
+  EXPECT_TRUE(rig.manager->is_resident(7));
+  expect_pages_intact(rig, 16);
+}
+
+TEST(SwapCompactionTest, MemberRewrittenDuringThePutIsNotRepointed) {
+  Rig rig(compaction_setup(/*shm_fraction=*/0.0));  // remote: a slower put
+  make_sparse_batch(*rig.manager);
+  ASSERT_TRUE(rig.manager->touch(6).ok());
+  ASSERT_TRUE(rig.manager->touch(7, /*write=*/true).ok());
+  ASSERT_EQ(rig.manager->compactions_pending(), 1u);  // still in flight
+  rig.system->run_for(10 * kMilli);
+  ASSERT_TRUE(rig.manager->touch(6).ok());
+  EXPECT_EQ(compact_counter(rig, "committed"), 1u);
+  EXPECT_TRUE(rig.manager->is_backed(6));
+  // Page 7's copy in the new entry is dead: 7 keeps its new bytes, dirty
+  // and unbacked, and goes out on its own.
+  EXPECT_FALSE(rig.manager->is_backed(7));
+  EXPECT_TRUE(rig.manager->is_dirty(7));
+  expect_no_orphans(rig);
+
+  ASSERT_TRUE(rig.manager->flush_all().ok());
+  const std::uint64_t ins = rig.manager->swap_ins();
+  ASSERT_TRUE(rig.manager->touch(6).ok());
+  EXPECT_EQ(rig.manager->swap_ins() - ins, 1u);
+  expect_pages_intact(rig, 16);
+}
+
+TEST(SwapCompactionTest, LastMemberDyingDuringThePutFreesBothEntries) {
+  Rig rig(compaction_setup(/*shm_fraction=*/0.0));
+  make_sparse_batch(*rig.manager);
+  const auto before = stored_entries(*rig.client);
+  ASSERT_TRUE(rig.manager->touch(6).ok());
+  ASSERT_TRUE(rig.manager->touch(6, /*write=*/true).ok());
+  ASSERT_TRUE(rig.manager->touch(7, /*write=*/true).ok());
+  ASSERT_EQ(rig.manager->compactions_pending(), 1u);
+  // The source lost its last member and is freed at once.
+  const auto during = stored_entries(*rig.client);
+  ASSERT_EQ(entries_missing(before, during).size(), 1u);
+  ASSERT_TRUE(entries_missing(during, before).empty());
+  rig.system->run_for(10 * kMilli);
+  ASSERT_TRUE(rig.manager->touch(6).ok());
+  EXPECT_EQ(rig.manager->compactions_pending(), 0u);
+  // The new entry landed with no live member, so it is freed too.
+  EXPECT_EQ(stored_entries(*rig.client), during);
+  expect_no_orphans(rig);
+  ASSERT_TRUE(rig.manager->flush_all().ok());
+  expect_pages_intact(rig, 16);
+}
+
+TEST(SwapCompactionTest, FullSharedPoolAbandonsTheRewrite) {
+  Rig rig(compaction_setup());
+  make_sparse_batch(*rig.manager);
+  auto& shm = rig.system->service(0).node().shm();
+  const cluster::ServerId server = rig.client->server();
+  const std::uint64_t donation = shm.donation_of(server);
+  ASSERT_TRUE(shm.set_donation(server, shm.used_bytes()).ok());
+  const auto before = stored_entries(*rig.client);
+  ASSERT_TRUE(rig.manager->touch(6).ok());
+  EXPECT_EQ(compact_counter(rig, "issued"), 1u);
+  ASSERT_TRUE(rig.manager->touch(7).ok());
+  EXPECT_EQ(compact_counter(rig, "abandoned"), 1u);
+  EXPECT_EQ(compact_counter(rig, "committed"), 0u);
+  // No fall down-tier: the source stays authoritative, nothing new stored.
+  EXPECT_EQ(stored_entries(*rig.client), before);
+  EXPECT_TRUE(rig.manager->is_backed(6));
+  expect_no_orphans(rig);
+  ASSERT_TRUE(shm.set_donation(server, donation).ok());
+  ASSERT_TRUE(rig.manager->flush_all().ok());
+  expect_pages_intact(rig, 16);
+}
+
+TEST(SwapCompactionTest, DiskEntriesAreNeverRewritten) {
+  Rig rig(make_system(SystemKind::kLinux, 8), 2);
+  make_sparse_batch(*rig.manager);
+  const auto before = stored_entries(*rig.client);
+  ASSERT_TRUE(rig.manager->touch(6).ok());  // reads all of a sparse entry
+  EXPECT_EQ(rig.manager->compactions_pending(), 0u);
+  EXPECT_EQ(stored_entries(*rig.client), before);
+  Rng rng(404);
+  for (int step = 0; step < 2000; ++step)
+    ASSERT_TRUE(
+        rig.manager->touch(rng.next_below(48), rng.bernoulli(0.5)).ok());
+  EXPECT_EQ(compact_counter(rig, "issued"), 0u);
+  expect_pages_intact(rig, 48);
+}
+
+// FS-9:1 routes put n to the shared pool iff n % 100 < 90. Compaction puts
+// are pinned to their source's tier and must not advance that sequence.
+TEST(SwapCompactionTest, RatioRoutingIgnoresCompactionPuts) {
+  Rig rig(make_fastswap_ratio(0.9, 16));
+  auto routed_to_shm = [](std::uint64_t puts) {
+    return puts / 100 * 90 + std::min<std::uint64_t>(puts % 100, 90);
+  };
+  Rng rng(99);
+  for (int step = 0; step < 4000; ++step) {
+    ASSERT_TRUE(
+        rig.manager->touch(rng.next_below(64), rng.bernoulli(0.5)).ok());
+    const std::uint64_t puts = rig.manager->swap_outs();
+    ASSERT_EQ(rig.client->puts_to_shm(), routed_to_shm(puts))
+        << "step " << step;
+    ASSERT_EQ(rig.client->puts_to_remote(), puts - routed_to_shm(puts))
+        << "step " << step;
+  }
+  EXPECT_GT(rig.manager->swap_outs(), 200u);
+  EXPECT_GT(compact_counter(rig, "committed"), 0u);
+}
 
 // ---- zswap -----------------------------------------------------------------
 
