@@ -49,7 +49,6 @@ void Ldmc::put_in_tier(mem::EntryId entry, std::span<const std::byte> data,
     done(InvalidArgumentError("put_in_tier takes shared or remote memory"));
     return;
   }
-  if (trace == net::kNoTrace) trace = service_.node().next_trace_id();
   const bool shm = tier == mem::Tier::kSharedMemory;
   store(entry, data, /*prefer_shm=*/shm, /*allow_remote=*/!shm,
         /*allow_disk=*/false, /*routed=*/false, std::move(done), trace);
