@@ -391,6 +391,26 @@ TEST(SwapCompactionTest, FullSharedPoolAbandonsTheRewrite) {
   expect_pages_intact(rig, 16);
 }
 
+// A manager destroyed with a rewrite pending leaves the client's map as
+// it found it: a landed, uncommitted entry is freed by the destructor, and
+// one still in flight frees itself when it lands.
+TEST(SwapCompactionTest, DestroyedManagerLeavesNoRewrittenEntry) {
+  for (const bool landed : {true, false}) {
+    Rig rig(compaction_setup(/*shm_fraction=*/landed ? 1.0 : 0.0));
+    make_sparse_batch(*rig.manager);
+    const auto before = stored_entries(*rig.client);
+    ASSERT_TRUE(rig.manager->touch(6).ok());
+    if (landed) {
+      rig.system->run_for(1 * kMilli);
+      ASSERT_EQ(stored_entries(*rig.client).size(), before.size() + 1);
+    }
+    ASSERT_EQ(rig.manager->compactions_pending(), 1u);
+    rig.manager.reset();
+    rig.system->run_for(10 * kMilli);
+    EXPECT_EQ(stored_entries(*rig.client), before) << "landed " << landed;
+  }
+}
+
 TEST(SwapCompactionTest, DiskEntriesAreNeverRewritten) {
   Rig rig(make_system(SystemKind::kLinux, 8), 2);
   make_sparse_batch(*rig.manager);
