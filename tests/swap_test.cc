@@ -231,7 +231,7 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, SwapIntegrity,
                            return name;
                          });
 
-// ---- batch compaction --------------------------------------------------------
+// ---- batch compaction ------------------------------------------------------
 
 // 8 resident pages and 8-page batches without compression, so a batch entry
 // stores exactly 8 x 4 KiB.
