@@ -4,14 +4,19 @@
 //
 // Stores triple-replicated entries across a 5-node group, crashes the most
 // loaded remote host mid-run, and shows (a) reads failing over immediately
-// — with the causal trace of one failover printed from the event tracer —
-// (b) the repair machinery restoring the replication factor, and (c) the
-// recovered node rejoining.
+// — with one traced failover read printed from node 0's flight-recorder
+// ring — (b) the repair machinery restoring the replication factor, and a
+// traced put placing its copies on live hosts only, and (c) the recovered
+// node rejoining. Exits 1 when the run does not show (a) or (b).
 #include <cstdio>
+#include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/dm_system.h"
-#include "sim/trace.h"
+#include "obs/flight_recorder.h"
+#include "obs/span.h"
 #include "workloads/page_content.h"
 
 int main() {
@@ -22,8 +27,10 @@ int main() {
   config.node.recv.arena_bytes = 16 * MiB;
   config.service.rdmc.ec_r = 2;  // §IV.D triple-replica writes: RS(1, 2)
   core::DmSystem system(config);
-  sim::Tracer tracer(1 << 16);
-  system.set_tracer(&tracer);
+  obs::SpanTracer tracer(system.simulator());
+  obs::FlightRecorder recorder(system.simulator());
+  tracer.set_flight_recorder(&recorder);
+  system.set_span_sink(&tracer);
   system.start();
 
   core::LdmcOptions remote_only;
@@ -55,33 +62,41 @@ int main() {
   }
   std::printf("crashing node %zu (hosting %zu blocks)...\n", victim, most);
   system.crash_node(victim);
+  const net::NodeId dead = system.node(victim).id();
 
-  // One traced read first: pick an entry with a replica on the crashed
-  // node and follow its causal chain through the tracer — the failed READ
-  // against the dead host and the failover READ that serves the data from
-  // a surviving replica, across at least two nodes.
+  // One traced read first: pick an entry whose first copy is on the crashed
+  // node. No verb reaches the dead host, so the skipped copy shows as a
+  // point event on node 0's ring, followed by the fabric.read span against
+  // the surviving copy that serves the data.
   std::vector<std::byte> out(4096);
   mem::EntryId victim_entry = 0;
   client.map().for_each([&](mem::EntryId id, const mem::EntryLocation& loc) {
-    for (const auto& replica : loc.replicas)
-      if (replica.node == system.node(victim).id() &&
-          replica.node == loc.replicas.front().node)
-        victim_entry = id;  // dead host is the *first* read target
+    if (!loc.replicas.empty() && loc.replicas.front().node == dead)
+      victim_entry = id;
   });
+  recorder.clear();
   const net::TraceId trace = system.node(0).next_trace_id();
-  bool traced_done = false;
-  Status traced_status;
-  client.get(victim_entry, out, [&](const Status& s) {
-    traced_status = s;
-    traced_done = true;
-  }, trace);
-  system.simulator().run_until_flag(traced_done);
-  std::printf("\ntraced failover read of entry %llu (%s, %s):\n%s\n",
-              static_cast<unsigned long long>(victim_entry),
-              net::format_trace_id(trace).c_str(),
-              traced_status.ok() ? "ok" : "failed",
-              sim::Tracer::format(
-                  tracer.matching(net::format_trace_id(trace))).c_str());
+  const Status traced = client.get_sync(victim_entry, out, trace);
+  const std::string label = obs::span_trace_label(trace);
+  std::printf("\ntraced failover read of entry %llu (trace %s, %s), "
+              "node 0's ring:\n",
+              static_cast<unsigned long long>(victim_entry), label.c_str(),
+              traced.ok() ? "ok" : "failed");
+  bool failover_named = false;
+  std::istringstream ring(recorder.dump_json(0, "failover_demo"));
+  for (std::string line; std::getline(ring, line);) {
+    if (line.find("\"trace\": \"" + label + "\"") == std::string::npos)
+      continue;
+    std::printf("%s\n", line.c_str());
+    if (line.find("rdmc.read_failover") != std::string::npos &&
+        line.find("skip node" + std::to_string(dead) + ",") !=
+            std::string::npos)
+      failover_named = true;
+  }
+  std::printf("node 0 rdmc.read_failovers = %llu\n\n",
+              static_cast<unsigned long long>(
+                  system.node(0).recv_pool().metrics().counter_value(
+                      "rdmc.read_failovers")));
 
   // Reads keep working immediately (failover to surviving replicas).
   int intact = 0;
@@ -108,13 +123,43 @@ int main() {
               static_cast<unsigned long long>(
                   system.service(0).data_loss_entries()));
 
+  // A traced put while the node is still down: its alloc_block dispatch
+  // spans show which hosts placement chose, all of them live.
+  workloads::fill_page(page, 64, 0.4, 99);
+  const net::TraceId put_trace = system.node(0).next_trace_id();
+  const Status put = client.put_sync(64, page, put_trace);
+  std::printf("\ntraced put of entry 64 (trace %s, %s):\n",
+              obs::span_trace_label(put_trace).c_str(),
+              put.ok() ? "ok" : "failed");
+  std::set<std::uint32_t> nodes;
+  std::set<std::uint32_t> hosts;
+  if (const auto* spans = tracer.spans(put_trace)) {
+    for (const auto& span : *spans) {
+      std::printf("  node %u %s/%s [%lld, %lld] ns\n", span.node,
+                  span.subsystem.c_str(), span.name.c_str(),
+                  static_cast<long long>(span.begin),
+                  static_cast<long long>(span.end));
+      nodes.insert(span.node);
+      if (span.subsystem == "remote" && span.name == "rpc.alloc_block")
+        hosts.insert(span.node);
+    }
+  }
+  const bool live_hosts = hosts.size() >= 2 && nodes.count(dead) == 0;
+
   // Bring the node back; it rejoins the group empty and can host again.
   system.recover_node(victim);
   system.run_for(3 * kSecond);
-  std::printf("node %zu recovered; membership sees it alive: %s\n", victim,
+  std::printf("\nnode %zu recovered; membership sees it alive: %s\n", victim,
               system.node(0).membership().alive(
                   system.node(victim).id())
                   ? "yes"
                   : "no");
-  return 0;
+
+  if (!failover_named)
+    std::printf("FAILED: no failover event names crashed node %u\n", dead);
+  if (!live_hosts)
+    std::printf("FAILED: the traced put's copies are not on >= 2 live "
+                "nodes\n");
+  if (intact < 64) std::printf("FAILED: only %d/64 entries read back\n", intact);
+  return failover_named && live_hosts && intact == 64 ? 0 : 1;
 }

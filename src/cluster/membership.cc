@@ -11,17 +11,13 @@ namespace dm::cluster {
 Membership::Membership(sim::Simulator& simulator, net::RpcEndpoint& rpc,
                        Config config)
     : sim_(simulator), rpc_(rpc), config_(config) {
-  const auto report_free = [this](net::NodeId, net::WireReader&)
-      -> StatusOr<std::vector<std::byte>> {
+  rpc_.handle(kRpcHeartbeat, [this](net::NodeId, net::WireReader&)
+                                 -> StatusOr<std::vector<std::byte>> {
     net::WireWriter w;
     w.put_u64(free_provider_ ? free_provider_() : 0);
     w.put_u64(pressure_provider_ ? pressure_provider_() : 0);
     return std::move(w).take();
-  };
-  rpc_.handle(kRpcHeartbeat, report_free);
-  // One-shot point query of a node's donatable memory (same payload as the
-  // heartbeat reply, for callers outside the heartbeat loop).
-  rpc_.handle(kRpcQueryFree, report_free);
+  });
 }
 
 void Membership::set_free_bytes_provider(
@@ -63,28 +59,6 @@ void Membership::tick() {
   }
   check_timeouts();
   sim_.schedule_after(config_.heartbeat_period, [this]() { tick(); });
-}
-
-void Membership::query_free(net::NodeId peer,
-                            std::function<void(StatusOr<FreeReport>)> done) {
-  rpc_.call(peer, kRpcQueryFree, {}, config_.rpc_timeout,
-            [this, peer, done = std::move(done)](
-                StatusOr<std::vector<std::byte>> resp) {
-              if (!resp.ok()) {
-                done(resp.status());
-                return;
-              }
-              net::WireReader r(*resp);
-              FreeReport report;
-              report.free_bytes = r.u64();
-              report.pressure = r.u64();
-              if (!r.ok()) {
-                done(InvalidArgumentError("malformed kRpcQueryFree reply"));
-                return;
-              }
-              note_alive(peer, report.free_bytes, report.pressure);
-              done(report);
-            });
 }
 
 void Membership::note_alive(net::NodeId peer, std::uint64_t free_bytes,

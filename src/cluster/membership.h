@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "cluster/protocol.h"
-#include "common/status.h"
 #include "common/units.h"
 #include "net/rpc.h"
 #include "sim/simulator.h"
@@ -45,17 +44,6 @@ class Membership {
   // Begins the periodic heartbeat loop.
   void start();
   void stop() noexcept { running_ = false; }
-
-  // Free donatable bytes + pressure a peer advertises right now. One-shot
-  // kRpcQueryFree point query outside the heartbeat cadence, for callers
-  // (placement, harvester) that need a fresher number than the last
-  // heartbeat; a successful reply also refreshes the liveness state.
-  struct FreeReport {
-    std::uint64_t free_bytes = 0;
-    std::uint64_t pressure = 0;
-  };
-  void query_free(net::NodeId peer,
-                  std::function<void(StatusOr<FreeReport>)> done);
 
   bool alive(net::NodeId peer) const;
   std::uint64_t last_known_free(net::NodeId peer) const;

@@ -26,7 +26,6 @@ Node::Node(sim::Simulator& simulator, net::Fabric& fabric,
   fabric_.add_node(id_);
   connections_.register_endpoint(&rpc_);
   label_rpc_methods(rpc_);
-  rpc_.set_tracer(fabric_.tracer());
   rpc_.set_channel_repairer([this](net::NodeId peer) {
     return connections_.ensure_control_channel(id_, peer);
   });

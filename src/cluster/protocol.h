@@ -11,7 +11,6 @@ namespace dm::cluster {
 enum RpcMethodId : net::RpcMethod {
   // membership / election
   kRpcHeartbeat = 1,       // req: {}      resp: u64 free_bytes, u64 pressure
-  kRpcQueryFree = 2,       // req: {}      resp: u64 free_bytes, u64 pressure
   kRpcAnnounceLeader = 3,  // req: u32 group, u32 leader   resp: {}
   kRpcQueryCandidates = 4, // req: {}
                            // resp: u32 n, (u32 node, u64 free, u64 pressure)*
@@ -21,8 +20,6 @@ enum RpcMethodId : net::RpcMethod {
                         // resp: u32 slab, u64 rkey, u64 offset
   kRpcFreeBlock = 11,   // req: u64 rkey, u64 offset            resp: {}
   kRpcEvictNotice = 12, // req: u32 count, {u32 server, u64 entry}*  resp: {}
-  kRpcReadBlock = 13,   // req: u64 rkey, u64 offset, u32 size
-                        // resp: bytes (two-sided fallback read path)
 
   // live region migration (hot host -> owning node)
   kRpcMigrateRegion = 14,  // req: u32 hot_node, u32 max_entries
@@ -30,17 +27,15 @@ enum RpcMethodId : net::RpcMethod {
 };
 
 // Registers human-readable labels for every method id above, so the
-// endpoint's "rpc.rtt.<label>" histograms and tracer events name methods
-// instead of raw ids. Called once per endpoint at node construction.
+// endpoint's "rpc.rtt.<label>" histograms and "rpc.<label>" spans name
+// methods instead of raw ids. Called once per endpoint at node construction.
 inline void label_rpc_methods(net::RpcEndpoint& rpc) {
   rpc.label_method(kRpcHeartbeat, "heartbeat");
-  rpc.label_method(kRpcQueryFree, "query_free");
   rpc.label_method(kRpcAnnounceLeader, "announce_leader");
   rpc.label_method(kRpcQueryCandidates, "query_candidates");
   rpc.label_method(kRpcAllocBlock, "alloc_block");
   rpc.label_method(kRpcFreeBlock, "free_block");
   rpc.label_method(kRpcEvictNotice, "evict_notice");
-  rpc.label_method(kRpcReadBlock, "read_block");
   rpc.label_method(kRpcMigrateRegion, "migrate_region");
 }
 

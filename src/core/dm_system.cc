@@ -11,7 +11,6 @@
 #include "net/connection_manager.h"
 #include "net/fabric.h"
 #include "sim/span_sink.h"
-#include "sim/trace.h"
 
 namespace dm::core {
 
@@ -84,11 +83,6 @@ cxl::CxlAgent& DmSystem::create_cxl_agent(std::size_t node_index) {
       std::make_unique<cxl::CxlAgent>(*cxl_directory_, agent_config));
   hub_.add("node." + std::to_string(node_id), &cxl_agents_.back()->metrics());
   return *cxl_agents_.back();
-}
-
-void DmSystem::set_tracer(sim::Tracer* tracer) {
-  fabric_->set_tracer(tracer);
-  for (auto& node : nodes_) node->rpc().set_tracer(tracer);
 }
 
 void DmSystem::set_span_sink(sim::SpanSink* spans) {

@@ -40,7 +40,6 @@
 #include "sim/failure_injector.h"
 #include "sim/simulator.h"
 #include "sim/span_sink.h"
-#include "sim/trace.h"
 
 namespace dm::core {
 
@@ -105,10 +104,6 @@ class DmSystem {
   // "net.*" / "node.<id>.*". Callers add their own layers (swap managers,
   // caches) under the same naming convention.
   obs::MetricsHub& hub() noexcept { return hub_; }
-
-  // Attaches an event tracer to the fabric and every node's RPC endpoint,
-  // so causal trace ids are followable across nodes (null detaches).
-  void set_tracer(sim::Tracer* tracer);
 
   // Attaches a causal span sink (normally an obs::SpanTracer) to the
   // fabric, every node's RPC endpoint, and every node service, so a traced

@@ -38,7 +38,7 @@ class Ldmc {
   // --- asynchronous API -------------------------------------------------------
   // `trace` threads the caller's causal chain through every RPC and verb
   // the operation triggers (kNoTrace = the node service starts a fresh
-  // chain), so a swap fault's journey is followable in the tracer.
+  // chain), so a swap fault's journey is one span tree.
   void put(mem::EntryId entry, std::span<const std::byte> data,
            std::function<void(const Status&)> done,
            net::TraceId trace = net::kNoTrace);

@@ -6,7 +6,7 @@
 #include "common/units.h"
 #include "mem/memory_map.h"
 #include "net/wire.h"
-#include "sim/trace.h"
+#include "sim/span_sink.h"
 
 namespace dm::core {
 
@@ -203,117 +203,56 @@ void Rdmc::read(const std::vector<mem::RemoteReplica>& replicas,
     return;
   }
   if (trace == net::kNoTrace) trace = node_.next_trace_id();
+  auto tx = std::make_shared<ReadTx>();
+  tx->replicas = replicas;
+  tx->range_offset = range_offset;
+  tx->out = out;
+  tx->trace = trace;
   // Whole-read latency including any failover hops.
   const SimTime started = node_.simulator().now();
-  done = [this, started, inner = std::move(done)](const Status& s) {
+  tx->done = [this, started, inner = std::move(done)](const Status& s) {
     node_.recv_pool().metrics().histogram("rdmc.read_ns")
         .record(static_cast<std::uint64_t>(node_.simulator().now() - started));
     inner(s);
   };
-  auto ordered = std::make_shared<std::vector<mem::RemoteReplica>>(replicas);
-  read_from(std::move(ordered), 0, range_offset, out, std::move(done), trace);
+  read_from(std::move(tx), 0);
 }
 
-void Rdmc::read_from(
-    std::shared_ptr<std::vector<mem::RemoteReplica>> replicas,
-    std::size_t index, std::uint64_t range_offset, std::span<std::byte> out,
-    ReadCallback done, net::TraceId trace) {
-  if (index >= replicas->size()) {
-    ++node_.recv_pool().metrics().counter("rdmc.read_all_replicas_failed");
-    done(DataLossError("all replicas unreachable"));
-    return;
-  }
-  const auto& replica = (*replicas)[index];
+void Rdmc::read_from(std::shared_ptr<ReadTx> tx, std::size_t index) {
+  const mem::RemoteReplica& replica = tx->replicas[index];
   auto qp = node_.connections().ensure_data_channel(node_.id(), replica.node);
-  if (!qp.ok()) {
-    // No channel to this replica's host (crashed or unreachable): record
-    // the skipped hop so the causal chain shows the failover, then try
-    // the next replica.
-    if (sim::Tracer* tracer = node_.fabric().tracer())
-      tracer->record(node_.simulator().now(), "rdmc.read_failover",
-                     "node" + std::to_string(node_.id()) +
-                         " skipping dead replica on node" +
-                         std::to_string(replica.node) + " " +
-                         net::format_trace_id(trace));
-    read_from(std::move(replicas), index + 1, range_offset, out,
-              std::move(done), trace);
-    return;
-  }
-  Status posted = (*qp)->post_read(
-      replica.rkey, replica.offset + range_offset, out,
-      [this, replicas, index, range_offset, out, trace,
-       done = std::move(done)](const net::Completion& c) mutable {
-        if (c.status.ok()) {
-          done(Status::Ok());
-          return;
-        }
-        ++node_.recv_pool().metrics().counter("rdmc.read_failovers");
-        read_from(std::move(replicas), index + 1, range_offset, out,
-                  std::move(done), trace);
-      },
-      trace);
-  if (!posted.ok())
-    read_from(std::move(replicas), index + 1, range_offset, out,
-              std::move(done), trace);
+  const Status posted =
+      !qp.ok() ? qp.status()
+               : (*qp)->post_read(
+                     replica.rkey, replica.offset + tx->range_offset, tx->out,
+                     [this, tx, index](const net::Completion& c) {
+                       if (c.status.ok()) {
+                         tx->done(Status::Ok());
+                       } else {
+                         fail_over(tx, index);
+                       }
+                     },
+                     tx->trace);
+  if (!posted.ok()) fail_over(std::move(tx), index);
 }
 
-void Rdmc::read_twosided(const std::vector<mem::RemoteReplica>& replicas,
-                         std::uint64_t range_offset, std::span<std::byte> out,
-                         ReadCallback done, net::TraceId trace) {
-  if (replicas.empty()) {
-    done(DataLossError("entry has no remote replicas"));
-    return;
-  }
-  if (trace == net::kNoTrace) trace = node_.next_trace_id();
-  ++node_.recv_pool().metrics().counter("rdmc.reads_twosided");
-  const SimTime started = node_.simulator().now();
-  done = [this, started, inner = std::move(done)](const Status& s) {
-    node_.recv_pool().metrics().histogram("rdmc.read_ns")
-        .record(static_cast<std::uint64_t>(node_.simulator().now() - started));
-    inner(s);
-  };
-  auto ordered = std::make_shared<std::vector<mem::RemoteReplica>>(replicas);
-  read_twosided_from(std::move(ordered), 0, range_offset, out,
-                     std::move(done), trace);
-}
-
-void Rdmc::read_twosided_from(
-    std::shared_ptr<std::vector<mem::RemoteReplica>> replicas,
-    std::size_t index, std::uint64_t range_offset, std::span<std::byte> out,
-    ReadCallback done, net::TraceId trace) {
-  if (index >= replicas->size()) {
+void Rdmc::fail_over(std::shared_ptr<ReadTx> tx, std::size_t index) {
+  if (index + 1 == tx->replicas.size()) {
     ++node_.recv_pool().metrics().counter("rdmc.read_all_replicas_failed");
-    done(DataLossError("all replicas unreachable"));
+    tx->done(DataLossError("all replicas unreachable"));
     return;
   }
-  // The RDMS read handler serves a prefix of the hosted block, so ask for
-  // range_offset + size bytes and keep the tail.
-  const auto& replica = (*replicas)[index];
-  net::WireWriter w;
-  w.put_u64(replica.rkey);
-  w.put_u64(replica.offset);
-  w.put_u32(static_cast<std::uint32_t>(range_offset + out.size()));
-  node_.rpc().call(
-      replica.node, cluster::kRpcReadBlock, std::move(w).take(),
-      config_.rpc_timeout,
-      [this, replicas, index, range_offset, out, trace,
-       done = std::move(done)](StatusOr<std::vector<std::byte>> resp) mutable {
-        if (resp.ok()) {
-          net::WireReader r(*resp);
-          const auto bytes = r.bytes();
-          if (r.ok() && bytes.size() >= range_offset + out.size()) {
-            std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(
-                                            range_offset),
-                        out.size(), out.begin());
-            done(Status::Ok());
-            return;
-          }
-        }
-        ++node_.recv_pool().metrics().counter("rdmc.read_failovers");
-        read_twosided_from(std::move(replicas), index + 1, range_offset, out,
-                           std::move(done), trace);
-      },
-      trace);
+  ++node_.recv_pool().metrics().counter("rdmc.read_failovers");
+  // A failed READ shows as a span, but a copy skipped with no verb posted
+  // (host crashed or unreachable) does not; the event marks every hop.
+  sim::SpanSink* spans = node_.fabric().span_sink();
+  if (spans != nullptr && tx->trace != net::kNoTrace) {
+    spans->event(tx->trace, node_.id(), "rdmc.read_failover",
+                 "skip node" + std::to_string(tx->replicas[index].node) +
+                     ", try node" +
+                     std::to_string(tx->replicas[index + 1].node));
+  }
+  read_from(std::move(tx), index + 1);
 }
 
 void Rdmc::free_replicas(std::vector<mem::RemoteReplica> replicas,

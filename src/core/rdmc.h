@@ -94,19 +94,13 @@ class Rdmc {
 
   // Reads out.size() bytes at `range_offset` within a block, failing over
   // across `replicas` in order (every one must hold the same bytes: one
-  // shard, or any copy of a k = 1 entry).
+  // shard, or any copy of a k = 1 entry). Each move to a next copy counts
+  // one "rdmc.read_failovers" and, on a traced read with a span sink
+  // attached, puts an "rdmc.read_failover" point event naming the skipped
+  // host on this node's trace.
   void read(const std::vector<mem::RemoteReplica>& replicas,
             std::uint64_t range_offset, std::span<std::byte> out,
             ReadCallback done, net::TraceId trace = net::kNoTrace);
-
-  // Two-sided fallback read: fetches the range over the control channel
-  // (kRpcReadBlock, served by the replica host's RDMS) instead of a
-  // one-sided RDMA READ. For callers that cannot establish a data channel
-  // to the replica host — connection budget exhausted, or a transport
-  // without one-sided verbs. Same replica failover order as read().
-  void read_twosided(const std::vector<mem::RemoteReplica>& replicas,
-                     std::uint64_t range_offset, std::span<std::byte> out,
-                     ReadCallback done, net::TraceId trace = net::kNoTrace);
 
   // Frees all replica blocks; done fires after every free settles. A free
   // that fails while its host is down counts as done (the block died with
@@ -116,14 +110,20 @@ class Rdmc {
                      net::TraceId trace = net::kNoTrace);
 
  private:
-  void read_from(std::shared_ptr<std::vector<mem::RemoteReplica>> replicas,
-                 std::size_t index, std::uint64_t range_offset,
-                 std::span<std::byte> out, ReadCallback done,
-                 net::TraceId trace);
-  void read_twosided_from(
-      std::shared_ptr<std::vector<mem::RemoteReplica>> replicas,
-      std::size_t index, std::uint64_t range_offset, std::span<std::byte> out,
-      ReadCallback done, net::TraceId trace);
+  // One read in flight: the copies in failover order and where the bytes
+  // go. Shared by every hop, so a refused post keeps `done`.
+  struct ReadTx {
+    std::vector<mem::RemoteReplica> replicas;
+    std::uint64_t range_offset = 0;
+    std::span<std::byte> out;
+    ReadCallback done;
+    net::TraceId trace = net::kNoTrace;
+  };
+
+  void read_from(std::shared_ptr<ReadTx> tx, std::size_t index);
+  // Copy `index` could not serve the read: try the next one, or fail the
+  // read after the last.
+  void fail_over(std::shared_ptr<ReadTx> tx, std::size_t index);
 
   cluster::Node& node_;
   Config config_;

@@ -8,7 +8,6 @@ namespace dm::core {
 using cluster::kRpcAllocBlock;
 using cluster::kRpcEvictNotice;
 using cluster::kRpcFreeBlock;
-using cluster::kRpcReadBlock;
 
 Rdms::Rdms(cluster::Node& node) : node_(node) {
   node_.rpc().handle(kRpcAllocBlock,
@@ -18,10 +17,6 @@ Rdms::Rdms(cluster::Node& node) : node_(node) {
   node_.rpc().handle(kRpcFreeBlock,
                      [this](net::NodeId from, net::WireReader& r) {
                        return handle_free(from, r);
-                     });
-  node_.rpc().handle(kRpcReadBlock,
-                     [this](net::NodeId from, net::WireReader& r) {
-                       return handle_read(from, r);
                      });
 }
 
@@ -61,24 +56,6 @@ StatusOr<std::vector<std::byte>> Rdms::handle_free(net::NodeId from,
   blocks_.erase(it);
   check_drain(slab);
   return std::vector<std::byte>{};
-}
-
-StatusOr<std::vector<std::byte>> Rdms::handle_read(net::NodeId from,
-                                                   net::WireReader& req) {
-  const auto rkey = static_cast<net::RKey>(req.u64());
-  const auto offset = req.u64();
-  const auto size = req.u32();
-  DM_RETURN_IF_ERROR(req.status());
-  (void)from;
-
-  auto it = blocks_.find(BlockKey{rkey, offset});
-  if (it == blocks_.end()) return NotFoundError("no hosted block at address");
-  if (size > it->second.ref.size)
-    return InvalidArgumentError("read larger than block");
-  auto bytes = node_.recv_pool().block_bytes(it->second.ref).first(size);
-  net::WireWriter w;
-  w.put_bytes(bytes);
-  return std::move(w).take();
 }
 
 void Rdms::drop_all_blocks() {

@@ -71,8 +71,6 @@ class Rdms {
                                                 net::WireReader& req);
   StatusOr<std::vector<std::byte>> handle_free(net::NodeId from,
                                                net::WireReader& req);
-  StatusOr<std::vector<std::byte>> handle_read(net::NodeId from,
-                                               net::WireReader& req);
   void check_drain(mem::SlabId slab);
 
   cluster::Node& node_;

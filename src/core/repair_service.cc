@@ -1,11 +1,8 @@
 #include "core/repair_service.h"
 
-#include <string>
-
 #include "common/status.h"
 #include "core/ldmc.h"
 #include "core/node_service.h"
-#include "sim/trace.h"
 
 namespace dm::core {
 
@@ -50,10 +47,6 @@ void RepairService::scan_tick(std::function<void()> done) {
     return;
   }
   service_.metrics().counter("repair.requeued") += work->size();
-  if (sim::Tracer* tracer = service_.node().fabric().tracer())
-    tracer->record(service_.node().simulator().now(), "repair.scan",
-                   "node" + std::to_string(service_.node().id()) + " queued " +
-                       std::to_string(work->size()) + " repairs");
   scan_active_ = true;
   run_one(std::move(work), 0,
           std::make_shared<std::function<void()>>(std::move(done)));

@@ -17,14 +17,11 @@ Fabric::Fabric(sim::Simulator& simulator, Config config)
 void Fabric::set_latency_scale(double scale) noexcept {
   latency_scale_ = scale < 0.0 ? 0.0 : scale;
   ++metrics_.counter("fabric.latency_scale_changes");
-  trace("fabric.chaos", "latency scale -> " + std::to_string(latency_scale_));
 }
 
 void Fabric::set_message_loss(double probability) noexcept {
   loss_probability_ =
       probability < 0.0 ? 0.0 : (probability > 1.0 ? 1.0 : probability);
-  trace("fabric.chaos",
-        "message loss -> " + std::to_string(loss_probability_));
 }
 
 bool Fabric::should_drop_message() {
@@ -41,8 +38,6 @@ bool Fabric::has_node(NodeId node) const { return nodes_.count(node) > 0; }
 void Fabric::set_node_up(NodeId node, bool up) {
   if (auto* st = state_of(node)) {
     st->up = up;
-    trace("fabric.node", "node " + std::to_string(node) +
-                             (up ? " up" : " down"));
     if (!up) fail_node_connections(node);
   }
 }
@@ -372,11 +367,6 @@ Status QueuePair::post_write(RKey rkey, std::uint64_t offset,
     });
   });
   ++fabric_.metrics().counter("fabric.writes");
-  fabric_.trace("fabric.write",
-                "node" + std::to_string(local_) + " -> node" +
-                    std::to_string(remote_) + ", " +
-                    std::to_string(data.size()) + "B " +
-                    format_trace_id(trace));
   return Status::Ok();
 }
 
@@ -451,11 +441,6 @@ Status QueuePair::post_read(RKey rkey, std::uint64_t offset,
     });
   });
   ++fabric_.metrics().counter("fabric.reads");
-  fabric_.trace("fabric.read",
-                "node" + std::to_string(local_) + " <- node" +
-                    std::to_string(remote_) + ", " +
-                    std::to_string(dest.size()) + "B " +
-                    format_trace_id(trace));
   return Status::Ok();
 }
 
@@ -495,10 +480,6 @@ Status QueuePair::post_send(std::span<const std::byte> message,
       // sender's ack still completes (it cannot tell), so the layer above
       // only notices via its own timeout.
       ++fabric.metrics().counter("fabric.msgs_dropped");
-      fabric.trace("fabric.drop", "node" + std::to_string(from) +
-                                      " -> node" + std::to_string(remote) +
-                                      ", " + std::to_string(nbytes) +
-                                      "B lost");
       const SimTime acked =
           deliver + fabric.config().latency.link_propagation_ns;
       fabric.sim_.schedule_at(acked, [done = std::move(done), acked,

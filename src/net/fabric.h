@@ -27,7 +27,6 @@
 #include "sim/latency_model.h"
 #include "sim/simulator.h"
 #include "sim/span_sink.h"
-#include "sim/trace.h"
 
 namespace dm::net {
 
@@ -45,8 +44,8 @@ class QueuePair {
 
   // One-sided WRITE of `data` into (rkey, offset) on the remote node.
   // Bytes land at modeled arrival time; the callback fires at ack time.
-  // `trace` tags the tracer event so the verb can be attributed to the
-  // causal chain that issued it (kNoTrace = untraced).
+  // `trace` puts the verb's span on the causal chain that issued it
+  // (kNoTrace = untraced).
   Status post_write(RKey rkey, std::uint64_t offset,
                     std::span<const std::byte> data, CompletionCallback done,
                     TraceId trace = kNoTrace);
@@ -103,11 +102,6 @@ class Fabric {
   sim::Simulator& simulator() noexcept { return sim_; }
   const Config& config() const noexcept { return config_; }
   MetricsRegistry& metrics() noexcept { return metrics_; }
-
-  // Attaches an event tracer (not owned; may be null to detach). The
-  // fabric records verbs, registrations, and topology changes.
-  void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
-  sim::Tracer* tracer() const noexcept { return tracer_; }
 
   // Causal span sink (not owned; null detaches): one-sided verbs carrying a
   // real trace id get "net"/"fabric.write|read" spans from post to
@@ -204,15 +198,9 @@ class Fabric {
   const NodeState* state_of(NodeId node) const;
   MemoryRegion* find_region(NodeId node, RKey rkey);
 
-  void trace(std::string category, std::string detail) {
-    if (tracer_ != nullptr)
-      tracer_->record(sim_.now(), std::move(category), std::move(detail));
-  }
-
   sim::Simulator& sim_;
   Config config_;
   MetricsRegistry metrics_;
-  sim::Tracer* tracer_ = nullptr;
   sim::SpanSink* spans_ = nullptr;
   double latency_scale_ = 1.0;
   double loss_probability_ = 0.0;

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <string>
 
 #include "common/status.h"
 #include "common/units.h"
@@ -22,8 +21,8 @@ namespace dm::net {
 using NodeId = std::uint32_t;
 inline constexpr NodeId kInvalidNode = ~0u;
 
-// Causal trace id carried through the control-plane wire format and stamped
-// into tracer events, so one logical operation (a page fault, a replicated
+// Causal trace id carried through the control-plane wire format and handed
+// to the span sink, so one logical operation (a page fault, a replicated
 // put) can be followed across nodes. Encoded as (origin node + 1) << 32 |
 // per-node monotonic sequence; 0 means "untraced".
 using TraceId = std::uint64_t;
@@ -37,13 +36,6 @@ inline NodeId trace_origin(TraceId id) noexcept {
 }
 inline std::uint32_t trace_seq(TraceId id) noexcept {
   return static_cast<std::uint32_t>(id);
-}
-// "trace=3:17" — the canonical substring tracer events carry, so
-// Tracer::matching(format_trace_id(id)) follows one causal chain.
-inline std::string format_trace_id(TraceId id) {
-  if (id == kNoTrace) return "trace=-";
-  return "trace=" + std::to_string(trace_origin(id)) + ":" +
-         std::to_string(trace_seq(id));
 }
 
 // Remote key naming a registered memory region on some node.

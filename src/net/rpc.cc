@@ -69,13 +69,6 @@ void RpcEndpoint::call(NodeId peer, RpcMethod method,
             ++keep->self->metrics_.counter("rpc.retries");
             keep->self->metrics_.histogram("net.backoff_ns")
                 .record(static_cast<std::uint64_t>(wait));
-            keep->self->trace_event(
-                "rpc.retry",
-                "node" + std::to_string(keep->self->self_) + " " +
-                    keep->self->method_label(keep->method) + " attempt " +
-                    std::to_string(keep->attempt + 1) + " after " +
-                    std::to_string(wait) + "ns " +
-                    format_trace_id(keep->trace));
             keep->self->sim_.schedule_after(wait,
                                             [keep]() { keep->run(); });
           },
@@ -114,7 +107,6 @@ void RpcEndpoint::call_once(NodeId peer, RpcMethod method,
   pending->done = std::move(done);
   pending->started = sim_.now();
   pending->method = method;
-  pending->trace = trace;
   pending_.emplace(call_id, pending);
   if (spans_ != nullptr) {
     // Caller-side span: open here, closed by settle() when the reply, error
@@ -124,10 +116,6 @@ void RpcEndpoint::call_once(NodeId peer, RpcMethod method,
                                        "rpc." + method_label(method));
   }
   ++metrics_.counter("rpc.calls");
-  trace_event("rpc.call", "node" + std::to_string(self_) + " -> node" +
-                              std::to_string(peer) + " " +
-                              method_label(method) + " " +
-                              format_trace_id(trace));
 
   WireWriter w;
   w.put_u8(static_cast<std::uint8_t>(Kind::kRequest));
@@ -165,10 +153,6 @@ void RpcEndpoint::on_message(NodeId from, std::span<const std::byte> message) {
     if (reply_channel == channels_.end()) return;
 
     ++metrics_.counter("rpc.dispatched");
-    trace_event("rpc.dispatch", "node" + std::to_string(self_) + " <- node" +
-                                    std::to_string(from) + " " +
-                                    method_label(method) + " " +
-                                    format_trace_id(trace));
     WireWriter w;
     auto handler = handlers_.find(method);
     if (handler == handlers_.end()) {
@@ -233,10 +217,6 @@ void RpcEndpoint::settle(std::uint64_t call_id,
                            ? "rpc.timeouts"
                            : "rpc.errors");
   }
-  trace_event("rpc.reply", "node" + std::to_string(self_) + " " +
-                               method_label(pending->method) + " " +
-                               (result.ok() ? "ok " : "err ") +
-                               format_trace_id(pending->trace));
   pending->done(std::move(result));
 }
 

@@ -7,8 +7,8 @@
 // asynchronous calls with timeouts on the client side.
 //
 // Observability: every frame carries a causal TraceId (allocated at the
-// first hop when the caller passes kNoTrace) which the endpoint stamps into
-// tracer events on both sides of the hop, and round-trip latency is
+// first hop when the caller passes kNoTrace) which the endpoint hands to
+// its span sink on both sides of the hop, and round-trip latency is
 // recorded per method into the endpoint's MetricsRegistry as
 // "rpc.rtt.<label>" histograms (labels registered via label_method, falling
 // back to "m<id>").
@@ -30,7 +30,6 @@
 #include "net/wire.h"
 #include "sim/simulator.h"
 #include "sim/span_sink.h"
-#include "sim/trace.h"
 
 namespace dm::net {
 
@@ -55,10 +54,6 @@ class RpcEndpoint {
   NodeId self() const noexcept { return self_; }
   MetricsRegistry& metrics() noexcept { return metrics_; }
 
-  // Attaches an event tracer (not owned; null detaches). Records
-  // "rpc.call" / "rpc.dispatch" / "rpc.reply" events carrying trace ids.
-  void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
-
   // Attaches a causal span sink (not owned; null detaches). Each traced
   // call opens a caller-side "net"/"rpc.<label>" span spanning send to
   // settle, and each dispatch a callee-side "remote"/"rpc.<label>" span
@@ -70,8 +65,8 @@ class RpcEndpoint {
   // workloads) never collide with RPC-allocated ids.
   TraceId new_trace() { return make_trace_id(self_, ++next_trace_); }
 
-  // Registers a human-readable label for a method id, used in tracer
-  // events and the "rpc.rtt.<label>" histogram names.
+  // Registers a human-readable label for a method id, used in span names
+  // and the "rpc.rtt.<label>" histogram names.
   void label_method(RpcMethod method, std::string label) {
     labels_[method] = std::move(label);
   }
@@ -125,7 +120,6 @@ class RpcEndpoint {
     RpcResponseCallback done;
     SimTime started = 0;
     RpcMethod method = 0;
-    TraceId trace = kNoTrace;
     std::uint64_t span = 0;  // caller-side span handle
     bool settled = false;
   };
@@ -136,15 +130,10 @@ class RpcEndpoint {
   void on_message(NodeId from, std::span<const std::byte> message);
   void settle(std::uint64_t call_id, StatusOr<std::vector<std::byte>> result);
   std::string method_label(RpcMethod method) const;
-  void trace_event(std::string category, std::string detail) {
-    if (tracer_ != nullptr)
-      tracer_->record(sim_.now(), std::move(category), std::move(detail));
-  }
 
   sim::Simulator& sim_;
   NodeId self_;
   MetricsRegistry metrics_;
-  sim::Tracer* tracer_ = nullptr;
   sim::SpanSink* spans_ = nullptr;
   RetryPolicy retry_;
   std::unordered_map<RpcMethod, RpcHandler> handlers_;

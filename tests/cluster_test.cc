@@ -443,34 +443,6 @@ TEST_F(ClusterFixture, HeartbeatsCarryFreeBytes) {
             nodes_[1]->donatable_free_bytes());
 }
 
-TEST_F(ClusterFixture, QueryFreePointQueryRefreshesState) {
-  // No heartbeat loop: the one-shot point query alone must fetch the peer's
-  // report and refresh the cached liveness/free state.
-  bool answered = false;
-  nodes_[0]->membership().query_free(
-      1, [&](StatusOr<Membership::FreeReport> report) {
-        ASSERT_TRUE(report.ok());
-        EXPECT_EQ(report->free_bytes, nodes_[1]->donatable_free_bytes());
-        answered = true;
-      });
-  sim_.run_until(1 * kSecond);
-  EXPECT_TRUE(answered);
-  EXPECT_EQ(nodes_[0]->membership().last_known_free(1),
-            nodes_[1]->donatable_free_bytes());
-}
-
-TEST_F(ClusterFixture, QueryFreeFailsOnDeadPeer) {
-  fabric_.set_node_up(1, false);
-  bool answered = false;
-  nodes_[0]->membership().query_free(
-      1, [&](StatusOr<Membership::FreeReport> report) {
-        EXPECT_FALSE(report.ok());
-        answered = true;
-      });
-  sim_.run_until(1 * kSecond);
-  EXPECT_TRUE(answered);
-}
-
 TEST_F(ClusterFixture, CrashDetectedWithinTimeout) {
   start_all();
   sim_.run_until(2 * kSecond);

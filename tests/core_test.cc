@@ -102,56 +102,6 @@ TEST(DmSystemTest, RemoteGetFailsOverWhenReplicaDies) {
   EXPECT_EQ(out, data);
 }
 
-TEST(DmSystemTest, TwoSidedReadFallbackReturnsSameBytes) {
-  DmSystem system(small_cluster());
-  system.start();
-  LdmcOptions options;
-  options.shm_fraction = 0.0;  // force remote
-  auto& client = system.create_server(0, 64 * MiB, options);
-
-  const auto data = page_data(11);
-  ASSERT_TRUE(client.put_sync(11, data).ok());
-  auto loc = client.map().lookup(11);
-  ASSERT_TRUE(loc.ok());
-
-  // The control-channel (kRpcReadBlock) path must return the same bytes
-  // the one-sided RDMA READ would.
-  std::vector<std::byte> out(4096);
-  Status result = InternalError("pending");
-  system.service(0).rdmc().read_twosided(
-      loc->replicas, 0, out, [&](const Status& s) { result = s; });
-  system.run_for(kSecond);
-  ASSERT_TRUE(result.ok()) << result;
-  EXPECT_EQ(out, data);
-}
-
-TEST(DmSystemTest, TwoSidedReadFailsOverAndServesSubRange) {
-  DmSystem system(small_cluster());
-  system.start();
-  LdmcOptions options;
-  options.shm_fraction = 0.0;
-  auto& client = system.create_server(0, 64 * MiB, options);
-
-  const auto data = page_data(12);
-  ASSERT_TRUE(client.put_sync(12, data).ok());
-  auto loc = client.map().lookup(12);
-  ASSERT_TRUE(loc.ok());
-  ASSERT_EQ(loc->replicas.size(), 3u);
-
-  // Kill the first replica host: the two-sided read fails over, and a
-  // sub-range request returns exactly the requested slice.
-  system.fabric().set_node_up(loc->replicas.front().node, false);
-  std::vector<std::byte> out(512);
-  Status result = InternalError("pending");
-  system.service(0).rdmc().read_twosided(
-      loc->replicas, 1024, out, [&](const Status& s) { result = s; });
-  system.run_for(2 * kSecond);
-  ASSERT_TRUE(result.ok()) << result;
-  EXPECT_EQ(std::vector<std::byte>(data.begin() + 1024,
-                                   data.begin() + 1024 + 512),
-            out);
-}
-
 TEST(DmSystemTest, RepairRestoresReplicationFactor) {
   DmSystem system(small_cluster(5));
   system.start();

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "common/units.h"
@@ -11,7 +13,7 @@
 #include "net/rpc.h"
 #include "net/wire.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
+#include "sim/span_sink.h"
 
 namespace dm::net {
 namespace {
@@ -359,24 +361,92 @@ TEST_F(FabricTest, ConnectionManagerRepairsAfterRecovery) {
   EXPECT_FALSE((*repaired)->in_error());
 }
 
-TEST_F(FabricTest, TracerSeesVerbsAndTopology) {
-  sim::Tracer tracer;
-  fabric_.set_tracer(&tracer);
+// Passive sink recording each span's site, node and virtual interval.
+struct VerbSpans final : sim::SpanSink {
+  struct Span {
+    std::uint64_t trace = 0;
+    std::uint32_t node = 0;
+    std::string site;
+    SimTime begin = 0;
+    SimTime end = -1;  // -1 while open
+  };
+  explicit VerbSpans(sim::Simulator& simulator) : sim(simulator) {}
+  std::uint64_t begin_span(std::uint64_t trace, std::uint32_t node,
+                           std::string_view subsystem,
+                           std::string_view name) override {
+    spans.push_back({trace, node,
+                     std::string(subsystem) + "/" + std::string(name),
+                     sim.now()});
+    return spans.size();
+  }
+  void end_span(std::uint64_t span) override {
+    spans.at(span - 1).end = sim.now();
+  }
+  void event(std::uint64_t, std::uint32_t, std::string_view,
+             std::string_view) override {}
+  sim::Simulator& sim;
+  std::vector<Span> spans;
+};
+
+TEST_F(FabricTest, TracedVerbsSpanFromPostToCompletion) {
+  VerbSpans sink(sim_);
+  fabric_.set_span_sink(&sink);
   std::vector<std::byte> region(4096);
   auto rkey = fabric_.register_memory(1, region);
   auto qp = fabric_.connect(0, 1);
-  auto payload = pattern(512);
-  bool completed = false;
+  ASSERT_TRUE(rkey.ok() && qp.ok());
+  const auto payload = pattern(512);
+
+  // Untraced verbs open no span.
+  bool plain = false;
   ASSERT_TRUE((*qp)->post_write(*rkey, 0, payload,
-                                [&](const Completion&) { completed = true; })
+                                [&](const Completion&) { plain = true; })
                   .ok());
-  ASSERT_TRUE(sim_.run_until_flag(completed));
-  fabric_.set_node_up(2, false);
-  EXPECT_EQ(tracer.by_category("fabric.write").size(), 1u);
-  EXPECT_EQ(tracer.by_category("fabric.node").size(), 1u);
-  fabric_.set_tracer(nullptr);
-  fabric_.set_node_up(2, true);
-  EXPECT_EQ(tracer.by_category("fabric.node").size(), 1u);  // detached
+  ASSERT_TRUE(sim_.run_until_flag(plain));
+  EXPECT_TRUE(sink.spans.empty());
+
+  const TraceId trace = make_trace_id(0, 5);
+  const SimTime write_posted = sim_.now();
+  SimTime write_done = -1;
+  bool wrote = false;
+  ASSERT_TRUE((*qp)->post_write(*rkey, 0, payload,
+                                [&](const Completion& c) {
+                                  write_done = c.completed_at;
+                                  wrote = true;
+                                },
+                                trace)
+                  .ok());
+  ASSERT_TRUE(sim_.run_until_flag(wrote));
+
+  std::vector<std::byte> back(payload.size());
+  const SimTime read_posted = sim_.now();
+  SimTime read_done = -1;
+  bool read = false;
+  ASSERT_TRUE((*qp)->post_read(*rkey, 0, back,
+                               [&](const Completion& c) {
+                                 read_done = c.completed_at;
+                                 read = true;
+                               },
+                               trace)
+                  .ok());
+  ASSERT_TRUE(sim_.run_until_flag(read));
+  EXPECT_EQ(back, payload);
+
+  ASSERT_EQ(sink.spans.size(), 2u);
+  const VerbSpans::Span& w = sink.spans[0];
+  const VerbSpans::Span& r = sink.spans[1];
+  EXPECT_EQ(w.site, "net/fabric.write");
+  EXPECT_EQ(r.site, "net/fabric.read");
+  for (const VerbSpans::Span* span : {&w, &r}) {
+    EXPECT_EQ(span->trace, trace);
+    EXPECT_EQ(span->node, 0u);  // the posting node
+  }
+  EXPECT_EQ(w.begin, write_posted);
+  EXPECT_EQ(w.end, write_done);
+  EXPECT_EQ(r.begin, read_posted);
+  EXPECT_EQ(r.end, read_done);
+  EXPECT_LT(w.begin, w.end);
+  EXPECT_LT(r.begin, r.end);
 }
 
 TEST_F(FabricTest, RcCompletionsStayInOrderPerQp) {

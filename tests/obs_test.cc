@@ -1,6 +1,6 @@
 // Tests for the observability layer: MetricsHub aggregation and export
-// determinism, causal trace-id propagation through the RPC layer, and
-// histogram percentile boundary behaviour.
+// determinism, causal trace-id propagation through the RPC layer's span
+// tree, and histogram percentile boundary behaviour.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -17,8 +17,8 @@
 #include "net/rpc.h"
 #include "net/wire.h"
 #include "obs/metrics_hub.h"
+#include "obs/span.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace dm {
 namespace {
@@ -269,9 +269,9 @@ TEST(Tracing, TraceIdPropagatesAcrossRpcHop) {
   cm.register_endpoint(&ep1);
   ASSERT_TRUE(cm.ensure_control_channel(0, 1).ok());
 
-  sim::Tracer tracer;
-  ep0.set_tracer(&tracer);
-  ep1.set_tracer(&tracer);
+  obs::SpanTracer spans(sim);
+  ep0.set_span_sink(&spans);
+  ep1.set_span_sink(&spans);
   ep0.label_method(5, "double");
   ep1.label_method(5, "double");
 
@@ -297,24 +297,30 @@ TEST(Tracing, TraceIdPropagatesAcrossRpcHop) {
            trace);
   ASSERT_TRUE(sim.run_until_flag(done));
 
-  // The callee observed the caller's trace id, and the tracer recorded the
-  // full hop — call on node 0, dispatch on node 1, reply back — all
-  // findable by the one trace id string.
+  // The callee observed the caller's trace id, and the hop is one closed
+  // span tree on that id: the caller's call on node 0 from send to reply,
+  // with the dispatch on node 1 nested under it.
   EXPECT_EQ(seen_in_handler, trace);
-  const auto chain = tracer.matching(net::format_trace_id(trace));
-  ASSERT_GE(chain.size(), 3u);
-  bool saw_call = false, saw_dispatch = false, saw_reply = false;
-  for (const auto& event : chain) {
-    if (event.category == "rpc.call") saw_call = true;
-    if (event.category == "rpc.dispatch") saw_dispatch = true;
-    if (event.category == "rpc.reply") saw_reply = true;
-  }
-  EXPECT_TRUE(saw_call);
-  EXPECT_TRUE(saw_dispatch);
-  EXPECT_TRUE(saw_reply);
   EXPECT_EQ(net::trace_origin(trace), 0u);
   EXPECT_EQ(net::trace_seq(trace), 17u);
-  EXPECT_FALSE(sim::Tracer::format(chain).empty());
+  EXPECT_EQ(spans.completed_traces(), std::vector<std::uint64_t>{trace});
+  const auto* chain = spans.spans(trace);
+  ASSERT_NE(chain, nullptr);
+  ASSERT_EQ(chain->size(), 2u);
+  const obs::SpanTracer::Span& caller = (*chain)[0];
+  const obs::SpanTracer::Span& callee = (*chain)[1];
+  EXPECT_EQ(caller.node, 0u);
+  EXPECT_EQ(caller.subsystem, "net");
+  EXPECT_EQ(caller.name, "rpc.double");
+  EXPECT_EQ(caller.parent, 0u);
+  EXPECT_EQ(callee.node, 1u);
+  EXPECT_EQ(callee.subsystem, "remote");
+  EXPECT_EQ(callee.name, "rpc.double");
+  EXPECT_EQ(callee.parent, caller.id);
+  EXPECT_EQ(callee.trace, caller.trace);
+  EXPECT_LE(caller.begin, callee.begin);
+  EXPECT_LE(callee.end, caller.end);
+  EXPECT_LT(caller.begin, caller.end);
 }
 
 TEST(Tracing, RpcAllocatesTraceIdWhenCallerPassesNone) {

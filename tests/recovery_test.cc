@@ -11,6 +11,7 @@
 
 #include "common/checksum.h"
 #include "common/histogram.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "core/dm_system.h"
 #include "core/ldmc.h"
@@ -123,6 +124,37 @@ TEST(RecoveryTest, PartitionDuringFailoverRead) {
   std::fill(out.begin(), out.end(), std::byte{0});
   ASSERT_TRUE(client.get_sync(3, out).ok());
   EXPECT_EQ(out, data);
+}
+
+// A crashed first copy costs exactly one failover hop even though no verb
+// is posted to it: the data channel to its host cannot be opened, so the
+// read moves straight to the second copy and counts that move.
+TEST(RecoveryTest, CrashedFirstCopyCountsOneFailover) {
+  DmSystem system(cluster_config(5, 3));
+  system.start();
+  auto& client = system.create_server(0, 64 * MiB, remote_only());
+
+  const auto data = page_data(5);
+  ASSERT_TRUE(client.put_sync(5, data).ok());
+  auto loc = client.map().lookup(5);
+  ASSERT_TRUE(loc.ok());
+  ASSERT_EQ(loc->replicas.size(), 3u);
+
+  system.crash_node(loc->replicas.front().node);
+  std::vector<std::byte> out(4096);
+  ASSERT_TRUE(client.get_sync(5, out).ok());
+  EXPECT_EQ(out, data);
+  const MetricsRegistry& metrics = system.node(0).recv_pool().metrics();
+  EXPECT_EQ(metrics.counter_value("rdmc.read_failovers"), 1u);
+  EXPECT_EQ(metrics.counter_value("rdmc.read_all_replicas_failed"), 0u);
+
+  // With every host down, the two moves past the first and second copies
+  // count as failovers; the failed last copy counts only as a lost read.
+  system.crash_node(loc->replicas[1].node);
+  system.crash_node(loc->replicas[2].node);
+  EXPECT_FALSE(client.get_sync(5, out).ok());
+  EXPECT_EQ(metrics.counter_value("rdmc.read_failovers"), 3u);
+  EXPECT_EQ(metrics.counter_value("rdmc.read_all_replicas_failed"), 1u);
 }
 
 // Repair must never resurrect an entry the application removed while the

@@ -14,7 +14,6 @@
 #include "sim/failure_injector.h"
 #include "sim/latency_model.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace dm::sim {
 namespace {
@@ -334,45 +333,6 @@ TEST(ChaosScheduleTest, GuardVetoesCrashWithoutPerturbingSchedule) {
     EXPECT_NE(what, "crash 2");
     EXPECT_NE(what, "recover 2");
   }
-}
-
-// ---- tracer ---------------------------------------------------------------
-
-TEST(TracerTest, RecordsAndFormats) {
-  Tracer tracer(8);
-  tracer.record(1500, "fabric.write", "node0 -> node1, 4096B");
-  tracer.record(3000, "fabric.read", "node0 <- node2, 512B");
-  EXPECT_EQ(tracer.size(), 2u);
-  auto recent = tracer.recent(10);
-  ASSERT_EQ(recent.size(), 2u);
-  EXPECT_EQ(recent[0].category, "fabric.write");
-  EXPECT_EQ(recent[1].at, 3000);
-  const std::string text = tracer.to_string();
-  EXPECT_NE(text.find("fabric.write"), std::string::npos);
-  EXPECT_NE(text.find("4096B"), std::string::npos);
-}
-
-TEST(TracerTest, RingDropsOldest) {
-  Tracer tracer(4);
-  for (int i = 0; i < 10; ++i)
-    tracer.record(i, "cat", std::to_string(i));
-  EXPECT_EQ(tracer.size(), 4u);
-  EXPECT_EQ(tracer.dropped(), 6u);
-  auto recent = tracer.recent(4);
-  EXPECT_EQ(recent.front().detail, "6");
-  EXPECT_EQ(recent.back().detail, "9");
-}
-
-TEST(TracerTest, FilterByCategory) {
-  Tracer tracer;
-  tracer.record(1, "a", "x");
-  tracer.record(2, "b", "y");
-  tracer.record(3, "a", "z");
-  auto only_a = tracer.by_category("a");
-  ASSERT_EQ(only_a.size(), 2u);
-  EXPECT_EQ(only_a[1].detail, "z");
-  tracer.clear();
-  EXPECT_EQ(tracer.size(), 0u);
 }
 
 // ---- ScenarioEngine -------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "common/units.h"
 #include "core/dm_system.h"
 #include "core/ldmc.h"
+#include "core/node_service.h"
 #include "obs/flight_recorder.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
@@ -255,6 +256,58 @@ TEST(SpanIntegration, SwapFaultTraceCrossesNodes) {
     for (const auto& [subsystem, ns] : b.by_subsystem) sum += ns;
     EXPECT_EQ(sum, b.total) << "trace " << trace;
   }
+}
+
+// A read that skips a crashed first copy posts no verb to it, so only the
+// point event shows the hop: exactly one, on the reader's ring, on the
+// read's trace, naming the crashed host.
+TEST(SpanIntegration, SkippedCopyPutsOneFailoverEventOnReadersRing) {
+  core::DmSystem::Config config;
+  config.node_count = 5;
+  config.node.shm.arena_bytes = 4 * MiB;
+  config.node.recv.arena_bytes = 8 * MiB;
+  config.service.rdmc.ec_r = 2;  // 3 copies
+  core::DmSystem system(config);
+  obs::SpanTracer tracer(system.simulator());
+  obs::FlightRecorder recorder(system.simulator());
+  tracer.set_flight_recorder(&recorder);
+  system.set_span_sink(&tracer);
+  system.start();
+  core::LdmcOptions options;
+  options.shm_fraction = 0.0;
+  options.allow_disk = false;
+  auto& client = system.create_server(0, 64 * MiB, options);
+
+  const std::vector<std::byte> page(4096, std::byte{0x3c});
+  ASSERT_TRUE(client.put_sync(5, page).ok());
+  const auto loc = client.map().lookup(5);
+  ASSERT_TRUE(loc.ok());
+  ASSERT_EQ(loc->replicas.size(), 3u);
+  const net::NodeId dead = loc->replicas.front().node;
+  system.crash_node(dead);
+
+  recorder.clear();
+  const net::TraceId trace = system.node(0).next_trace_id();
+  std::vector<std::byte> out(page.size());
+  ASSERT_TRUE(client.get_sync(5, out, trace).ok());
+  EXPECT_EQ(out, page);
+
+  // dump_json writes one record per line.
+  std::istringstream ring(recorder.dump_json(0, "test"));
+  std::vector<std::string> failovers;
+  for (std::string line; std::getline(ring, line);)
+    if (line.find("\"subsystem\": \"rdmc.read_failover\"") !=
+        std::string::npos)
+      failovers.push_back(line);
+  ASSERT_EQ(failovers.size(), 1u);
+  EXPECT_NE(failovers[0].find("\"kind\": \"event\""), std::string::npos);
+  EXPECT_NE(failovers[0].find("\"trace\": \"" +
+                              obs::span_trace_label(trace) + "\""),
+            std::string::npos)
+      << failovers[0];
+  EXPECT_NE(failovers[0].find("skip node" + std::to_string(dead) + ","),
+            std::string::npos)
+      << failovers[0];
 }
 
 TEST(SpanIntegration, AttachedSinkDoesNotPerturbEventOrder) {

@@ -72,7 +72,6 @@ const std::map<std::string, std::string>& owner_table() {
       {"word_checksum", "common/checksum.h"},
       {"ZeroArena", "common/zero_arena.h"},
       {"Simulator", "sim/simulator.h"},
-      {"Tracer", "sim/trace.h"},
       {"FailureInjector", "sim/failure_injector.h"},
       {"ChaosSchedule", "sim/chaos_schedule.h"},
       {"LatencyModel", "sim/latency_model.h"},
