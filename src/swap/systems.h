@@ -26,8 +26,7 @@ enum class SystemKind {
   kLinux,          // disk swap only
   kZswap,          // compressed RAM cache (zbud) in front of disk swap
   // FastSwap plus the adaptive swap-path engine: pattern-aware PBS window
-  // and fan-out, entropy-probe compression admission, and write-back
-  // staging in front of the LDMC.
+  // and fan-out, and write-back staging in front of the LDMC.
   kFastSwapAdaptive,
 };
 

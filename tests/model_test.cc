@@ -6,9 +6,9 @@
 // simulator, real tiers, real compression) and, in lockstep, through
 // SwapOracle — a pure-function reference that mirrors the paging layer's
 // membership semantics (resident set, dirty set, swap-cache backing, batch
-// composition, LRU order, the adaptive-PBS policy state machines, and the
-// admission-control decision). Eighteen numbered properties (P1–P18) are
-// asserted along the trace; see SwapModelChecker::check_*.
+// composition, LRU order and the adaptive-PBS policy state machines).
+// Seventeen numbered properties (P1–P17) are asserted along the trace; see
+// SwapModelChecker::check_*.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -221,9 +221,10 @@ TEST(BufferPoolModelTest, NoOverlapAndConsistentRegistration) {
 namespace dm::swap {
 namespace {
 
-// Per-page content: every fourth page is incompressible (random bytes),
-// the rest compress well — so one trace exercises both admission-control
-// branches. Pure function of the page id, like all swap content.
+// Per-page content: every fourth page is incompressible (random bytes) and
+// falls back to a raw 4 KiB slot, the rest compress well into sub-page
+// buckets — so one trace exercises both the LZ path and the raw fallback.
+// Pure function of the page id, like all swap content.
 constexpr double kCompressibleFraction = 0.15;
 double page_random_fraction(std::uint64_t page) {
   return page % 4 == 0 ? 1.0 : kCompressibleFraction;
@@ -262,8 +263,6 @@ class SwapOracle {
     std::uint64_t pbs_batch_ins = 0;
     std::uint64_t single_page_ins = 0;
     std::uint64_t fanout_skips = 0;
-    std::uint64_t admit_accept = 0;
-    std::uint64_t admit_skip = 0;
     std::uint64_t swapped_out_pages = 0;
   };
 
@@ -395,15 +394,6 @@ class SwapOracle {
   void store_batch(const std::vector<std::uint64_t>& pages) {
     const mem::EntryId entry = next_batch_++;
     for (std::uint64_t page : pages) {
-      if (config_.compression != CompressionMode::kOff &&
-          config_.compression_admission) {
-        std::vector<std::byte> bytes(kPageBytes);
-        model_content(page, bytes);
-        const double entropy =
-            compress::sample_entropy(bytes, config_.admission_probe_bytes);
-        ++(entropy <= config_.admission_max_entropy ? c_.admit_accept
-                                                    : c_.admit_skip);
-      }
       backed_.emplace(page, entry);
       batches_[entry].push_back(page);
     }
@@ -479,12 +469,12 @@ class SwapModelChecker {
       if (step % 64 == 63) check_full(step);
 
       if (rng_.bernoulli(0.005)) {
-        // P16: the barrier drains the write-back buffer completely.
+        // P15: the barrier drains the write-back buffer completely.
         ASSERT_TRUE(manager_->wb_barrier().ok());
         ASSERT_EQ(manager_->wb_staged_batches(), 0u);
         ASSERT_EQ(manager_->wb_in_flight(), 0u);
       } else if (rng_.bernoulli(0.003)) {
-        // P17: flush_all empties the resident set; every touched page must
+        // P16: flush_all empties the resident set; every touched page must
         // come back intact afterwards (checked by the next faults + the
         // final sweep below).
         ASSERT_TRUE(manager_->flush_all().ok());
@@ -492,7 +482,7 @@ class SwapModelChecker {
         ASSERT_EQ(manager_->resident_count(), 0u);
         ASSERT_EQ(oracle_->resident().size(), 0u);
         ASSERT_EQ(manager_->wb_staged_batches(), 0u);
-        // P18 at quiescence: no batch rewrite is left pending, so every
+        // P17 at quiescence: no batch rewrite is left pending, so every
         // map entry is named by a backed page.
         ASSERT_EQ(manager_->compactions_pending(), 0u);
         check_no_orphans(step);
@@ -500,7 +490,7 @@ class SwapModelChecker {
     }
     check_full(steps);
 
-    // Final integrity sweep (P17's second half): every page ever touched
+    // Final integrity sweep (P16's second half): every page ever touched
     // is still recoverable with generator-exact contents.
     for (std::uint64_t page : touched_) {
       ASSERT_TRUE(manager_->touch(page).ok());
@@ -538,11 +528,7 @@ class SwapModelChecker {
     ASSERT_EQ(m.counter_value("swap.pbs_batch_ins"), c.pbs_batch_ins);
     ASSERT_EQ(m.counter_value("swap.single_page_ins"), c.single_page_ins);
     ASSERT_EQ(m.counter_value("swap.pbs.fanout_skips"), c.fanout_skips);
-    // P14: every admission-control decision matches the oracle's entropy
-    // recomputation.
-    ASSERT_EQ(m.counter_value("swap.admit.accept"), c.admit_accept);
-    ASSERT_EQ(m.counter_value("swap.admit.skip"), c.admit_skip);
-    // P15: the adaptive window agrees and stays within its bounds.
+    // P14: the adaptive window agrees and stays within its bounds.
     ASSERT_EQ(manager_->current_window(), oracle_->window());
     if (manager_->config().adaptive_pbs) {
       ASSERT_GE(manager_->current_window(),
@@ -551,7 +537,7 @@ class SwapModelChecker {
                 manager_->config().max_batch_pages);
       ASSERT_EQ(manager_->current_pattern(), oracle_->pattern());
     }
-    // P16 (bound half): the staging buffer respects its configured bound.
+    // P15 (bound half): the staging buffer respects its configured bound.
     ASSERT_LE(manager_->wb_staged_batches(),
               std::max<std::size_t>(manager_->config().writeback_batches,
                                     1));
@@ -589,7 +575,7 @@ class SwapModelChecker {
     check_no_orphans(step);
   }
 
-  // P18: no orphaned entry. Every entry in the client's map is named by a
+  // P17: no orphaned entry. Every entry in the client's map is named by a
   // backed page or by a batch compaction still pending.
   void check_no_orphans(int step) {
     std::vector<mem::EntryId> orphans;
@@ -646,13 +632,6 @@ TEST(SwapModelTest, AdaptivePbsMatchesOracle) {
   auto setup = small_setup(SystemKind::kFastSwap);
   setup.swap.adaptive_pbs = true;
   SwapModelChecker checker(setup, 1004);
-  checker.run(1500);
-}
-
-TEST(SwapModelTest, CompressionAdmissionMatchesOracle) {
-  auto setup = small_setup(SystemKind::kFastSwap);
-  setup.swap.compression_admission = true;
-  SwapModelChecker checker(setup, 1005);
   checker.run(1500);
 }
 

@@ -1,8 +1,7 @@
 // Tests for the adaptive swap-path engine: the pattern classifier and
 // window controller as pure units, the adaptive policies end to end on a
-// live system, compression admission control, write-back staging, and the
-// knobs-off regression pinning the default configurations to seed-state
-// behavioural goldens.
+// live system, write-back staging, and the goldens pinning the default
+// configurations and the adaptive preset byte for byte.
 #include <gtest/gtest.h>
 
 #include "common/checksum.h"
@@ -192,8 +191,7 @@ TEST(AdaptiveSwapTest, SequentialScanGrowsWindowAndBeatsFixedPbs) {
   run_sequential(fixed, 1200, 128);
 
   auto setup = make_system(SystemKind::kFastSwapAdaptive, 32);
-  setup.swap.writeback_batches = 0;       // isolate the PBS policy
-  setup.swap.compression_admission = false;
+  setup.swap.writeback_batches = 0;  // isolate the PBS policy
   Rig adaptive(setup);
   run_sequential(adaptive, 1200, 128);
 
@@ -210,7 +208,6 @@ TEST(AdaptiveSwapTest, SequentialScanGrowsWindowAndBeatsFixedPbs) {
 TEST(AdaptiveSwapTest, RandomAccessShrinksWindowAndSuppressesFanout) {
   auto setup = make_system(SystemKind::kFastSwapAdaptive, 32);
   setup.swap.writeback_batches = 0;
-  setup.swap.compression_admission = false;
   Rig rig(setup);
   run_random(rig, 1200, 128, 99);
 
@@ -228,9 +225,7 @@ TEST(AdaptiveSwapTest, RandomAccessCheaperThanFixedPbs) {
   Rig fixed(make_system(SystemKind::kFastSwap, 32));
   run_random(fixed, 1200, 128, 99);
 
-  auto setup = make_system(SystemKind::kFastSwapAdaptive, 32);
-  setup.swap.compression_admission = false;
-  Rig adaptive(setup);
+  Rig adaptive(make_system(SystemKind::kFastSwapAdaptive, 32));
   run_random(adaptive, 1200, 128, 99);
 
   // Not polluting the resident set with batch siblings pays off twice:
@@ -247,53 +242,6 @@ TEST(AdaptiveSwapTest, WindowCeilingClampedToResidentBudget) {
   run_sequential(rig, 600, 64);  // must not livelock in make_room
   EXPECT_LE(rig.manager->current_window(),
             rig.manager->config().max_batch_pages);
-}
-
-// --- compression admission control ------------------------------------------
-
-TEST(AdaptiveSwapTest, IncompressibleContentSkipsLzPass) {
-  auto setup = make_system(SystemKind::kFastSwap, 32);
-  setup.swap.compression_admission = true;
-  Rig rig(setup, /*content_random=*/1.0);
-  run_sequential(rig, 600, 96);
-
-  auto& m = rig.manager->metrics();
-  EXPECT_GT(m.counter_value("swap.admit.skip"), 0u);
-  EXPECT_EQ(m.counter_value("swap.admit.accept"), 0u);
-  // Skipped pages are stored raw: compressed == logical bytes.
-  EXPECT_EQ(m.counter_value("swap.compressed_bytes"),
-            m.counter_value("swap.logical_bytes"));
-}
-
-TEST(AdaptiveSwapTest, CompressibleContentAdmitsEverything) {
-  auto setup = make_system(SystemKind::kFastSwap, 32);
-  setup.swap.compression_admission = true;
-  Rig rig(setup, /*content_random=*/0.2);
-  run_sequential(rig, 600, 96);
-
-  auto& m = rig.manager->metrics();
-  EXPECT_GT(m.counter_value("swap.admit.accept"), 0u);
-  EXPECT_EQ(m.counter_value("swap.admit.skip"), 0u);
-  EXPECT_LT(m.counter_value("swap.compressed_bytes"),
-            m.counter_value("swap.logical_bytes"));
-}
-
-TEST(AdaptiveSwapTest, AdmissionSavesTimeOnIncompressibleContent) {
-  auto base = make_system(SystemKind::kFastSwap, 32);
-  Rig without(base, /*content_random=*/1.0);
-  run_sequential(without, 600, 96);
-
-  auto admitted = base;
-  admitted.swap.compression_admission = true;
-  Rig with(admitted, /*content_random=*/1.0);
-  run_sequential(with, 600, 96);
-
-  // The probe replaces the full (wasted) LZ pass on every stored page.
-  EXPECT_LT(with.elapsed(), without.elapsed());
-  // And the stored outcome is the same: everything raw.
-  EXPECT_EQ(with.manager->metrics().counter_value("swap.compressed_bytes"),
-            without.manager->metrics().counter_value(
-                "swap.compressed_bytes"));
 }
 
 TEST(AdaptiveSwapTest, AdmittedPagesRoundTripIntact) {
@@ -445,6 +393,38 @@ TEST(AdaptiveSwapTest, KnobsOffMatchesSeedGoldensByteForByte) {
               golden.metrics_hash)
         << golden.name << " metrics drifted:\n" << dump;
   }
+}
+
+// The adaptive preset on the same trace, pinned so that refactors of the
+// paths only it reaches (adaptive PBS, write-back staging and its barrier)
+// must keep every byte.
+constexpr Golden kAdaptiveGolden = {"FastSwap-Adaptive", 413ull, 317ull,
+                                    179ull, 1000540756ull,
+                                    760976319703058658ull};
+
+TEST(AdaptiveSwapTest, AdaptivePresetMatchesGoldenByteForByte) {
+  Rig rig(make_system(SystemKind::kFastSwapAdaptive, 32));
+  Rng rng(2024);
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t page = rng.bernoulli(0.5)
+                                   ? rng.next_below(96)
+                                   : static_cast<std::uint64_t>(step % 96);
+    ASSERT_TRUE(rig.manager->touch(page, rng.bernoulli(0.3)).ok());
+  }
+  ASSERT_TRUE(rig.manager->flush_all().ok());
+  for (std::uint64_t p = 0; p < 96; ++p)
+    ASSERT_TRUE(rig.manager->touch(p).ok());
+
+  const Golden& golden = kAdaptiveGolden;
+  EXPECT_STREQ(rig.setup.name.c_str(), golden.name);
+  EXPECT_EQ(rig.manager->faults(), golden.faults);
+  EXPECT_EQ(rig.manager->swap_ins(), golden.swap_ins);
+  EXPECT_EQ(rig.manager->swap_outs(), golden.swap_outs);
+  EXPECT_EQ(static_cast<std::uint64_t>(rig.elapsed()), golden.elapsed_ns);
+  const std::string dump = rig.manager->metrics().to_string();
+  EXPECT_EQ(fnv1a(std::as_bytes(std::span(dump.data(), dump.size()))),
+            golden.metrics_hash)
+      << "metrics drifted:\n" << dump;
 }
 
 }  // namespace
