@@ -168,67 +168,6 @@ const std::set<std::string>& banned_env_calls() {
 }
 
 // ---------------------------------------------------------------------------
-// Statement reconstruction for the bare-call status-discard check: split
-// the code view into `...;` statements at paren depth 0, flushing on braces
-// so lambda and function bodies are analyzed as their own statements. (The
-// branch-sensitive variant lives in dm_lint_flow.cc on the real statement
-// tree; this splitter stays for the cheap unbound-call scan.)
-// ---------------------------------------------------------------------------
-struct Statement {
-  std::string text;
-  int line = 0;  // line of the statement's first character
-};
-
-std::vector<Statement> split_statements(const SourceFile& file) {
-  std::vector<Statement> statements;
-  std::string current;
-  int start_line = 0;
-  int depth = 0;
-  auto flush = [&](bool terminated) {
-    if (terminated && !current.empty()) {
-      statements.push_back({current, start_line});
-    }
-    current.clear();
-    depth = 0;
-  };
-  for (std::size_t li = 0; li < file.code.size(); ++li) {
-    const std::string& line = file.code[li];
-    for (char c : line) {
-      if (c == '{' || c == '}') {
-        flush(false);
-        continue;
-      }
-      if (c == '(' || c == '[') ++depth;
-      if (c == ')' || c == ']') --depth;
-      if (c == ';' && depth <= 0) {
-        flush(true);
-        continue;
-      }
-      if (current.empty()) {
-        if (c == ' ' || c == '\t') continue;
-        start_line = static_cast<int>(li) + 1;
-      }
-      current += c;
-    }
-    if (!current.empty()) current += ' ';
-  }
-  return statements;
-}
-
-bool starts_with_keyword(const std::string& s) {
-  static const std::set<std::string> kKeywords = {
-      "return",   "if",      "for",     "while",   "do",      "switch",
-      "case",     "else",    "break",   "continue", "using",  "typedef",
-      "template", "namespace", "class", "struct",  "enum",    "public",
-      "private",  "protected", "static_assert", "throw", "delete", "new",
-      "co_return", "co_await", "goto",  "default", "friend",  "extern",
-      "constexpr", "inline",  "static", "virtual", "explicit", "operator"};
-  std::size_t i = 0;
-  while (i < s.size() && is_ident_char(s[i])) ++i;
-  return kKeywords.count(s.substr(0, i)) > 0;
-}
-
-// ---------------------------------------------------------------------------
 // Declared Status/StatusOr-returning function names (the status-discard
 // vocabulary). Names that also appear with a void declaration anywhere are
 // dropped: callback-style overloads (e.g. an async void read() beside a
@@ -292,7 +231,6 @@ class Analyzer {
   void check_determinism(const SourceFile& file);
   void check_unordered_iteration(const SourceFile& file);
   void check_layering(const SourceFile& file);
-  void check_status_discard(const SourceFile& file);
   void check_include_direct(const SourceFile& file);
   void report(const SourceFile& file, int line, const char* rule,
               std::string message);
@@ -549,30 +487,6 @@ void Analyzer::check_layering(const SourceFile& file) {
   }
 }
 
-void Analyzer::check_status_discard(const SourceFile& file) {
-  for (const Statement& s : split_statements(file)) {
-    const std::string& text = s.text;
-    if (text.empty() || text[0] == '#' || text[0] == '(') continue;
-    if (starts_with_keyword(text)) continue;
-    // Any top-level '=' means the result is bound somewhere (the
-    // branch-sensitive rule then checks the binding is consumed).
-    int depth = 0;
-    bool has_assign = false;
-    for (std::size_t i = 0; i < text.size(); ++i) {
-      const char c = text[i];
-      if (c == '(' || c == '[' || c == '<') ++depth;
-      if (c == ')' || c == ']' || c == '>') --depth;
-      if (c == '=' && depth <= 0) has_assign = true;
-    }
-    if (has_assign) continue;
-    const std::string name = final_call_name(text);
-    if (name.empty() || status_names_.count(name) == 0) continue;
-    report(file, s.line, kRuleStatusDiscard,
-           "result of Status-returning '" + name +
-               "' is discarded (assign, check, or return it)");
-  }
-}
-
 void Analyzer::check_include_direct(const SourceFile& file) {
   // Identity of this file in include-path terms ("common/status.h" for
   // src/common/status.h) plus its own header pair.
@@ -633,7 +547,6 @@ RunResult Analyzer::run() {
       check_determinism(file);
       check_unordered_iteration(file);
       check_layering(file);
-      check_status_discard(file);
       check_include_direct(file);
       check_status_branches(file, fa, status_names_, reporter);
       check_span_flow(file, fa, reporter);
