@@ -1,8 +1,8 @@
 // Figure 6 — completion time of FastSwap with proactive batch swap-in (PBS)
 // vs FastSwap without PBS vs Infiniswap vs Linux disk swap, across four
 // disaggregated-memory workload sizes. A fifth series runs the adaptive
-// swap-path engine (pattern-aware PBS window + compression admission +
-// write-back batching) on top of the FastSwap configuration.
+// swap-path engine (pattern-aware PBS window + write-back batching) on top
+// of the FastSwap configuration.
 //
 // Paper shape: FastSwap+PBS < FastSwap w/o PBS < Infiniswap << Linux at
 // every size, with the gap growing as more of the working set spills.

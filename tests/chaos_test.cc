@@ -252,13 +252,13 @@ TEST(ChaosSoakTest, SameSeedProducesIdenticalMetricSnapshots) {
 
 // --- swap-layer chaos soak (adaptive engine + write-back under fire) --------
 //
-// The full adaptive swap path — pattern-aware PBS, admission control, and
-// the write-back staging buffer — paging over a 5-node cluster while a
-// seeded crash storm takes out backend nodes and a partition cuts node 0
-// off entirely. Faults and flushes may fail transiently mid-storm; the
-// acceptance bar is the same as the KV soak's: once the cluster heals,
-// every page ever written is recoverable with exact bytes, and the same
-// seed replays to identical swap counters.
+// The full adaptive swap path — pattern-aware PBS and the write-back
+// staging buffer — paging over a 5-node cluster while a seeded crash
+// storm takes out backend nodes and a partition cuts node 0 off entirely.
+// Faults and flushes may fail transiently mid-storm; the acceptance bar is
+// the same as the KV soak's: once the cluster heals, every page ever
+// written is recoverable with exact bytes, and the same seed replays to
+// identical swap counters.
 
 struct SwapSoakResult {
   std::uint64_t crashes = 0;
