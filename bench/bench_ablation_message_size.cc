@@ -26,8 +26,6 @@ int main() {
     config.node_count = 4;
     config.node.shm.arena_bytes = 1 * MiB;  // small: chunks go remote
     config.node.recv.arena_bytes = 64 * MiB;
-    config.node.recv.size_classes = {512,   1024,  2048,  4096, 8192,
-                                     16384, 32768, 65536, 131072};
     config.node.recv.slab_bytes = 256 * KiB;
     config.service.rdmc.ec_r = 0;  // one copy
     core::DmSystem system(config);

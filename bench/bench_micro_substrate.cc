@@ -65,7 +65,9 @@ void BM_SlabAllocatorChurn(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {
     if (live.size() < 512 || rng.bernoulli(0.5)) {
-      auto a = alloc.allocate(512u << rng.next_below(4));
+      // Exact byte lengths, like LZ batches and stripe shards: 200 B to
+      // 4 KiB, almost never a power of two.
+      auto a = alloc.allocate(200 + rng.next_below(3900));
       if (a.ok()) live.push_back(*a);
     } else {
       (void)alloc.free(live.back());

@@ -63,7 +63,8 @@ void Rdms::drop_all_blocks() {
     (void)node_.recv_pool().free(block.ref);
   blocks_.clear();
   drains_.clear();
-  // Deregister every now-empty slab so the pool returns to its boot state.
+  // Deregister every now-empty slab so the pool returns to its boot state
+  // (which also lifts the fence of any slab that was draining).
   while (auto slab = node_.recv_pool().least_loaded_slab()) {
     if (!node_.recv_pool().deregister_slab(*slab).ok()) break;
   }
@@ -76,6 +77,9 @@ void Rdms::drain_slab(mem::SlabId slab,
     return;
   }
   drains_.emplace(slab, std::move(done));
+  // New blocks must land elsewhere, or owners placed after the notices
+  // would keep the drain open indefinitely.
+  node_.recv_pool().fence_slab(slab, true);
 
   // Collect the owners to notify. Each notice carries every entry the owner
   // has on this slab, so one RPC per owner suffices.
@@ -106,6 +110,7 @@ void Rdms::drain_slab(mem::SlabId slab,
                          if (it != drains_.end()) {
                            auto cb = std::move(it->second);
                            drains_.erase(it);
+                           node_.recv_pool().fence_slab(slab, false);
                            cb(resp.status());
                          }
                        }

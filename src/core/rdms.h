@@ -52,8 +52,9 @@ class Rdms {
 
   // Begins draining `slab`: owners of all hosted blocks are told to migrate
   // (kRpcEvictNotice); once every block is freed the slab is deregistered
-  // and `done` fires. `done` receives an error if a notice cannot be
-  // delivered (the drain then stalls and can be retried).
+  // and `done` fires. The slab takes no new blocks while the drain runs.
+  // `done` receives an error if a notice cannot be delivered (the drain
+  // then stalls and can be retried).
   void drain_slab(mem::SlabId slab, std::function<void(const Status&)> done);
 
   // Number of drains currently in progress.

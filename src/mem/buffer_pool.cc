@@ -1,9 +1,7 @@
 #include "mem/buffer_pool.h"
 
-#include <algorithm>
-#include <cassert>
-
 #include "common/status.h"
+#include "mem/slab_allocator.h"
 #include "net/fabric.h"
 
 namespace dm::mem {
@@ -14,96 +12,48 @@ RegisteredBufferPool::RegisteredBufferPool(net::Fabric& fabric,
 
 RegisteredBufferPool::RegisteredBufferPool(net::Fabric& fabric,
                                            net::NodeId owner, Config config)
-    : fabric_(fabric), owner_(owner), config_(std::move(config)),
-      arena_(config_.arena_bytes) {
-  std::sort(config_.size_classes.begin(), config_.size_classes.end());
-  assert(!config_.size_classes.empty());
-  assert(config_.size_classes.back() <= config_.slab_bytes);
-  const auto slab_count =
-      static_cast<SlabId>(arena_.size() / config_.slab_bytes);
-  slabs_.resize(slab_count);
-  for (SlabId i = slab_count; i-- > 0;) free_slabs_.push_back(i);
-  partials_.resize(config_.size_classes.size());
-}
+    : fabric_(fabric), owner_(owner), config_(config),
+      arena_(config_.arena_bytes),
+      allocator_(arena_, {.slab_bytes = config_.slab_bytes}),
+      rkeys_(allocator_.slab_count(), net::kInvalidRKey) {}
 
 RegisteredBufferPool::~RegisteredBufferPool() {
-  for (SlabId i = 0; i < slabs_.size(); ++i) {
-    if (slabs_[i].rkey != net::kInvalidRKey)
-      (void)fabric_.deregister_memory(owner_, slabs_[i].rkey);
+  for (const net::RKey rkey : rkeys_) {
+    if (rkey != net::kInvalidRKey)
+      (void)fabric_.deregister_memory(owner_, rkey);
   }
 }
 
-std::size_t RegisteredBufferPool::class_for(std::uint32_t size) const {
-  for (std::size_t i = 0; i < config_.size_classes.size(); ++i)
-    if (size <= config_.size_classes[i]) return i;
-  return config_.size_classes.size();
-}
-
 StatusOr<BlockRef> RegisteredBufferPool::allocate(std::uint32_t size) {
-  const std::size_t cls = class_for(size);
-  if (cls >= config_.size_classes.size())
-    return InvalidArgumentError("block larger than largest size class");
-  const std::uint32_t block_bytes = config_.size_classes[cls];
-
-  auto& partials = partials_[cls];
-  SlabId slab_id;
-  if (!partials.empty()) {
-    slab_id = partials.back();
-  } else {
-    if (free_slabs_.empty())
-      return ResourceExhaustedError("receive buffer pool out of slabs");
-    slab_id = free_slabs_.back();
-    Slab& slab = slabs_[slab_id];
-    // Register the slab with the fabric before first use.
+  auto offset = allocator_.allocate(size);
+  if (!offset.ok()) return offset.status();
+  const auto slab_id = static_cast<SlabId>(*offset / config_.slab_bytes);
+  if (rkeys_[slab_id] == net::kInvalidRKey) {
+    // The allocator opened a fresh slab: register it before first use.
     auto region = std::span(arena_).subspan(
         static_cast<std::uint64_t>(slab_id) * config_.slab_bytes,
         config_.slab_bytes);
     auto rkey = fabric_.register_memory(owner_, region);
-    if (!rkey.ok()) return rkey.status();
-    free_slabs_.pop_back();
-    slab.rkey = *rkey;
-    slab.size_class = static_cast<int>(cls);
-    slab.live = 0;
-    const auto blocks = static_cast<std::uint32_t>(
-        config_.slab_bytes / block_bytes);
-    slab.free_blocks.clear();
-    for (std::uint32_t b = blocks; b-- > 0;) slab.free_blocks.push_back(b);
-    partials.push_back(slab_id);
-    registered_bytes_ += config_.slab_bytes;
+    if (!rkey.ok()) {
+      (void)allocator_.free(*offset);
+      (void)allocator_.close_slab(slab_id);
+      return rkey.status();
+    }
+    rkeys_[slab_id] = *rkey;
     ++metrics_.counter("rbuf.slabs_registered");
   }
-
-  Slab& slab = slabs_[slab_id];
-  const std::uint32_t block = slab.free_blocks.back();
-  slab.free_blocks.pop_back();
-  ++slab.live;
-  if (slab.free_blocks.empty())
-    partials.erase(std::find(partials.begin(), partials.end(), slab_id));
-  used_bytes_ += block_bytes;
   ++metrics_.counter("rbuf.allocs");
-  return BlockRef{slab_id, slab.rkey,
-                  static_cast<std::uint64_t>(block) * block_bytes,
-                  block_bytes};
+  return BlockRef{slab_id, rkeys_[slab_id], *offset % config_.slab_bytes,
+                  static_cast<std::uint32_t>(
+                      SlabAllocator::block_bytes_for(size))};
 }
 
 Status RegisteredBufferPool::free(const BlockRef& ref) {
-  if (ref.slab >= slabs_.size()) return InvalidArgumentError("bad slab id");
-  Slab& slab = slabs_[ref.slab];
-  if (slab.size_class < 0 || slab.rkey != ref.rkey)
+  if (ref.slab >= rkeys_.size()) return InvalidArgumentError("bad slab id");
+  if (rkeys_[ref.slab] != ref.rkey)
     return InvalidArgumentError("block's slab is not active");
-  const std::uint32_t block_bytes =
-      config_.size_classes[static_cast<std::size_t>(slab.size_class)];
-  const auto block = static_cast<std::uint32_t>(ref.offset / block_bytes);
-  // Defensive: reject double-free.
-  if (std::find(slab.free_blocks.begin(), slab.free_blocks.end(), block) !=
-      slab.free_blocks.end())
-    return InvalidArgumentError("double free of block");
-  const bool was_full = slab.free_blocks.empty();
-  slab.free_blocks.push_back(block);
-  --slab.live;
-  used_bytes_ -= block_bytes;
-  auto& partials = partials_[static_cast<std::size_t>(slab.size_class)];
-  if (was_full) partials.push_back(ref.slab);
+  DM_RETURN_IF_ERROR(allocator_.free(
+      static_cast<std::uint64_t>(ref.slab) * config_.slab_bytes + ref.offset));
   ++metrics_.counter("rbuf.frees");
   return Status::Ok();
 }
@@ -116,60 +66,34 @@ std::span<std::byte> RegisteredBufferPool::block_bytes(const BlockRef& ref) {
 
 std::vector<BlockRef> RegisteredBufferPool::blocks_in_slab(SlabId id) const {
   std::vector<BlockRef> out;
-  if (id >= slabs_.size()) return out;
-  const Slab& slab = slabs_[id];
-  if (slab.size_class < 0) return out;
-  const std::uint32_t block_bytes =
-      config_.size_classes[static_cast<std::size_t>(slab.size_class)];
-  const auto blocks =
-      static_cast<std::uint32_t>(config_.slab_bytes / block_bytes);
-  std::unordered_set<std::uint32_t> free_set(slab.free_blocks.begin(),
-                                             slab.free_blocks.end());
-  for (std::uint32_t b = 0; b < blocks; ++b) {
-    if (free_set.count(b) > 0) continue;
-    out.push_back(BlockRef{id, slab.rkey,
-                           static_cast<std::uint64_t>(b) * block_bytes,
-                           block_bytes});
-  }
+  if (id >= rkeys_.size()) return out;
+  for (const auto& block : allocator_.blocks_in_slab(id))
+    out.push_back(BlockRef{id, rkeys_[id], block.offset % config_.slab_bytes,
+                           static_cast<std::uint32_t>(block.bytes)});
   return out;
 }
 
-std::size_t RegisteredBufferPool::active_slabs() const noexcept {
-  std::size_t n = 0;
-  for (const Slab& slab : slabs_)
-    if (slab.size_class >= 0) ++n;
-  return n;
+void RegisteredBufferPool::fence_slab(SlabId id, bool fenced) {
+  if (id < rkeys_.size()) allocator_.set_fenced(id, fenced);
 }
 
 Status RegisteredBufferPool::deregister_slab(SlabId id) {
-  if (id >= slabs_.size()) return InvalidArgumentError("bad slab id");
-  Slab& slab = slabs_[id];
-  if (slab.size_class < 0)
-    return FailedPreconditionError("slab not active");
-  if (slab.live > 0)
-    return FailedPreconditionError("slab has live blocks; drain first");
-  DM_RETURN_IF_ERROR(fabric_.deregister_memory(owner_, slab.rkey));
-  auto& partials = partials_[static_cast<std::size_t>(slab.size_class)];
-  if (auto it = std::find(partials.begin(), partials.end(), id);
-      it != partials.end())
-    partials.erase(it);
-  slab.size_class = -1;
-  slab.rkey = net::kInvalidRKey;
-  slab.free_blocks.clear();
-  free_slabs_.push_back(id);
-  registered_bytes_ -= config_.slab_bytes;
+  if (id >= rkeys_.size()) return InvalidArgumentError("bad slab id");
+  // Fails unless the slab is open, so registered, and holds no live block.
+  DM_RETURN_IF_ERROR(allocator_.close_slab(id));
+  DM_RETURN_IF_ERROR(fabric_.deregister_memory(owner_, rkeys_[id]));
+  rkeys_[id] = net::kInvalidRKey;
   ++metrics_.counter("rbuf.slabs_deregistered");
   return Status::Ok();
 }
 
 std::optional<SlabId> RegisteredBufferPool::least_loaded_slab() const {
   std::optional<SlabId> best;
-  std::uint32_t best_live = ~0u;
-  for (SlabId i = 0; i < slabs_.size(); ++i) {
-    const Slab& slab = slabs_[i];
-    if (slab.size_class < 0) continue;
-    if (slab.live < best_live) {
-      best_live = slab.live;
+  std::size_t best_live = ~std::size_t{0};
+  for (SlabId i = 0; i < rkeys_.size(); ++i) {
+    if (rkeys_[i] == net::kInvalidRKey) continue;
+    if (allocator_.live_blocks_in(i) < best_live) {
+      best_live = allocator_.live_blocks_in(i);
       best = i;
     }
   }

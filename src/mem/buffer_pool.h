@@ -5,10 +5,14 @@
 //
 //  * RegisteredBufferPool — the *receive* pool: slabs of donated DRAM,
 //    individually registered with the fabric so remote peers can one-sided
-//    WRITE/READ blocks inside them. Registration is per-slab because the
+//    WRITE/READ blocks inside them. Blocks come from the same exact-fit
+//    SlabAllocator as the shared pool (64 B granules, any size up to one
+//    slab); a slab is registered when the allocator opens it and stays
+//    registered until it is drained. Registration is per-slab because the
 //    eviction handler deregisters whole slabs preemptively when local
 //    pressure rises (§IV.F policy 1); the owner then migrates the evicted
-//    blocks' entries elsewhere.
+//    blocks' entries elsewhere. A slab under drain is fenced: it takes no
+//    new blocks, so the drain ends once the notified owners have moved.
 //
 //  * SendStagingPool — the *send* pool: a bump arena where outgoing entries
 //    are staged and coalesced by the window-based batcher before a single
@@ -17,12 +21,12 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/zero_arena.h"
+#include "mem/slab_allocator.h"
 #include "net/fabric.h"
 
 namespace dm::mem {
@@ -34,7 +38,7 @@ struct BlockRef {
   SlabId slab = 0;
   net::RKey rkey = net::kInvalidRKey;
   std::uint64_t offset = 0;  // offset within the slab's registered region
-  std::uint32_t size = 0;    // size class of the block
+  std::uint32_t size = 0;    // block bytes: the request rounded up to 64 B
 };
 
 class RegisteredBufferPool {
@@ -42,8 +46,6 @@ class RegisteredBufferPool {
   struct Config {
     std::uint64_t arena_bytes = 64 * 1024 * 1024;
     std::uint64_t slab_bytes = 256 * 1024;
-    std::vector<std::uint32_t> size_classes{512,  1024,  2048,  4096,
-                                            8192, 16384, 32768, 65536};
   };
 
   RegisteredBufferPool(net::Fabric& fabric, net::NodeId owner);
@@ -55,7 +57,8 @@ class RegisteredBufferPool {
 
   net::NodeId owner() const noexcept { return owner_; }
 
-  // Allocates a block >= size, registering a fresh slab if needed.
+  // Allocates a block of `size` bytes rounded up to 64 B (at most one slab),
+  // registering a fresh slab when no registered one has room.
   StatusOr<BlockRef> allocate(std::uint32_t size);
   Status free(const BlockRef& ref);
 
@@ -64,36 +67,32 @@ class RegisteredBufferPool {
 
   // Blocks currently live in a slab (eviction planning).
   std::vector<BlockRef> blocks_in_slab(SlabId slab) const;
-  std::size_t active_slabs() const noexcept;
+  std::size_t active_slabs() const noexcept {
+    return allocator_.open_slabs();
+  }
+  // While fenced, a registered slab takes no new blocks (it is draining).
+  // Deregistering the slab lifts the fence.
+  void fence_slab(SlabId slab, bool fenced);
   // Deregisters a slab from the fabric. Fails while blocks are live.
   Status deregister_slab(SlabId slab);
   // Slab with the fewest live blocks (cheapest to drain), if any active.
   std::optional<SlabId> least_loaded_slab() const;
 
-  std::uint64_t used_bytes() const noexcept { return used_bytes_; }
-  std::uint64_t registered_bytes() const noexcept { return registered_bytes_; }
+  std::uint64_t used_bytes() const noexcept { return allocator_.used_bytes(); }
+  std::uint64_t registered_bytes() const noexcept {
+    return active_slabs() * config_.slab_bytes;
+  }
   std::uint64_t capacity_bytes() const noexcept { return arena_.size(); }
   MetricsRegistry& metrics() noexcept { return metrics_; }
 
  private:
-  struct Slab {
-    int size_class = -1;            // -1 = unbound
-    net::RKey rkey = net::kInvalidRKey;
-    std::uint32_t live = 0;
-    std::vector<std::uint32_t> free_blocks;
-  };
-
-  std::size_t class_for(std::uint32_t size) const;
-
   net::Fabric& fabric_;
   net::NodeId owner_;
   Config config_;
   ZeroArena arena_;
-  std::vector<Slab> slabs_;
-  std::vector<SlabId> free_slabs_;
-  std::vector<std::vector<SlabId>> partials_;  // per size class
-  std::uint64_t used_bytes_ = 0;
-  std::uint64_t registered_bytes_ = 0;
+  // A slab is open in the allocator exactly while it is registered.
+  SlabAllocator allocator_;
+  std::vector<net::RKey> rkeys_;  // per slab; kInvalidRKey when closed
   MetricsRegistry metrics_;
 };
 

@@ -50,7 +50,7 @@ struct RemoteReplica {
   net::RKey rkey = net::kInvalidRKey;
   std::uint64_t offset = 0;     // offset within the registered slab
   std::uint32_t slab = 0;       // host-side slab id (needed to free)
-  std::uint32_t block_size = 0; // size class of the hosting block
+  std::uint32_t block_size = 0; // bytes of the hosting block (64 B-rounded)
   // Which of the stripe's k+r shards this block holds (for k = 1, which
   // copy: each is the full payload).
   std::uint32_t shard = 0;

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/status.h"
+#include "mem/slab_allocator.h"
 
 namespace dm::mem {
 
@@ -38,9 +39,11 @@ Status SharedMemoryPool::put(ServerId owner, EntryId id,
   const Key key = make_key(owner, id);
   if (entries_.count(key) > 0)
     return AlreadyExistsError("entry already in shared pool");
-  // Logical capacity: the pool may only hold what servers donated.
-  // Charge at size-class granularity (what the allocator will consume).
-  if (used_bytes() + data.size() > total_donated_) {
+  // Logical capacity: the pool may only hold what servers donated. Charge
+  // the 64 B-rounded block the allocator will hand out, so used bytes never
+  // pass the donation.
+  if (used_bytes() + SlabAllocator::block_bytes_for(data.size()) >
+      total_donated_) {
     ++metrics_.counter("shm.put_rejected_capacity");
     return ResourceExhaustedError("donated capacity exhausted");
   }

@@ -81,7 +81,7 @@ class SharedMemoryPool {
  private:
   struct Entry {
     std::uint64_t offset;
-    std::uint32_t size;  // stored bytes (<= block size class)
+    std::uint32_t size;  // stored bytes (the block rounds them up to 64 B)
     ServerId owner;
     // Full 64-bit entry id. The packed Key truncates ids to 48 bits, so
     // (owner, id) must be recovered from here — never decoded from the Key

@@ -1,15 +1,21 @@
-// Size-class slab allocator over a caller-provided arena.
+// Exact-fit slab allocator over a caller-provided arena.
 //
-// The disaggregated memory pools hand out blocks in the compression bucket
-// sizes (512 B .. 4 KiB) plus whole-page blocks. A classic slab design keeps
-// allocation O(1) and fragmentation bounded: the arena is carved into
-// fixed-size slabs; each slab binds to one size class while it has live
-// blocks and returns to the free-slab list when it empties.
+// The disaggregated memory pools store whole compressed batches and stripe
+// shards, whose lengths are exact byte counts that fit no fixed set of size
+// classes. The arena is carved into fixed-size slabs, and a block is any
+// run of 64 B granules inside one slab, so one slab holds blocks of every
+// size up to `slab_bytes` at once. An open slab keeps its free space as
+// address-ordered extents; a freed block merges with its free neighbours.
+//
+// Allocation first-fits the open slabs, lowest id first, and opens a fresh
+// slab (the most recently closed first) only when none of them has room.
+// A slab stays open until its owner closes it empty, which is how the
+// receive pool ties a slab's life to its fabric registration. A fenced slab
+// takes no new blocks (it is being drained).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -19,62 +25,84 @@ namespace dm::mem {
 class SlabAllocator {
  public:
   struct Config {
-    // Compression buckets plus power-of-two batch sizes up to one slab.
-    std::vector<std::size_t> size_classes{512,  1024,  2048,  4096,
-                                          8192, 16384, 32768, 65536};
-    std::size_t slab_bytes = 64 * 1024;
+    std::size_t slab_bytes = 64 * 1024;  // a multiple of kGranuleBytes
   };
 
-  // `arena` must outlive the allocator. Its size is rounded down to a whole
-  // number of slabs.
+  struct Block {
+    std::uint64_t offset = 0;  // arena offset
+    std::size_t bytes = 0;
+  };
+
+  static constexpr std::size_t kGranuleBytes = 64;
+
+  // The bytes a request of `size` occupies: rounded up to whole granules,
+  // at least one.
+  static constexpr std::size_t block_bytes_for(std::size_t size) noexcept {
+    const std::size_t granules =
+        size == 0 ? 1 : (size + kGranuleBytes - 1) / kGranuleBytes;
+    return granules * kGranuleBytes;
+  }
+
+  // Hands out offsets into `arena` and never touches its bytes. The arena's
+  // size is rounded down to a whole number of slabs.
   explicit SlabAllocator(std::span<std::byte> arena);
   SlabAllocator(std::span<std::byte> arena, Config config);
 
-  // Allocates a block of the smallest size class >= `size`.
-  // Returns the arena offset of the block.
+  // Allocates block_bytes_for(size) bytes inside one slab. Returns the
+  // arena offset of the block.
   StatusOr<std::uint64_t> allocate(std::size_t size);
 
   // Frees a block previously returned by allocate().
   Status free(std::uint64_t offset);
 
-  // The usable bytes of the block at `offset` (its size class).
+  // The usable bytes of the block at `offset`.
   StatusOr<std::size_t> block_size(std::uint64_t offset) const;
 
-  std::span<std::byte> block_span(std::uint64_t offset, std::size_t size) {
-    return arena_.subspan(offset, size);
+  // Live blocks of `slab`, ascending offset.
+  std::vector<Block> blocks_in_slab(std::size_t slab) const;
+  std::size_t live_blocks_in(std::size_t slab) const {
+    return slabs_[slab].blocks.size();
   }
+  // Returns an open slab with no live blocks to the fresh-slab list.
+  Status close_slab(std::size_t slab);
+  // While fenced, an open slab takes no new blocks. Closing lifts it.
+  void set_fenced(std::size_t slab, bool fenced);
 
+  std::size_t slab_count() const noexcept { return slabs_.size(); }
+  std::size_t open_slabs() const noexcept { return open_slabs_; }
   std::uint64_t used_bytes() const noexcept { return used_bytes_; }
   std::uint64_t capacity_bytes() const noexcept {
-    return static_cast<std::uint64_t>(slab_count_) * config_.slab_bytes;
+    return static_cast<std::uint64_t>(slabs_.size()) * config_.slab_bytes;
   }
   std::size_t live_blocks() const noexcept { return live_blocks_; }
-  // Bytes held by partially-used slabs beyond their live blocks (internal
-  // fragmentation at slab granularity).
+  // Bytes of slabs holding live blocks beyond those blocks (free space
+  // stranded inside partly used slabs).
   std::uint64_t slack_bytes() const noexcept;
 
  private:
+  struct Extent {
+    std::uint32_t offset;  // within the slab
+    std::uint32_t bytes;
+  };
   struct Slab {
-    int size_class = -1;  // -1: unbound (free slab)
-    std::uint32_t live = 0;
-    std::vector<std::uint32_t> free_blocks;  // block indices within the slab
+    bool open = false;
+    bool fenced = false;
+    std::vector<Extent> free;    // address-ordered, never adjacent
+    std::vector<Extent> blocks;  // live blocks, address-ordered
   };
 
-  std::size_t class_for(std::size_t size) const;
-  std::size_t slab_of(std::uint64_t offset) const {
-    return offset / config_.slab_bytes;
-  }
+  // Recomputes `fit_[slab]` after its extents, open or fence state change.
+  void refresh(std::size_t slab);
 
-  std::span<std::byte> arena_;
   Config config_;
-  std::size_t slab_count_;
   std::vector<Slab> slabs_;
-  std::vector<std::size_t> free_slabs_;
-  // Per size class: slabs with at least one free block.
-  std::vector<std::vector<std::size_t>> partial_slabs_;
-  std::unordered_set<std::uint64_t> live_offsets_;
-  std::uint64_t used_bytes_ = 0;
+  // Per slab: the largest block it can take now (0 if closed or fenced).
+  // Contiguous so the first-fit scan touches one small array.
+  std::vector<std::uint32_t> fit_;
+  std::vector<std::size_t> free_slabs_;  // closed slabs, LIFO
+  std::size_t open_slabs_ = 0;
   std::size_t live_blocks_ = 0;
+  std::uint64_t used_bytes_ = 0;
 };
 
 }  // namespace dm::mem

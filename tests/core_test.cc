@@ -207,6 +207,40 @@ TEST(DmSystemTest, RemoveFreesEveryTier) {
   }
 }
 
+// Receive-pool blocks are exact-fit up to one slab (256 KiB by default), so
+// an incompressible 96 KiB entry goes remote rather than to disk. An entry
+// larger than a slab still goes to disk.
+TEST(DmSystemTest, EntryUpToOneSlabGoesRemote) {
+  DmSystem system(small_cluster());
+  system.start();
+  LdmcOptions remote_first;
+  remote_first.shm_fraction = 0.0;
+  auto& client = system.create_server(0, 64 * MiB, remote_first);
+  auto incompressible = [](std::uint64_t id, std::size_t pages) {
+    std::vector<std::byte> bytes(pages * 4096);
+    for (std::size_t p = 0; p < pages; ++p)
+      workloads::fill_page(std::span(bytes).subspan(p * 4096, 4096),
+                           id * 1000 + p, 1.0, 7);
+    return bytes;
+  };
+
+  const auto fits = incompressible(1, 24);  // 96 KiB
+  ASSERT_TRUE(client.put_sync(1, fits).ok());
+  auto loc = client.map().lookup(1);
+  ASSERT_TRUE(loc.ok());
+  EXPECT_EQ(loc->tier, mem::Tier::kRemote);
+  ASSERT_EQ(loc->replicas.size(), 3u);
+  for (const auto& replica : loc->replicas)
+    EXPECT_EQ(replica.block_size, 96 * KiB);
+  std::vector<std::byte> out(fits.size());
+  ASSERT_TRUE(client.get_sync(1, out).ok());
+  EXPECT_EQ(out, fits);
+
+  const auto too_big = incompressible(2, 65);  // 260 KiB > one slab
+  ASSERT_TRUE(client.put_sync(2, too_big).ok());
+  EXPECT_EQ(client.map().lookup(2)->tier, mem::Tier::kDisk);
+}
+
 TEST(DmSystemTest, GetOnMissingEntryFails) {
   DmSystem system(small_cluster());
   system.start();

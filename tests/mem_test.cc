@@ -36,13 +36,20 @@ TEST(SlabAllocatorTest, AllocateAndFree) {
   EXPECT_EQ(alloc.used_bytes(), 0u);
 }
 
-TEST(SlabAllocatorTest, RoundsUpToSizeClass) {
+TEST(SlabAllocatorTest, RoundsUpTo64Bytes) {
   std::vector<std::byte> arena(256 * KiB);
   SlabAllocator alloc(arena);
-  auto a = alloc.allocate(700);  // -> 1024 class
+  auto a = alloc.allocate(700);  // -> 11 granules
   ASSERT_TRUE(a.ok());
-  EXPECT_EQ(*alloc.block_size(*a), 1024u);
-  EXPECT_EQ(alloc.used_bytes(), 1024u);
+  EXPECT_EQ(*alloc.block_size(*a), 704u);
+  auto b = alloc.allocate(1);
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(*alloc.block_size(*b), 64u);
+  EXPECT_EQ(*b, *a + 704);  // packed right behind the first block
+  auto c = alloc.allocate(64 * KiB);  // exactly one slab
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(*alloc.block_size(*c), 64 * KiB);
+  EXPECT_EQ(alloc.used_bytes(), 704u + 64u + 64 * KiB);
 }
 
 TEST(SlabAllocatorTest, RejectsOversized) {
@@ -89,16 +96,24 @@ TEST(SlabAllocatorTest, DoubleFreeRejected) {
   EXPECT_FALSE(alloc.free(*a).ok());
 }
 
-TEST(SlabAllocatorTest, EmptySlabRebindsToOtherClass) {
+TEST(SlabAllocatorTest, BlocksOfDifferentSizesShareOneSlab) {
   std::vector<std::byte> arena(64 * KiB);  // one slab
   SlabAllocator alloc(arena);
   auto a = alloc.allocate(512);
+  auto b = alloc.allocate(4096);
+  auto rest = alloc.allocate(64 * KiB - 512 - 4096);
   ASSERT_TRUE(a.ok());
-  // Slab bound to 512; a 4096 allocation cannot fit (no free slab).
-  EXPECT_FALSE(alloc.allocate(4096).ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(rest.ok());
+  EXPECT_EQ(alloc.slack_bytes(), 0u);  // the slab is exactly full
+  EXPECT_EQ(alloc.allocate(1).status().code(),
+            StatusCode::kResourceExhausted);
+  // The two freed neighbours merge into one 4608 B extent.
   ASSERT_TRUE(alloc.free(*a).ok());
-  // Slab returned to the free list; now 4096 works.
-  EXPECT_TRUE(alloc.allocate(4096).ok());
+  ASSERT_TRUE(alloc.free(*b).ok());
+  auto merged = alloc.allocate(4608);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(*merged, *a);
 }
 
 TEST(SlabAllocatorTest, RandomizedChurnPreservesInvariants) {
@@ -319,9 +334,7 @@ TEST_F(BufferPoolTest, BlocksInSlabListsLiveOnly) {
 
 TEST_F(BufferPoolTest, LeastLoadedSlabPrefersEmptier) {
   RegisteredBufferPool pool(
-      fabric_, 0,
-      {.arena_bytes = 1 * MiB, .slab_bytes = 64 * KiB,
-       .size_classes = {4096}});
+      fabric_, 0, {.arena_bytes = 1 * MiB, .slab_bytes = 64 * KiB});
   // Fill slab 1 fully (16 blocks), slab 2 with one block.
   std::vector<BlockRef> first;
   for (int i = 0; i < 16; ++i) {
@@ -337,11 +350,37 @@ TEST_F(BufferPoolTest, LeastLoadedSlabPrefersEmptier) {
   EXPECT_EQ(*least, lone->slab);
 }
 
+TEST_F(BufferPoolTest, FencedSlabTakesNoNewBlocks) {
+  RegisteredBufferPool pool(
+      fabric_, 0, {.arena_bytes = 1 * MiB, .slab_bytes = 64 * KiB});
+  auto first = pool.allocate(4096);
+  ASSERT_TRUE(first.ok());
+  pool.fence_slab(first->slab, true);
+  auto fenced_out = pool.allocate(4096);
+  ASSERT_TRUE(fenced_out.ok());
+  EXPECT_NE(fenced_out->slab, first->slab);
+  EXPECT_EQ(pool.active_slabs(), 2u);
+  pool.fence_slab(first->slab, false);
+  auto back = pool.allocate(4096);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->slab, first->slab);
+  // Deregistering lifts the fence: the slab reopens as a fresh one.
+  pool.fence_slab(first->slab, true);
+  ASSERT_TRUE(pool.free(*first).ok());
+  ASSERT_TRUE(pool.free(*back).ok());
+  ASSERT_TRUE(pool.deregister_slab(first->slab).ok());
+  ASSERT_TRUE(pool.free(*fenced_out).ok());
+  auto whole = pool.allocate(64 * KiB);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(whole->slab, fenced_out->slab);  // registered slabs first
+  auto fresh = pool.allocate(64 * KiB);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh->slab, first->slab);  // then the last one closed
+}
+
 TEST_F(BufferPoolTest, ExhaustionReported) {
   RegisteredBufferPool pool(
-      fabric_, 0,
-      {.arena_bytes = 128 * KiB, .slab_bytes = 64 * KiB,
-       .size_classes = {65536}});
+      fabric_, 0, {.arena_bytes = 128 * KiB, .slab_bytes = 64 * KiB});
   EXPECT_TRUE(pool.allocate(65536).ok());
   EXPECT_TRUE(pool.allocate(65536).ok());
   EXPECT_EQ(pool.allocate(65536).status().code(),

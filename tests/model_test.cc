@@ -173,46 +173,72 @@ TEST(SharedPoolModelTest, MatchesReferenceOverRandomOps) {
   }
 }
 
-// RegisteredBufferPool invariants under random churn: no block overlap, all
-// registered bytes tracked, slab counts consistent with the fabric.
+// RegisteredBufferPool invariants under random churn of exact-fit blocks
+// from 1 B to a whole slab: every block is 64 B aligned, sized to its
+// request rounded up to 64 B, inside one slab and disjoint from every other
+// live block; used bytes are the live blocks' sum; registered bytes and
+// slab counts agree with the fabric. Once everything is freed, each
+// registered slab takes one slab-sized block, so the free extents merged.
 TEST(BufferPoolModelTest, NoOverlapAndConsistentRegistration) {
+  constexpr std::uint32_t kSlabBytes = 128 * KiB;
   sim::Simulator sim;
   net::Fabric fabric(sim);
   fabric.add_node(0);
   RegisteredBufferPool pool(
-      fabric, 0, {.arena_bytes = 2 * MiB, .slab_bytes = 128 * KiB});
+      fabric, 0, {.arena_bytes = 2 * MiB, .slab_bytes = kSlabBytes});
   Rng rng(303);
 
-  struct Live {
-    BlockRef ref;
-  };
-  std::vector<Live> live;
+  std::vector<BlockRef> live;
+  std::uint64_t live_bytes = 0;
   for (int step = 0; step < 6000; ++step) {
     if (live.empty() || rng.bernoulli(0.6)) {
-      auto block = pool.allocate(
-          static_cast<std::uint32_t>(512u << rng.next_below(4)));
-      if (!block.ok()) continue;
-      // No overlap with any live block in the same slab.
+      // Log-uniform sizes: as many small shards as whole-slab batches.
+      const auto size = static_cast<std::uint32_t>(
+          1 + rng.next_below(std::uint64_t{1} << rng.next_below(18)));
+      auto block = pool.allocate(size);
+      if (!block.ok()) {
+        ASSERT_EQ(block.status().code(), StatusCode::kResourceExhausted);
+        continue;
+      }
+      ASSERT_EQ(block->offset % 64, 0u);
+      ASSERT_EQ(block->size % 64, 0u);
+      ASSERT_GE(block->size, size);
+      ASSERT_LT(block->size, size + 64);
+      ASSERT_LE(block->offset + block->size, kSlabBytes);
       for (const auto& other : live) {
-        if (other.ref.slab != block->slab) continue;
-        const bool disjoint =
-            block->offset + block->size <= other.ref.offset ||
-            other.ref.offset + other.ref.size <= block->offset;
+        if (other.slab != block->slab) continue;
+        const bool disjoint = block->offset + block->size <= other.offset ||
+                              other.offset + other.size <= block->offset;
         ASSERT_TRUE(disjoint);
       }
-      live.push_back({*block});
+      live.push_back(*block);
+      live_bytes += block->size;
     } else {
       const std::size_t idx =
           static_cast<std::size_t>(rng.next_below(live.size()));
-      ASSERT_TRUE(pool.free(live[idx].ref).ok());
+      ASSERT_TRUE(pool.free(live[idx]).ok());
+      live_bytes -= live[idx].size;
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
     }
+    ASSERT_EQ(pool.used_bytes(), live_bytes);
     ASSERT_EQ(pool.registered_bytes(),
               fabric.registered_bytes(0));
     ASSERT_EQ(pool.active_slabs(), fabric.registered_region_count(0));
   }
-  for (const auto& block : live) ASSERT_TRUE(pool.free(block.ref).ok());
+  for (const auto& block : live) ASSERT_TRUE(pool.free(block).ok());
   EXPECT_EQ(pool.used_bytes(), 0u);
+
+  const std::size_t registered = pool.active_slabs();
+  ASSERT_GT(registered, 1u);
+  std::set<SlabId> whole;
+  for (std::size_t i = 0; i < registered; ++i) {
+    auto block = pool.allocate(kSlabBytes);
+    ASSERT_TRUE(block.ok());
+    EXPECT_EQ(block->offset, 0u);
+    whole.insert(block->slab);
+  }
+  EXPECT_EQ(whole.size(), registered);
+  EXPECT_EQ(pool.active_slabs(), registered);  // no slab registered anew
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "common/histogram.h"
 #include "common/metrics.h"
 #include "common/status.h"
+#include "common/units.h"
 #include "core/dm_system.h"
 #include "core/ldmc.h"
 #include "core/node_service.h"
@@ -862,6 +863,65 @@ TEST(RecoveryTest, RemoveWithShardHostDownCommitsAndFreesLiveShards) {
 
   system.recover_node(crashed);
   EXPECT_EQ(system.service(crashed).rdms().hosted_blocks(), 0u);
+}
+
+// A slab under drain must take no new blocks. Its owners are notified once,
+// when the drain starts, so a block placed there afterwards has an owner
+// that never hears of the drain: the slab never empties, and the node's
+// one drain slot (which eviction and harvest reclaim both wait on) stays
+// taken.
+TEST(RecoveryTest, DrainingSlabTakesNoNewBlocks) {
+  DmSystem system(cluster_config(4, 1));
+  system.start();
+  auto& client = system.create_server(0, 64 * MiB, remote_only());
+  for (std::uint64_t id = 0; id < 32; ++id)
+    ASSERT_TRUE(client.put_sync(id, page_data(id)).ok()) << id;
+
+  std::size_t host = 1;
+  for (std::size_t i = 2; i < system.node_count(); ++i)
+    if (system.service(i).rdms().hosted_blocks() >
+        system.service(host).rdms().hosted_blocks())
+      host = i;
+  auto& pool = system.node(host).recv_pool();
+  auto slab = pool.least_loaded_slab();
+  ASSERT_TRUE(slab.has_value());
+  const auto hosted = pool.blocks_in_slab(*slab);
+  ASSERT_FALSE(hosted.empty());
+  const net::RKey draining_rkey = hosted.front().rkey;
+
+  bool drained = false;
+  Status drain_status;
+  auto& rdms = system.service(host).rdms();
+  rdms.drain_slab(*slab, [&](const Status& s) {
+    drain_status = s;
+    drained = true;
+  });
+  std::vector<std::vector<std::byte>> payloads;
+  for (std::uint64_t id = 32; id < 96; ++id) payloads.push_back(page_data(id));
+  std::size_t puts_done = 0;
+  bool all_put = false;
+  for (std::uint64_t id = 32; id < 96; ++id)
+    client.put(id, payloads[id - 32], [&, id](const Status& s) {
+      EXPECT_TRUE(s.ok()) << id << ": " << s;
+      all_put = ++puts_done == payloads.size();
+    });
+  const SimTime deadline = system.simulator().now() + 60 * kSecond;
+  ASSERT_TRUE(system.simulator().run_until_flag(all_put, deadline));
+  ASSERT_TRUE(system.simulator().run_until_flag(drained, deadline));
+  EXPECT_TRUE(drain_status.ok()) << drain_status;
+  EXPECT_EQ(rdms.active_drains(), 0u);
+
+  for (std::uint64_t id = 32; id < 96; ++id) {
+    auto loc = client.map().lookup(id);
+    ASSERT_TRUE(loc.ok()) << id;
+    for (const auto& replica : loc->replicas)
+      EXPECT_NE(replica.rkey, draining_rkey) << id;
+  }
+  std::vector<std::byte> out(4096);
+  for (std::uint64_t id = 0; id < 96; ++id) {
+    ASSERT_TRUE(client.get_sync(id, out).ok()) << id;
+    EXPECT_EQ(out, page_data(id)) << id;
+  }
 }
 
 }  // namespace
