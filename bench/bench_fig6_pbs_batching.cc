@@ -1,14 +1,15 @@
 // Figure 6 — completion time of FastSwap with proactive batch swap-in (PBS)
 // vs FastSwap without PBS vs Infiniswap vs Linux disk swap, across four
-// disaggregated-memory workload sizes. A fifth series runs the adaptive
-// swap-path engine (pattern-aware PBS window + write-back batching) on top
-// of the FastSwap configuration.
+// disaggregated-memory workload sizes. A fifth series adds pattern-aware
+// PBS (the adaptive window and fan-out) to the FastSwap configuration.
 //
 // Paper shape: FastSwap+PBS < FastSwap w/o PBS < Infiniswap << Linux at
 // every size, with the gap growing as more of the working set spills.
-// Reproduction extension: FS-Adaptive <= FastSwap+PBS on this sequential
-// iterative workload, since the tracker grows the PBS window past the
-// fixed default.
+// Reproduction extension: on this sequential iterative workload the
+// tracker grows the PBS window past the fixed default. That wins at the
+// larger sizes; at the smaller ones the scan outruns the swap worker's
+// decodes of a large window's siblings and waits for them, so the fixed
+// window finishes first.
 #include <cstdio>
 
 #include "bench_util.h"

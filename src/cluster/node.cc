@@ -17,7 +17,6 @@ Node::Node(sim::Simulator& simulator, net::Fabric& fabric,
       config_(std::move(config)), rpc_(simulator, id),
       membership_(simulator, rpc_, config_.membership), shm_(config_.shm),
       recv_pool_(fabric, id, config_.recv),
-      send_pool_(config_.send_staging_bytes),
       disk_(simulator, config_.disk),
       nvm_(config_.nvm.capacity_bytes > 0
                ? std::make_unique<storage::BlockDevice>(simulator, config_.nvm)

@@ -2,7 +2,7 @@
 //
 // A Node bundles everything the paper places on each machine participating
 // in the disaggregated memory system: the node-coordinated shared memory
-// pool, the cluster-wide send/receive RDMA buffer pools, the local swap
+// pool, the cluster-wide RDMA receive buffer pool, the local swap
 // disk, the control-plane RPC endpoint, group membership, and the leader-
 // election coordinator for its group. Virtual servers (VMs, containers,
 // JVM executors) are hosted on a node and donate part of their allocation
@@ -36,7 +36,6 @@ class Node {
   struct Config {
     mem::SharedMemoryPool::Config shm{};
     mem::RegisteredBufferPool::Config recv{};
-    std::uint64_t send_staging_bytes = 8 * MiB;
     storage::BlockDevice::Config disk{};
     // Optional local NVM tier (§VI): capacity 0 = absent. Defaults model a
     // PCM/3D-XPoint-class device: no seek, microsecond access.
@@ -59,7 +58,6 @@ class Node {
   Membership& membership() noexcept { return membership_; }
   mem::SharedMemoryPool& shm() noexcept { return shm_; }
   mem::RegisteredBufferPool& recv_pool() noexcept { return recv_pool_; }
-  mem::SendStagingPool& send_pool() noexcept { return send_pool_; }
   storage::BlockDevice& disk() noexcept { return disk_; }
   // Null when the node has no NVM tier configured.
   storage::BlockDevice* nvm() noexcept { return nvm_.get(); }
@@ -106,7 +104,6 @@ class Node {
   Membership membership_;
   mem::SharedMemoryPool shm_;
   mem::RegisteredBufferPool recv_pool_;
-  mem::SendStagingPool send_pool_;
   storage::BlockDevice disk_;
   std::unique_ptr<storage::BlockDevice> nvm_;
   Rng rng_;

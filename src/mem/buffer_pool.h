@@ -1,22 +1,20 @@
-// RDMA buffer pools (paper §IV.B, §IV.F).
+// The RDMA receive buffer pool (paper §IV.B, §IV.F).
 //
-// Each node maintains two cluster-level pools carved from memory it reserved
-// for RDMA at bring-up:
+// RegisteredBufferPool is the cluster-level *receive* pool each node carves
+// from memory it reserved for RDMA at bring-up: slabs of donated DRAM,
+// individually registered with the fabric so remote peers can one-sided
+// WRITE/READ blocks inside them. Blocks come from the same exact-fit
+// SlabAllocator as the shared pool (64 B granules, any size up to one
+// slab); a slab is registered when the allocator opens it and stays
+// registered until it is drained. Registration is per-slab because the
+// eviction handler deregisters whole slabs preemptively when local
+// pressure rises (§IV.F policy 1); the owner then migrates the evicted
+// blocks' entries elsewhere. A slab under drain is fenced: it takes no
+// new blocks, so the drain ends once the notified owners have moved.
 //
-//  * RegisteredBufferPool — the *receive* pool: slabs of donated DRAM,
-//    individually registered with the fabric so remote peers can one-sided
-//    WRITE/READ blocks inside them. Blocks come from the same exact-fit
-//    SlabAllocator as the shared pool (64 B granules, any size up to one
-//    slab); a slab is registered when the allocator opens it and stays
-//    registered until it is drained. Registration is per-slab because the
-//    eviction handler deregisters whole slabs preemptively when local
-//    pressure rises (§IV.F policy 1); the owner then migrates the evicted
-//    blocks' entries elsewhere. A slab under drain is fenced: it takes no
-//    new blocks, so the drain ends once the notified owners have moved.
-//
-//  * SendStagingPool — the *send* pool: a bump arena where outgoing entries
-//    are staged and coalesced by the window-based batcher before a single
-//    RDMA write covers the whole batch (§IV.H).
+// The paper's *send* buffer is the swap layer's write-back staging buffer
+// (swap::SwapManager), where the window-based batcher assembles a batch
+// before one put carries it (§IV.H).
 #pragma once
 
 #include <cstdint>
@@ -94,31 +92,6 @@ class RegisteredBufferPool {
   SlabAllocator allocator_;
   std::vector<net::RKey> rkeys_;  // per slab; kInvalidRKey when closed
   MetricsRegistry metrics_;
-};
-
-// Bump arena for batched sends; reset after each flush.
-class SendStagingPool {
- public:
-  explicit SendStagingPool(std::uint64_t bytes) : arena_(bytes) {}
-
-  StatusOr<std::span<std::byte>> stage(std::size_t size) {
-    if (cursor_ + size > arena_.size())
-      return ResourceExhaustedError("send staging pool full");
-    auto out = std::span(arena_).subspan(cursor_, size);
-    cursor_ += size;
-    return out;
-  }
-
-  std::span<const std::byte> staged() const {
-    return std::span(arena_).first(cursor_);
-  }
-  std::uint64_t staged_bytes() const noexcept { return cursor_; }
-  std::uint64_t capacity() const noexcept { return arena_.size(); }
-  void reset() noexcept { cursor_ = 0; }
-
- private:
-  ZeroArena arena_;
-  std::uint64_t cursor_ = 0;
 };
 
 }  // namespace dm::mem

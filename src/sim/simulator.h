@@ -58,9 +58,10 @@ class Simulator {
   // completion). deadline < 0 means no deadline.
   bool run_until_flag(const bool& flag, SimTime deadline = -1);
 
-  // Advances the clock with no event processing (used by workload drivers to
-  // charge pure compute time between memory accesses). Asserts that no event
-  // would have fired in the skipped window when `strict` is true.
+  // Moves the clock forward by `delta` without running events (workload
+  // drivers charge pure compute time this way). An event whose time the
+  // clock skips is not lost: it fires late, at the clock's new time, when
+  // the loop next runs.
   void advance(SimTime delta) {
     assert(delta >= 0);
     now_ += delta;

@@ -1,7 +1,6 @@
 #include "swap/swap_manager.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/status.h"
 #include "common/units.h"
@@ -32,6 +31,8 @@ SwapManager::SwapManager(core::Ldmc& client, Config config,
                          PageContentFn content)
     : client_(client), config_(config), content_(std::move(content)),
       compressor_(granularity_of(config.compression)) {
+  config_.writeback_batches =
+      std::max<std::size_t>(config_.writeback_batches, 1);
   if (config_.zswap_pool_bytes > 0) zswap_.emplace(config_.zswap_pool_bytes);
   if (config_.adaptive_pbs) {
     // Cap the window so a PBS restore can always fit the resident budget
@@ -56,7 +57,8 @@ SwapManager::SwapManager(core::Ldmc& client, Config config,
 SwapManager::~SwapManager() {
   *alive_ = false;
   // A landed, uncommitted rewrite duplicates pages its source still holds,
-  // so it goes; a rewrite still in flight frees its entry when it lands.
+  // so it goes; a rewrite or write-back put still in flight frees its entry
+  // when it lands, and a batch not yet posted is never put.
   for (const auto& [target, compaction] : compactions_)
     if (compaction.landed && compaction.landed->ok()) free_entry(target);
 }
@@ -64,6 +66,39 @@ SwapManager::~SwapManager() {
 void SwapManager::charge(SimTime cost) {
   auto& sim = client_.service().node().simulator();
   sim.run_until(sim.now() + cost);
+}
+
+void SwapManager::charge_decode() {
+  sim::SpanScope decompress_span(spans_, active_trace_,
+                                 client_.service().node().id(), "compress",
+                                 "decompress.page");
+  charge(config_.decompress_ns);
+}
+
+SimTime SwapManager::worker_run(SimTime cost) {
+  const SimTime now = client_.service().node().simulator().now();
+  worker_free_at_ = std::max(worker_free_at_, now) + cost;
+  metrics_.counter("swap.worker.busy_ns") += static_cast<std::uint64_t>(cost);
+  return worker_free_at_;
+}
+
+SimTime SwapManager::batch_cost(std::size_t pages) const noexcept {
+  const SimTime lz = config_.compression == CompressionMode::kOff
+                         ? 0
+                         : config_.compress_ns;
+  return static_cast<SimTime>(pages) * (lz + config_.extra_op_overhead);
+}
+
+void SwapManager::await_decode(std::uint64_t page) {
+  auto it = decoding_.find(page);
+  if (it == decoding_.end()) return;
+  auto& sim = client_.service().node().simulator();
+  const SimTime ready = it->second;
+  decoding_.erase(it);
+  if (ready <= sim.now()) return;
+  metrics_.histogram("swap.worker.wait_ns")
+      .record(static_cast<std::uint64_t>(ready - sim.now()));
+  sim.run_until(ready);
 }
 
 std::size_t SwapManager::current_window() const noexcept {
@@ -95,11 +130,12 @@ Status SwapManager::touch(std::uint64_t page, bool write) {
   // Safe point: roll back any write-back flush that failed while previous
   // faults were in flight (pages return resident+dirty, nothing is lost),
   // and commit the batch rewrites that landed meanwhile.
-  if (wb_enabled()) (void)wb_process_failures();
+  (void)wb_process_failures();
   compact_commit();
   auto& latency = client_.service().node().fabric().config().latency;
   auto it = resident_.find(page);
   if (it != resident_.end()) {
+    await_decode(page);
     lru_.touch(page);
     if (write) {
       dirty_.insert(page);
@@ -143,8 +179,7 @@ Status SwapManager::touch(std::uint64_t page, bool write) {
     path = "zswap";
     DM_RETURN_IF_ERROR(fault_in_zswap(page));
   } else if (auto backing = backed_.find(page); backing != backed_.end()) {
-    path = wb_enabled() && wb_.count(backing->second.batch) > 0 ? "wb"
-                                                                : "backend";
+    path = wb_.count(backing->second.batch) > 0 ? "wb" : "backend";
     DM_RETURN_IF_ERROR(fault_in(page));
   } else {
     // First touch: demand-zero (well, demand-content) fault.
@@ -248,9 +283,12 @@ Status SwapManager::invalidate_backing(std::uint64_t page) {
     if (members.empty()) {
       batches_.erase(batch_it);
       if (wb_it->second.in_flight) {
-        // Too late to cancel the put; remove the entry once it lands.
+        // Too late to cancel the flush; the entry goes once it lands.
         wb_it->second.remove_after = true;
       } else {
+        // The batch was compressed when it was staged: the worker pays for
+        // it here, so cancelling saves the put but drops no CPU.
+        (void)worker_run(batch_cost(wb_it->second.pages));
         wb_.erase(wb_it);
         ++metrics_.counter("swap.wb.cancelled_batches");
       }
@@ -293,6 +331,7 @@ Status SwapManager::evict_for_space() {
     const bool clean = dirty_.count(page) == 0 && backed_.count(page) > 0;
     if (clean) {
       resident_.erase(page);
+      decoding_.erase(page);
       freed_any = true;
       ++metrics_.counter("swap.clean_drops");
       // Enough frames freed without any I/O? Stop walking.
@@ -316,6 +355,7 @@ Status SwapManager::write_out_batch(const std::vector<std::uint64_t>& pages) {
   for (std::uint64_t page : pages) {
     auto node = resident_.extract(page);
     dirty_.erase(page);
+    decoding_.erase(page);
     extracted.emplace_back(page, std::move(node.mapped()));
   }
 
@@ -353,17 +393,14 @@ Status SwapManager::write_out_batch(const std::vector<std::uint64_t>& pages) {
 
 Status SwapManager::store_batch(
     std::vector<std::pair<std::uint64_t, std::vector<std::byte>>> pages) {
-  // The batch is assembled in the node's send staging pool (paper Fig. 1:
-  // the cluster-wide DM send buffer), then handed to the LDMC in one piece.
-  auto& sim = client_.service().node().simulator();
-  const SimTime batch_started = sim.now();
+  // The batch is assembled in the staging buffer, the node's send buffer
+  // of paper Fig. 1. Its CPU is the worker's, paid when it flushes.
   std::vector<std::byte> buffer;
   buffer.reserve(pages.size() * kPageBytes);
   BatchInfo batch;
   const mem::EntryId entry = next_batch_++;
 
   for (auto& [page, bytes] : pages) {
-    if (config_.extra_op_overhead > 0) charge(config_.extra_op_overhead);
     Backing info;
     info.batch = entry;
     info.offset = static_cast<std::uint32_t>(buffer.size());
@@ -371,12 +408,6 @@ Status SwapManager::store_batch(
       info.length = kPageBytes;
       buffer.insert(buffer.end(), bytes.begin(), bytes.end());
     } else {
-      {
-        sim::SpanScope compress_span(spans_, active_trace_,
-                                     client_.service().node().id(),
-                                     "compress", "compress.page");
-        charge(config_.compress_ns);
-      }
       auto compressed = compressor_.compress(bytes);
       info.lz = !compressed.is_raw;
       info.length = static_cast<std::uint32_t>(compressed.data.size());
@@ -390,64 +421,17 @@ Status SwapManager::store_batch(
   }
   const std::size_t batch_pages = batch.pages.size();
   batches_.emplace(entry, std::move(batch));
-
-  if (wb_enabled())
-    return wb_stage(entry, std::move(buffer), batch_started, batch_pages);
-
-  // Stage the assembled batch; falls back to the local vector if the
-  // window exceeds the pool (functional behaviour is identical — the pool
-  // models the reserved send-side memory of §IV.B).
-  auto& staging = client_.service().node().send_pool();
-  staging.reset();
-  std::span<const std::byte> outgoing = buffer;
-  if (auto staged = staging.stage(buffer.size()); staged.ok()) {
-    std::memcpy(staged->data(), buffer.data(), buffer.size());
-    outgoing = *staged;
-    ++metrics_.counter("swap.batches_staged");
-  }
-  Status stored = client_.put_sync(entry, outgoing, active_trace_);
-  if (!stored.ok()) {
-    // The victims return resident+dirty from the assembled buffer. (For
-    // zswap writebacks "resident" is a safe over-approximation: the pages
-    // re-enter the LRU dirty and will be retried.)
-    DM_RETURN_IF_ERROR(roll_back(entry, buffer));
-    return stored;
-  }
-  ++swap_outs_;
-  if (auto loc = client_.map().lookup(entry); loc.ok() && loc->degraded) {
-    // Degraded-mode store (§IV.D hardening): the batch is durable but below
-    // its intended placement — remote with a short replica set, or pushed
-    // to disk because remote memory was unreachable. The repair service
-    // restores the placement in the background; swapping continues.
-    ++metrics_.counter("swap.degraded_batches");
-  }
-  metrics_.counter("swap.swapped_out_pages") += batch_pages;
-  // Compression + staging + replicated store, end to end for one window.
-  metrics_.histogram("swap.swapout_ns")
-      .record(static_cast<std::uint64_t>(sim.now() - batch_started));
-
-  if (config_.disk_backup) {
-    // Asynchronous full-page backup writes (Infiniswap durability path);
-    // they queue on the disk but do not block the fault path.
-    auto& disk = client_.service().node().disk();
-    for (std::size_t i = 0; i < batch_pages; ++i) {
-      if (backup_cursor_ + kPageBytes > disk.capacity())
-        backup_cursor_ = disk.capacity() / 2;
-      std::vector<std::byte> copy(kPageBytes);
-      (void)disk.write(backup_cursor_, copy, {});
-      backup_cursor_ += kPageBytes;
-      ++metrics_.counter("swap.backup_writes");
-    }
-  }
-  return Status::Ok();
+  return wb_stage(entry, std::move(buffer), batch_pages);
 }
 
 Status SwapManager::wb_stage(mem::EntryId entry,
                              std::vector<std::byte> buffer,
-                             SimTime batch_started, std::size_t batch_pages) {
+                             std::size_t batch_pages) {
   auto& sim = client_.service().node().simulator();
   WbBatch staged;
   staged.buffer = std::move(buffer);
+  staged.pages = batch_pages;
+  staged.staged_at = sim.now();
   wb_.emplace(entry, std::move(staged));
   wb_order_.push_back(entry);
   ++metrics_.counter("swap.wb.staged");
@@ -455,8 +439,6 @@ Status SwapManager::wb_stage(mem::EntryId entry,
   // layer's point of view, even though the put is deferred.
   ++swap_outs_;
   metrics_.counter("swap.swapped_out_pages") += batch_pages;
-  metrics_.histogram("swap.swapout_ns")
-      .record(static_cast<std::uint64_t>(sim.now() - batch_started));
 
   // Deadline flush: the batch goes out within writeback_flush_delay even
   // if no pressure builds (bounds the crash-exposure window).
@@ -468,7 +450,8 @@ Status SwapManager::wb_stage(mem::EntryId entry,
                      });
 
   // Bounded buffer: when the bound is exceeded, push the oldest staged
-  // batch out and wait until the buffer is back under it.
+  // batch out and wait until the buffer is back under it. This wait is
+  // the worker's backpressure on the app.
   while (wb_.size() > config_.writeback_batches) {
     for (mem::EntryId id : wb_order_) {
       auto it = wb_.find(id);
@@ -497,31 +480,81 @@ void SwapManager::wb_flush_entry(mem::EntryId entry) {
   it->second.in_flight = true;
   ++wb_inflight_;
   ++metrics_.counter("swap.wb.flushes");
+  auto& sim = client_.service().node().simulator();
+  const SimTime ready = worker_run(batch_cost(it->second.pages));
+  if (ready <= sim.now()) {
+    wb_post(entry);
+    return;
+  }
   auto alive = alive_;
+  sim.schedule_at(ready, [this, alive, entry]() {
+    if (*alive) wb_post(entry);
+  });
+}
+
+void SwapManager::wb_post(mem::EntryId entry) {
+  auto it = wb_.find(entry);
+  if (it == wb_.end()) return;
+  if (it->second.remove_after) {
+    // Every member was rewritten while the worker had the batch: no put.
+    --wb_inflight_;
+    wb_.erase(it);
+    ++metrics_.counter("swap.wb.cancelled_batches");
+    return;
+  }
+  net::TraceId trace = net::kNoTrace;
+  std::uint64_t span = 0;
+  if (spans_ != nullptr) {
+    trace = client_.service().node().next_trace_id();
+    // dm-lint: allow(span-unclosed) — closed when the put lands.
+    span = spans_->begin_span(trace, client_.service().node().id(), "swap",
+                              "swap.writeback");
+  }
+  auto alive = alive_;
+  core::Ldmc* client = &client_;
   client_.put(
-      entry, it->second.buffer, [this, alive, entry](const Status& stored) {
-        if (!*alive) return;
+      entry, it->second.buffer,
+      [this, alive, client, entry, spans = spans_,
+       span](const Status& stored) {
+        if (span != 0) spans->end_span(span);
+        if (!*alive) {
+          // The manager is gone; nothing will ever name this entry.
+          if (stored.ok()) client->remove(entry, [](const Status&) {});
+          return;
+        }
         --wb_inflight_;
         auto wb_it = wb_.find(entry);
         if (wb_it == wb_.end()) return;
-        if (stored.ok()) {
-          if (wb_it->second.remove_after) {
-            // Every member was rewritten while the put was in flight; the
-            // entry is garbage the moment it lands.
-            ++metrics_.counter("swap.wb.late_removes");
-            client_.remove(entry, [](const Status&) {});
-          } else if (auto loc = client_.map().lookup(entry);
-                     loc.ok() && loc->degraded) {
-            ++metrics_.counter("swap.degraded_batches");
-          }
+        if (!stored.ok()) {
+          // Defer the rollback: the page maps may be mid-walk in a fault.
+          wb_failures_.push_back(
+              {entry, std::move(wb_it->second.buffer), stored});
           wb_.erase(wb_it);
           return;
         }
-        // Defer the rollback: the page maps may be mid-walk in a fault.
-        wb_failures_.push_back(
-            {entry, std::move(wb_it->second.buffer), stored});
+        // Staging to landing: the whole swap-out, worker queue included.
+        metrics_.histogram("swap.swapout_ns")
+            .record(static_cast<std::uint64_t>(
+                client_.service().node().simulator().now() -
+                wb_it->second.staged_at));
+        if (wb_it->second.remove_after) {
+          // Every member was rewritten while the put was in flight; the
+          // entry is garbage the moment it lands.
+          ++metrics_.counter("swap.wb.late_removes");
+          client_.remove(entry, [](const Status&) {});
+        } else {
+          if (auto loc = client_.map().lookup(entry);
+              loc.ok() && loc->degraded) {
+            // Degraded-mode store (§IV.D hardening): the batch is durable
+            // but below its intended placement. The repair service restores
+            // the placement in the background; swapping continues.
+            ++metrics_.counter("swap.degraded_batches");
+          }
+          if (config_.disk_backup) backup(wb_it->second.pages);
+        }
         wb_.erase(wb_it);
-      });
+      },
+      trace);
 }
 
 Status SwapManager::wb_process_failures() {
@@ -562,7 +595,6 @@ Status SwapManager::roll_back(mem::EntryId entry,
 }
 
 Status SwapManager::wb_barrier() {
-  if (!wb_enabled()) return Status::Ok();
   // Every staged batch goes out at once. Completions only erase from wb_
   // and nothing stages during the drain, so one drain empties the buffer.
   for (mem::EntryId id : wb_order_) wb_flush_entry(id);
@@ -575,20 +607,46 @@ Status SwapManager::wb_barrier() {
 }
 
 Status SwapManager::materialize(std::uint64_t page,
-                                std::span<const std::byte> stored,
-                                const Backing& info) {
-  if (info.lz) {
-    sim::SpanScope decompress_span(spans_, active_trace_,
-                                   client_.service().node().id(), "compress",
-                                   "decompress.page");
-    charge(config_.decompress_ns);
-  }
+                                std::span<const std::byte> stored, bool lz) {
   std::vector<std::byte> bytes(kPageBytes);
-  DM_RETURN_IF_ERROR(compress::decode_page(stored, info.lz, bytes));
+  DM_RETURN_IF_ERROR(compress::decode_page(stored, lz, bytes));
   resident_.insert_or_assign(page, std::move(bytes));
   lru_.touch(page);
   ++swap_ins_;
   return Status::Ok();
+}
+
+Status SwapManager::restore(std::uint64_t page,
+                            const std::vector<std::uint64_t>& members,
+                            std::span<const std::byte> batch) {
+  bool own_lz = false;
+  for (std::uint64_t member : members) {
+    const Backing& info = backed_.at(member);
+    DM_RETURN_IF_ERROR(materialize(
+        member, batch.subspan(info.offset, info.length), info.lz));
+    if (member == page) {
+      own_lz = info.lz;
+    } else if (info.lz) {
+      decoding_[member] = worker_run(config_.decompress_ns);
+      ++metrics_.counter("swap.worker.decoded_pages");
+    }
+  }
+  if (own_lz) charge_decode();
+  return Status::Ok();
+}
+
+void SwapManager::backup(std::size_t pages) {
+  // Asynchronous full-page backup writes (Infiniswap durability path);
+  // they queue on the disk but block nothing.
+  auto& disk = client_.service().node().disk();
+  for (std::size_t i = 0; i < pages; ++i) {
+    if (backup_cursor_ + kPageBytes > disk.capacity())
+      backup_cursor_ = disk.capacity() / 2;
+    std::vector<std::byte> copy(kPageBytes);
+    (void)disk.write(backup_cursor_, copy, {});
+    backup_cursor_ += kPageBytes;
+    ++metrics_.counter("swap.backup_writes");
+  }
 }
 
 Status SwapManager::fault_in_zswap(std::uint64_t page) {
@@ -618,24 +676,17 @@ Status SwapManager::fault_in_wb(std::uint64_t page,
   if (batch_it == batches_.end())
     return InternalError("staged page references unknown batch");
 
-  std::vector<std::uint64_t> restore;
+  std::vector<std::uint64_t> members;
   if (config_.proactive_batch_swap_in && !pbs_fanout_suppressed()) {
     for (std::uint64_t member : batch_it->second.pages)
-      if (resident_.count(member) == 0) restore.push_back(member);
+      if (resident_.count(member) == 0) members.push_back(member);
     ++metrics_.counter("swap.pbs_batch_ins");
   } else {
-    restore.push_back(page);
+    members.push_back(page);
     ++metrics_.counter("swap.single_page_ins");
   }
-  DM_RETURN_IF_ERROR(make_room(restore.size()));
-  for (std::uint64_t member : restore) {
-    const Backing member_info = backed_.at(member);
-    DM_RETURN_IF_ERROR(materialize(
-        member,
-        std::span<const std::byte>(buffer).subspan(member_info.offset,
-                                                   member_info.length),
-        member_info));
-  }
+  DM_RETURN_IF_ERROR(make_room(members.size()));
+  DM_RETURN_IF_ERROR(restore(page, members, buffer));
   ++metrics_.counter("swap.wb.hits");
   return Status::Ok();
 }
@@ -647,10 +698,8 @@ Status SwapManager::fault_in(std::uint64_t page) {
     return InternalError("backed page references unknown batch");
 
   // Still in the write-back staging buffer: serve straight from DRAM.
-  if (wb_enabled()) {
-    if (auto wb_it = wb_.find(info.batch); wb_it != wb_.end())
-      return fault_in_wb(page, wb_it->second.buffer);
-  }
+  if (auto wb_it = wb_.find(info.batch); wb_it != wb_.end())
+    return fault_in_wb(page, wb_it->second.buffer);
 
   if (config_.proactive_batch_swap_in && !pbs_fanout_suppressed()) {
     // PBS: fetch the whole batch entry with one disaggregated-memory read
@@ -661,21 +710,14 @@ Status SwapManager::fault_in(std::uint64_t page) {
     std::vector<std::byte> buffer(*size);
     DM_RETURN_IF_ERROR(client_.get_sync(info.batch, buffer, active_trace_));
 
-    std::vector<std::uint64_t> restore;
+    std::vector<std::uint64_t> members;
     for (std::uint64_t member : batch_it->second.pages)
-      if (resident_.count(member) == 0) restore.push_back(member);
-    DM_RETURN_IF_ERROR(make_room(restore.size()));
+      if (resident_.count(member) == 0) members.push_back(member);
+    DM_RETURN_IF_ERROR(make_room(members.size()));
     if (config_.extra_op_overhead > 0)
       charge(config_.extra_op_overhead *
-             static_cast<SimTime>(restore.size()));
-    for (std::uint64_t member : restore) {
-      const Backing member_info = backed_.at(member);
-      DM_RETURN_IF_ERROR(materialize(
-          member,
-          std::span<const std::byte>(buffer).subspan(member_info.offset,
-                                                     member_info.length),
-          member_info));
-    }
+             static_cast<SimTime>(members.size()));
+    DM_RETURN_IF_ERROR(restore(page, members, buffer));
     ++metrics_.counter("swap.pbs_batch_ins");
     compact_batch(info.batch, buffer);
     return Status::Ok();
@@ -694,17 +736,15 @@ Status SwapManager::fault_in(std::uint64_t page) {
     std::vector<std::byte> buffer(*size);
     DM_RETURN_IF_ERROR(client_.get_sync(info.batch, buffer, active_trace_));
     DM_RETURN_IF_ERROR(make_room(1));
-    DM_RETURN_IF_ERROR(materialize(
-        page,
-        std::span<const std::byte>(buffer).subspan(info.offset, info.length),
-        info));
+    DM_RETURN_IF_ERROR(restore(page, {page}, buffer));
     compact_batch(info.batch, buffer);
   } else {
     std::vector<std::byte> stored(info.length);
     DM_RETURN_IF_ERROR(client_.get_range_sync(info.batch, info.offset,
                                               stored, active_trace_));
     DM_RETURN_IF_ERROR(make_room(1));
-    DM_RETURN_IF_ERROR(materialize(page, stored, info));
+    DM_RETURN_IF_ERROR(materialize(page, stored, info.lz));
+    if (info.lz) charge_decode();
   }
   ++metrics_.counter("swap.single_page_ins");
   return Status::Ok();
@@ -802,7 +842,7 @@ void SwapManager::compact_commit() {
 }
 
 Status SwapManager::flush_all() {
-  if (wb_enabled()) (void)wb_process_failures();
+  (void)wb_process_failures();
   compact_commit();
   while (!resident_.empty()) {
     DM_RETURN_IF_ERROR(evict_for_space());
@@ -814,7 +854,7 @@ Status SwapManager::flush_all() {
   }
   // Crash-consistency barrier: Fig 9's cold restart (and any recovery
   // scenario) must find every page durable down-tier, not staged in DRAM.
-  if (wb_enabled()) DM_RETURN_IF_ERROR(wb_barrier());
+  DM_RETURN_IF_ERROR(wb_barrier());
   // And in exactly one entry: settle every batch rewrite in flight.
   DM_RETURN_IF_ERROR(client_.drain_until([this]() {
     return std::all_of(

@@ -38,25 +38,34 @@
 // touch(), flush_all): members still backed by the old entry move to the
 // new one and the old entry is freed. Frees never wait on the fault path.
 //
-// Adaptive swap-path engine (all knobs default-off, so the baselines above
-// stay byte-identical):
+// Write-back staging and the swap worker. Every swap-out batch is staged in
+// a bounded DRAM buffer (the paper's Fig 1 send buffer) and flushed
+// asynchronously: at writeback_flush_delay after staging, or at once when
+// staging would exceed writeback_batches. A fault on a staged page is served
+// straight from the buffer. A page rewritten while its batch is still staged
+// is coalesced: if a whole batch is invalidated before its flush, the put is
+// skipped entirely. wb_barrier() (called by flush_all) is the
+// crash-consistency point: it drains every staged batch, and a failed flush
+// rolls its pages back to resident+dirty, so no acknowledged page is lost.
 //
-//  * adaptive_pbs — a PatternTracker classifies the fault-address stream
-//    (sequential / strided / random) and an AdaptiveWindow resizes the
-//    swap-out window with hysteresis: sequential streams grow it toward
-//    max_batch_pages, random streams shrink it toward min_batch_pages. On
-//    the swap-in side a random verdict suppresses the PBS fan-out to the
-//    single faulted page (fetching a batch of unrelated victims would only
-//    pollute the resident set).
-//  * writeback_batches — a bounded write-back staging buffer in front of
-//    the LDMC: swap-out batches are staged in DRAM, flushed asynchronously
-//    in sim-time (or synchronously when the bound is exceeded), and a
-//    fault on a staged page is served straight from the buffer. A page
-//    rewritten while its batch is still staged is coalesced — if a whole
-//    batch is invalidated before its flush, the remote put is skipped
-//    entirely. wb_barrier() (called by flush_all) is the crash-consistency
-//    point: it drains every staged batch, and a failed flush rolls its
-//    pages back to resident+dirty, so no acknowledged page is ever lost.
+// The swap CPU runs on one swap worker per manager, the virtual server's
+// kswapd: a FIFO virtual-CPU timeline beside the faulting thread. The worker
+// compresses a batch and pays its per-page block-stack tax when the batch
+// flushes, then posts the put. On a PBS restore the faulting thread decodes
+// only the faulted page; the worker decodes every sibling, in member order,
+// and a touch on a sibling it has not finished waits for it
+// (swap.worker.wait_ns). No CPU is dropped, only moved: the staging bound is
+// the backpressure, so a worker that falls behind still reaches the app's
+// clock. Host bytes are compressed at staging and decoded at fetch, so every
+// read-back, rollback and staged-page fault sees real bytes.
+//
+// Adaptive PBS (adaptive_pbs, default-off): a PatternTracker classifies the
+// fault-address stream (sequential / strided / random) and an AdaptiveWindow
+// resizes the swap-out window with hysteresis: sequential streams grow it
+// toward max_batch_pages, random streams shrink it toward min_batch_pages.
+// On the swap-in side a random verdict suppresses the PBS fan-out to the
+// single faulted page (fetching a batch of unrelated victims would only
+// pollute the resident set).
 //
 // All data is real: page contents come from the workload's content
 // generator, travel compressed through the tiers, and are checksum-checked
@@ -115,18 +124,17 @@ class SwapManager {
     // (0 = disabled). Pages evicted from the pool are written back through
     // the normal store path.
     std::uint64_t zswap_pool_bytes = 0;
+    // Write-back staging (see file comment): at most this many batches are
+    // staged or in flight, at least 1 (the constructor raises a 0).
+    std::size_t writeback_batches = 4;
+    SimTime writeback_flush_delay = 30 * kMicro;  // async flush deadline
 
-    // --- adaptive swap-path engine (default-off; see file comment) ------
-    // Pattern-aware PBS: adaptive swap-out window + swap-in fan-out.
+    // --- adaptive PBS (default-off; see file comment) --------------------
     bool adaptive_pbs = false;
     std::size_t min_batch_pages = 1;   // adaptive window floor
     std::size_t max_batch_pages = 32;  // adaptive window ceiling
     std::size_t pattern_history = 32;  // fault deltas considered
     std::size_t pattern_hysteresis = 4;  // verdicts needed to resize
-    // Write-back staging: max batches held in the buffer (0 = disabled,
-    // i.e. write-through as before).
-    std::size_t writeback_batches = 0;
-    SimTime writeback_flush_delay = 30 * kMicro;  // async flush deadline
 
     // --- CXL tier (default-off; DESIGN.md §14) --------------------------
     // When set, dirty/unbacked eviction victims demote into this CXL page
@@ -152,14 +160,12 @@ class SwapManager {
   Status touch(std::uint64_t page, bool write = false);
 
   // Evicts every resident page (cold-start scenarios, e.g. Fig 9's
-  // post-flush recovery measurement). Ends with a write-back barrier when
-  // the staging buffer is enabled.
+  // post-flush recovery measurement). Ends with a write-back barrier.
   Status flush_all();
 
   // Crash-consistency barrier: flushes every staged write-back batch and
   // waits for the puts to settle. Returns the first flush failure (whose
-  // pages have been rolled back to resident+dirty) or Ok. A no-op when
-  // write-back staging is disabled.
+  // pages have been rolled back to resident+dirty) or Ok.
   Status wb_barrier();
 
   bool is_resident(std::uint64_t page) const {
@@ -180,8 +186,10 @@ class SwapManager {
   // backend fault opens a fresh trace rooted in a "swap"/"swap.fault" span
   // covering exactly the interval the swap.fault_ns histogram records, and
   // the trace rides the fault's LDMC calls through RPC, fabric and device
-  // I/O. Compression/decompression CPU charges get "compress" child spans
-  // so the critical-path breakdown separates CPU from the wire.
+  // I/O. The faulted page's decode gets a "compress" child span so the
+  // critical-path breakdown separates CPU from the wire. Each write-back
+  // flush opens its own trace, rooted in a "swap"/"swap.writeback" span
+  // from the put's post to its landing.
   void set_span_sink(sim::SpanSink* spans) noexcept { spans_ = spans; }
 
   // --- adaptive-engine observability (model checker + tests) -----------
@@ -197,6 +205,8 @@ class SwapManager {
   AccessPattern current_pattern() const noexcept;
   std::size_t wb_staged_batches() const noexcept { return wb_.size(); }
   std::uint64_t wb_in_flight() const noexcept { return wb_inflight_; }
+  // When the swap worker finishes the work queued on it so far.
+  SimTime worker_free_at() const noexcept { return worker_free_at_; }
   // Batch compactions issued and not yet committed or abandoned.
   std::size_t compactions_pending() const noexcept {
     return compactions_.size();
@@ -233,7 +243,9 @@ class SwapManager {
   };
   struct WbBatch {
     std::vector<std::byte> buffer;  // the assembled batch bytes
-    bool in_flight = false;         // put issued, completion pending
+    std::size_t pages = 0;          // pages stored in the buffer
+    SimTime staged_at = 0;
+    bool in_flight = false;         // flushed, landing pending
     bool remove_after = false;      // fully invalidated while in flight
   };
   struct WbFailure {
@@ -267,17 +279,38 @@ class SwapManager {
   Status make_room(std::uint64_t incoming_pages);
   Status evict_for_space();
   Status write_out_batch(const std::vector<std::uint64_t>& pages);
-  // Stores already-extracted (page, raw bytes) pairs as one batch entry.
+  // Compresses already-extracted (page, raw bytes) pairs into one batch
+  // entry and stages it.
   Status store_batch(std::vector<std::pair<std::uint64_t,
                                            std::vector<std::byte>>> pages);
   Status invalidate_backing(std::uint64_t page);
+  // Decodes `stored` into a resident page. Charges no CPU: the caller pays
+  // for the decode, on the faulting thread or on the worker.
   Status materialize(std::uint64_t page, std::span<const std::byte> stored,
-                     const Backing& info);
+                     bool lz);
+  // Restores `members` of one batch from `batch` (the entry's stored
+  // bytes) in member order. The faulting thread decodes `page`; the worker
+  // decodes every LZ sibling, and each sibling is ready when it is done.
+  Status restore(std::uint64_t page, const std::vector<std::uint64_t>& members,
+                 std::span<const std::byte> batch);
+  // Infiniswap's asynchronous whole-page disk backup of a landed batch.
+  void backup(std::size_t pages);
   // Returns every page still backed by `entry` to resident+dirty, decoded
   // from `buffer` (the entry's only copy: its put failed), and forgets the
   // entry. A page already resident keeps its resident bytes.
   Status roll_back(mem::EntryId entry, std::span<const std::byte> buffer);
+  // Runs the faulting thread for `cost` virtual ns.
   void charge(SimTime cost);
+  // The faulting thread decodes one LZ page.
+  void charge_decode();
+
+  // The swap worker. worker_run queues `cost` ns behind the work already
+  // on it and returns when that cost is paid; batch_cost is the worker's
+  // price for staging `pages` pages (LZ plus the block-stack tax).
+  SimTime worker_run(SimTime cost);
+  SimTime batch_cost(std::size_t pages) const noexcept;
+  // Waits until the worker has decoded `page`, if it is still decoding.
+  void await_decode(std::uint64_t page);
 
   // Adaptive-PBS helpers.
   void observe_fault(std::uint64_t page);
@@ -288,10 +321,12 @@ class SwapManager {
   // lru_, dirty_) are rolled back exclusively at safe points — the top of
   // touch()/flush_all() and inside wb_barrier() — because completions can
   // fire mid-fault while those maps are being walked.
-  bool wb_enabled() const noexcept { return config_.writeback_batches > 0; }
   Status wb_stage(mem::EntryId entry, std::vector<std::byte> buffer,
-                  SimTime batch_started, std::size_t batch_pages);
+                  std::size_t batch_pages);
+  // Hands a staged batch to the worker; wb_post puts it once the worker
+  // is done with it, under its own swap.writeback root span.
   void wb_flush_entry(mem::EntryId entry);
+  void wb_post(mem::EntryId entry);
   // Rolls back every deferred flush failure; returns the first failure.
   Status wb_process_failures();
 
@@ -333,6 +368,11 @@ class SwapManager {
   // Guards the async flush callbacks against a destroyed manager (events
   // may still be queued on the simulator).
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+
+  SimTime worker_free_at_ = 0;
+  // Resident siblings the worker has not finished decoding, with the time
+  // it will. An entry goes when its page is touched or leaves residency.
+  std::unordered_map<std::uint64_t, SimTime> decoding_;
 
   sim::SpanSink* spans_ = nullptr;
   // The trace of the fault currently being served; threads through every

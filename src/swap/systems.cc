@@ -87,7 +87,6 @@ SystemSetup make_system(SystemKind kind, std::uint64_t resident_pages) {
       setup.swap.proactive_batch_swap_in = true;
       setup.swap.compression = CompressionMode::kFourGranularity;
       setup.swap.adaptive_pbs = true;
-      setup.swap.writeback_batches = 4;
       break;
   }
   return setup;

@@ -25,8 +25,7 @@ enum class SystemKind {
   kNbdx,           // raw RDMA block device, per-page
   kLinux,          // disk swap only
   kZswap,          // compressed RAM cache (zbud) in front of disk swap
-  // FastSwap plus the adaptive swap-path engine: pattern-aware PBS window
-  // and fan-out, and write-back staging in front of the LDMC.
+  // FastSwap plus pattern-aware PBS: an adaptive window and fan-out.
   kFastSwapAdaptive,
 };
 

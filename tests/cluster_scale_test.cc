@@ -303,8 +303,8 @@ std::int64_t resident_bytes() {
 
 // Host memory follows the bytes a run stores, not the capacity it
 // configures: bringing up the 128-node soak cluster (per node 256 KiB shm,
-// 1 MiB receive pool, 8 MiB send staging, 24 MiB disk — about 4.2 GiB
-// configured) must not make that capacity resident.
+// 1 MiB receive pool, 24 MiB disk — about 3.2 GiB configured) must not make
+// that capacity resident.
 TEST(ClusterScaleSoakTest, BuildingTheClusterLeavesCapacityNonResident) {
   constexpr std::size_t kNodes = 128;
   const std::int64_t before = resident_bytes();
@@ -312,7 +312,6 @@ TEST(ClusterScaleSoakTest, BuildingTheClusterLeavesCapacityNonResident) {
   system.start();
   for (std::size_t n = 0; n < system.node_count(); ++n)
     (void)system.create_server(n, 8 * MiB);
-  EXPECT_EQ(system.node(0).send_pool().capacity(), 8 * MiB);
   EXPECT_LT(resident_bytes() - before, static_cast<std::int64_t>(256 * MiB));
 }
 

@@ -387,31 +387,6 @@ TEST_F(BufferPoolTest, ExhaustionReported) {
             StatusCode::kResourceExhausted);
 }
 
-// ---- SendStagingPool ----------------------------------------------------------------
-
-TEST(SendStagingPoolTest, BumpAllocatesAndResets) {
-  SendStagingPool pool(1024);
-  auto a = pool.stage(400);
-  ASSERT_TRUE(a.ok());
-  auto b = pool.stage(600);
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(pool.staged_bytes(), 1000u);
-  // Regions are contiguous and ordered (bump allocation).
-  EXPECT_EQ(a->data() + 400, b->data());
-  EXPECT_EQ(pool.stage(100).status().code(), StatusCode::kResourceExhausted);
-  pool.reset();
-  EXPECT_EQ(pool.staged_bytes(), 0u);
-  EXPECT_TRUE(pool.stage(1024).ok());
-}
-
-TEST(SendStagingPoolTest, StagedRegionReadsZero) {
-  SendStagingPool pool(64 * KiB);
-  auto region = pool.stage(8192);
-  ASSERT_TRUE(region.ok());
-  EXPECT_EQ(std::vector<std::byte>(region->begin(), region->end()),
-            std::vector<std::byte>(8192));
-}
-
 // ---- MemoryMap --------------------------------------------------------------------
 
 EntryLocation remote_loc(std::initializer_list<net::NodeId> nodes) {

@@ -477,14 +477,13 @@ TEST(RecoveryTest, OverlappingOffloadsMoveEachEntryOnce) {
   }
 }
 
-// --- crash during a write-back flush (adaptive swap-path engine) ------------
+// --- crash during a write-back flush ------------------------------------------
 
 swap::SwapManager::Config wb_swap_config() {
   swap::SwapManager::Config config;
   config.resident_pages = 16;
   config.batch_pages = 8;
   config.compression = swap::CompressionMode::kFourGranularity;
-  config.writeback_batches = 4;
   // Long deadline: batches sit staged until the barrier, so the crash is
   // guaranteed to land while acknowledged pages are only in DRAM staging.
   config.writeback_flush_delay = 50 * kMilli;
@@ -599,48 +598,6 @@ TEST(RecoveryTest, CrashDuringWriteBackFlushRollsBackWithoutLoss) {
   }
 }
 
-// The write-through twin: with no staging buffer the swap-out put is
-// synchronous, and when it fails the fault's eviction window must return to
-// resident+dirty before the error surfaces. Nothing is lost and no entry is
-// left behind.
-TEST(RecoveryTest, CrashDuringSyncSwapOutRollsBackWithoutLoss) {
-  auto config = cluster_config(3, 2);
-  config.rpc_retry.max_attempts = 3;
-  config.rpc_retry.base_backoff = 500 * kMicro;
-  config.rpc_retry.max_backoff = 2 * kMilli;
-  DmSystem system(config);
-  system.start();
-  auto& client = system.create_server(0, 64 * MiB, remote_only());
-  auto swap_config = wb_swap_config();
-  swap_config.writeback_batches = 0;  // write-through
-  swap::SwapManager manager(client, swap_config, swap_content);
-
-  for (std::uint64_t p = 0; p < 16; ++p)
-    ASSERT_TRUE(manager.touch(p, /*write=*/true).ok());
-  const std::size_t entries = client.map().size();
-
-  // Both remote peers die and there is no disk fallback: the fault's
-  // eviction put has nowhere to land.
-  system.crash_node(1);
-  system.crash_node(2);
-  const Status fault = manager.touch(16, /*write=*/true);
-  EXPECT_EQ(fault.code(), StatusCode::kUnavailable);
-
-  for (std::uint64_t p = 0; p < 16; ++p) {
-    ASSERT_TRUE(manager.is_resident(p)) << "page " << p;
-    EXPECT_TRUE(manager.is_dirty(p)) << "page " << p;
-    EXPECT_FALSE(manager.is_backed(p)) << "page " << p;
-    auto bytes = manager.resident_bytes(p);
-    ASSERT_TRUE(bytes.ok());
-    EXPECT_EQ(fnv1a(*bytes), swap_checksum(p)) << "page " << p;
-  }
-  EXPECT_EQ(client.map().size(), entries);
-  client.map().for_each(
-      [&manager](mem::EntryId id, const mem::EntryLocation&) {
-        EXPECT_TRUE(manager.names_entry(id)) << "orphaned entry " << id;
-      });
-}
-
 // --- crash during a batch compaction -----------------------------------------
 
 // A sparse batch's rewrite is in flight to remote memory when one of the
@@ -669,6 +626,7 @@ TEST(RecoveryTest, CompactionLostToACrashedHostIsAbandoned) {
   for (std::uint64_t p = 0; p < 6; ++p)
     ASSERT_TRUE(manager.touch(p, /*write=*/true).ok());
   for (std::uint64_t p = 8; p < 16; ++p) ASSERT_TRUE(manager.touch(p).ok());
+  ASSERT_TRUE(manager.wb_barrier().ok());  // the batches land down-tier
   const std::size_t entries = client.map().size();
 
   ASSERT_TRUE(manager.touch(6).ok());  // reads the sparse batch: rewrite

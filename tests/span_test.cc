@@ -1,7 +1,8 @@
 // Tests for the causal span substrate: SpanTracer parenting and critical-path
 // breakdown, Chrome trace export determinism, completed-trace eviction, the
 // flight recorder's rings and dump files, and end-to-end span chains through
-// a DmSystem swap fault (the chain must cross the faulting and serving node).
+// DmSystem swapping (a write-back flush's chain must cross the swapping and
+// serving node, and no fault's chain may hold swap-out work).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -227,27 +228,43 @@ TEST(SpanIntegration, SwapFaultTraceCrossesNodes) {
                             workloads::content_for(app, 99));
   manager.set_span_sink(&tracer);
 
-  // Two passes over more pages than fit residently: the second pass faults
-  // pages back in from the remote backend over RPC.
+  // Two passes over more pages than fit residently: the first pass swaps
+  // pages out to the remote backend, the second faults them back in.
   for (int pass = 0; pass < 2; ++pass)
     for (std::uint64_t p = 0; p < 48; ++p) ASSERT_TRUE(manager.touch(p).ok());
+  ASSERT_TRUE(manager.wb_barrier().ok());
   system.run_for(100 * kMilli);
 
-  // At least one completed fault trace exists whose span chain includes the
-  // swap root on the faulting node and some remote-side span on the server.
-  bool cross_node_fault = false;
+  // Swap-out runs on the swap worker, off the faulting thread: each flush
+  // is its own trace, rooted in swap.writeback, and its put crosses to the
+  // remote host. No fault-rooted trace holds swap-out work — no LZ pass,
+  // no block allocation, no write verb.
+  bool cross_node_writeback = false;
+  bool writeback_allocs = false;
+  std::size_t fault_traces = 0;
   for (const std::uint64_t trace : tracer.completed_traces()) {
     const auto* spans = tracer.spans(trace);
     if (spans == nullptr || spans->empty()) continue;
-    if ((*spans)[0].name != "swap.fault") continue;
-    bool remote_side = false;
-    for (const auto& span : *spans)
-      if (span.node != (*spans)[0].node) remote_side = true;
-    if (remote_side) cross_node_fault = true;
+    const std::string& root = (*spans)[0].name;
+    if (root == "swap.writeback") {
+      for (const auto& span : *spans) {
+        if (span.node != (*spans)[0].node) cross_node_writeback = true;
+        if (span.name == "rpc.alloc_block") writeback_allocs = true;
+      }
+    } else if (root == "swap.fault") {
+      ++fault_traces;
+      for (const auto& span : *spans) {
+        EXPECT_NE(span.name, "compress.page") << "trace " << trace;
+        EXPECT_NE(span.name, "rpc.alloc_block") << "trace " << trace;
+        EXPECT_NE(span.name, "fabric.write") << "trace " << trace;
+      }
+    }
   }
-  EXPECT_TRUE(cross_node_fault)
-      << "no fault trace crossed nodes; completed="
+  EXPECT_TRUE(cross_node_writeback)
+      << "no write-back trace crossed nodes; completed="
       << tracer.completed_traces().size();
+  EXPECT_TRUE(writeback_allocs);
+  EXPECT_GT(fault_traces, 0u);
 
   // The critical-path invariant holds for every completed trace.
   for (const std::uint64_t trace : tracer.completed_traces()) {

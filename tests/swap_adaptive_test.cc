@@ -190,9 +190,7 @@ TEST(AdaptiveSwapTest, SequentialScanGrowsWindowAndBeatsFixedPbs) {
   Rig fixed(make_system(SystemKind::kFastSwap, 32));
   run_sequential(fixed, 1200, 128);
 
-  auto setup = make_system(SystemKind::kFastSwapAdaptive, 32);
-  setup.swap.writeback_batches = 0;  // isolate the PBS policy
-  Rig adaptive(setup);
+  Rig adaptive(make_system(SystemKind::kFastSwapAdaptive, 32));
   run_sequential(adaptive, 1200, 128);
 
   // The window grew past the fixed 8-page default. (The final verdict may
@@ -206,9 +204,7 @@ TEST(AdaptiveSwapTest, SequentialScanGrowsWindowAndBeatsFixedPbs) {
 }
 
 TEST(AdaptiveSwapTest, RandomAccessShrinksWindowAndSuppressesFanout) {
-  auto setup = make_system(SystemKind::kFastSwapAdaptive, 32);
-  setup.swap.writeback_batches = 0;
-  Rig rig(setup);
+  Rig rig(make_system(SystemKind::kFastSwapAdaptive, 32));
   run_random(rig, 1200, 128, 99);
 
   EXPECT_EQ(rig.manager->current_window(),
@@ -331,10 +327,10 @@ TEST(AdaptiveSwapTest, BoundedBufferNeverExceedsConfiguredBatches) {
 
 // --- knobs-off regression ----------------------------------------------------
 //
-// The adaptive engine must be invisible when its knobs are off: these
-// goldens (fault/swap counts, elapsed virtual time, and an FNV-1a hash of
-// the full metrics dump) were captured from the pre-engine seed tree with
-// the exact same trace. Any drift in a default configuration fails here.
+// Adaptive PBS must be invisible when its knob is off: these goldens
+// (fault/swap counts, elapsed virtual time, and an FNV-1a hash of the full
+// metrics dump) were captured from the pre-engine seed tree with the exact
+// same trace. Any drift in a default configuration fails here.
 
 struct Golden {
   const char* name;
@@ -351,17 +347,21 @@ struct Golden {
 // The three rows whose batches live in shared or remote memory were
 // re-pinned when batch compaction landed: their fault and swap counts are
 // untouched, elapsed time moves with the rewrites and the frees that no
-// longer wait, and the dump gains the swap.compact.* counters. The Linux
-// row (disk only, never compacted) is the seed capture.
+// longer wait, and the dump gains the swap.compact.* counters. All four
+// were re-pinned when swap-out and sibling decode moved to the swap worker
+// and write-back staging became the only swap-out path: the fault and swap
+// counts are untouched, elapsed time falls because the faulting thread no
+// longer compresses, puts or decodes siblings, and the dump gains the
+// swap.wb.* and swap.worker.* metrics.
 constexpr Golden kSeedGoldens[] = {
-    {"FastSwap", 368ull, 1225ull, 34ull, 1001054777ull,
-     1897177834987802360ull},
-    {"FastSwap-noPBS", 430ull, 334ull, 23ull, 1000707450ull,
-     13689877883035445154ull},
-    {"Infiniswap", 368ull, 1225ull, 34ull, 1013747569ull,
-     3298555524309353555ull},
-    {"Linux", 368ull, 1225ull, 34ull, 1721164065ull,
-     3902519442920250884ull},
+    {"FastSwap", 368ull, 1225ull, 34ull, 1000681683ull,
+     10097424273717797229ull},
+    {"FastSwap-noPBS", 430ull, 334ull, 23ull, 1000512880ull,
+     15550872554880824175ull},
+    {"Infiniswap", 368ull, 1225ull, 34ull, 1011546092ull,
+     9438041538906897951ull},
+    {"Linux", 368ull, 1225ull, 34ull, 1653752217ull,
+     16240518795455536221ull},
 };
 
 TEST(AdaptiveSwapTest, KnobsOffMatchesSeedGoldensByteForByte) {
@@ -396,11 +396,11 @@ TEST(AdaptiveSwapTest, KnobsOffMatchesSeedGoldensByteForByte) {
 }
 
 // The adaptive preset on the same trace, pinned so that refactors of the
-// paths only it reaches (adaptive PBS, write-back staging and its barrier)
-// must keep every byte.
+// paths only it reaches (adaptive PBS) must keep every byte. Re-pinned with
+// the swap worker: counts untouched, elapsed time and dump moved.
 constexpr Golden kAdaptiveGolden = {"FastSwap-Adaptive", 413ull, 317ull,
-                                    179ull, 1000540756ull,
-                                    760976319703058658ull};
+                                    179ull, 1000535227ull,
+                                    17866850145065050964ull};
 
 TEST(AdaptiveSwapTest, AdaptivePresetMatchesGoldenByteForByte) {
   Rig rig(make_system(SystemKind::kFastSwapAdaptive, 32));

@@ -8,11 +8,13 @@
 #include <vector>
 
 #include "common/checksum.h"
+#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/dm_system.h"
 #include "core/ldmc.h"
 #include "mem/memory_map.h"
+#include "sim/span_sink.h"
 #include "swap/swap_manager.h"
 #include "swap/systems.h"
 #include "swap/zswap_cache.h"
@@ -244,7 +246,9 @@ SystemSetup compaction_setup(double shm_fraction = 1.0) {
 
 // Leaves the batch entry of pages 0..7 with two live members, 6 and 7,
 // both swapped out clean: the next fault on either reads the whole entry,
-// 8 KiB live of 32 KiB stored, inside the one-third rule.
+// 8 KiB live of 32 KiB stored, inside the one-third rule. The barrier puts
+// every staged batch down-tier first: a fault served from the staging
+// buffer never compacts.
 void make_sparse_batch(SwapManager& manager) {
   for (std::uint64_t p = 0; p < 16; ++p)
     ASSERT_TRUE(manager.touch(p).ok());  // 0..7 go out as one batch
@@ -254,6 +258,7 @@ void make_sparse_batch(SwapManager& manager) {
     ASSERT_TRUE(manager.touch(p).ok());  // 0..5 go out; 6 and 7 drop clean
   ASSERT_FALSE(manager.is_resident(6));
   ASSERT_TRUE(manager.is_backed(6));
+  ASSERT_TRUE(manager.wb_barrier().ok());
 }
 
 std::map<mem::EntryId, std::size_t> stored_entries(core::Ldmc& client) {
@@ -428,6 +433,8 @@ TEST(SwapCompactionTest, DiskEntriesAreNeverRewritten) {
 
 // FS-9:1 routes put n to the shared pool iff n % 100 < 90. Compaction puts
 // are pinned to their source's tier and must not advance that sequence.
+// A barrier after each touch lands every staged batch, so the swap-outs
+// counted so far are exactly the routed puts.
 TEST(SwapCompactionTest, RatioRoutingIgnoresCompactionPuts) {
   Rig rig(make_fastswap_ratio(0.9, 16));
   auto routed_to_shm = [](std::uint64_t puts) {
@@ -437,6 +444,7 @@ TEST(SwapCompactionTest, RatioRoutingIgnoresCompactionPuts) {
   for (int step = 0; step < 4000; ++step) {
     ASSERT_TRUE(
         rig.manager->touch(rng.next_below(64), rng.bernoulli(0.5)).ok());
+    ASSERT_TRUE(rig.manager->wb_barrier().ok());
     const std::uint64_t puts = rig.manager->swap_outs();
     ASSERT_EQ(rig.client->puts_to_shm(), routed_to_shm(puts))
         << "step " << step;
@@ -445,6 +453,173 @@ TEST(SwapCompactionTest, RatioRoutingIgnoresCompactionPuts) {
   }
   EXPECT_GT(rig.manager->swap_outs(), 200u);
   EXPECT_GT(compact_counter(rig, "committed"), 0u);
+}
+
+// ---- the swap worker -------------------------------------------------------
+
+// Records the span names each trace opens, in order.
+class SpanNames : public sim::SpanSink {
+ public:
+  std::uint64_t begin_span(std::uint64_t trace, std::uint32_t,
+                           std::string_view, std::string_view name) override {
+    names[trace].emplace_back(name);
+    return ++next_;
+  }
+  void end_span(std::uint64_t) override {}
+  void event(std::uint64_t, std::uint32_t, std::string_view,
+             std::string_view) override {}
+
+  std::map<std::uint64_t, std::vector<std::string>> names;
+
+ private:
+  std::uint64_t next_ = 0;
+};
+
+SimTime dram_ns(Rig& rig) {
+  return rig.system->fabric().config().latency.dram.overhead_ns;
+}
+
+// With the worker idle, a fault whose make_room writes out a dirty batch
+// costs the faulting thread exactly what a fault that only drops a clean
+// page does: the batch's LZ and its put are the worker's.
+TEST(SwapWorkerTest, DirtyWriteOutCostsTheFaultNothing) {
+  Rig rig(make_system(SystemKind::kFastSwap, 8));
+  SpanNames spans;
+  rig.manager->set_span_sink(&spans);
+  auto& sim = rig.system->simulator();
+  auto& m = rig.manager->metrics();
+  auto fault_ns = [&](std::uint64_t page) {
+    rig.system->run_for(1 * kMilli);
+    EXPECT_LE(rig.manager->worker_free_at(), sim.now());  // worker idle
+    const SimTime start = sim.now();
+    EXPECT_TRUE(rig.manager->touch(page).ok());
+    return sim.now() - start;
+  };
+
+  for (std::uint64_t p = 0; p < 8; ++p)
+    ASSERT_TRUE(rig.manager->touch(p, /*write=*/true).ok());
+  const SimTime dirty = fault_ns(100);  // make_room writes out 0..7
+  ASSERT_EQ(m.counter_value("swap.wb.staged"), 1u);
+
+  ASSERT_TRUE(rig.manager->flush_all().ok());
+  ASSERT_TRUE(rig.manager->touch(0).ok());  // PBS: 0..7 come back clean
+  const std::uint64_t drops = m.counter_value("swap.clean_drops");
+  const SimTime clean = fault_ns(101);  // make_room drops page 0
+  ASSERT_EQ(m.counter_value("swap.clean_drops"), drops + 1);
+  ASSERT_EQ(m.counter_value("swap.wb.staged"), 2u);  // nothing new staged
+
+  EXPECT_EQ(dirty, clean);
+  EXPECT_EQ(dirty, dram_ns(rig));
+  std::size_t fault_traces = 0;
+  for (const auto& [trace, names] : spans.names) {
+    if (names.front() != "swap.fault") continue;
+    ++fault_traces;
+    for (const std::string& name : names)
+      EXPECT_NE(name, "compress.page") << "trace " << trace;
+  }
+  EXPECT_GT(fault_traces, 0u);
+}
+
+// Conservation: the worker is busy for exactly the swap CPU it took over
+// from the faulting thread — every page compressed, every LZ sibling
+// decoded and every swapped-out page's block-stack tax, cancelled batches
+// included.
+TEST(SwapWorkerTest, BusyTimeIsTheSwapCpuItTookOver) {
+  auto setup = make_system(SystemKind::kFastSwap, 16);
+  setup.swap.extra_op_overhead = 2 * kMicro;  // every term non-zero
+  Rig rig(setup);
+  Rng rng(7);
+  for (int step = 0; step < 1500; ++step)
+    ASSERT_TRUE(
+        rig.manager->touch(rng.next_below(64), rng.bernoulli(0.3)).ok());
+  ASSERT_TRUE(rig.manager->flush_all().ok());
+
+  const auto& m = rig.manager->metrics();
+  const std::uint64_t compressed =
+      m.counter_value("swap.logical_bytes") / kPageBytes;
+  const std::uint64_t decoded = m.counter_value("swap.worker.decoded_pages");
+  const std::uint64_t swapped_out = m.counter_value("swap.swapped_out_pages");
+  EXPECT_GT(compressed, 0u);
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(m.counter_value("swap.wb.cancelled_batches"), 0u);
+  const auto& swap = rig.setup.swap;
+  EXPECT_EQ(m.counter_value("swap.worker.busy_ns"),
+            compressed * swap.compress_ns + decoded * swap.decompress_ns +
+                swapped_out * swap.extra_op_overhead);
+}
+
+// A PBS fault restores every member at once, but the worker decodes the
+// siblings one after another. A touch on a sibling it has not finished
+// waits exactly until it has, and that wait is not a fault.
+TEST(SwapWorkerTest, TouchOnADecodingSiblingWaitsForIt) {
+  Rig rig(make_system(SystemKind::kFastSwap, 16));
+  auto& sim = rig.system->simulator();
+  for (std::uint64_t p = 0; p < 8; ++p) ASSERT_TRUE(rig.manager->touch(p).ok());
+  ASSERT_TRUE(rig.manager->flush_all().ok());  // one 8-page LZ batch
+  rig.system->run_for(1 * kMilli);
+
+  ASSERT_TRUE(rig.manager->touch(0).ok());  // siblings 1..7 to the worker
+  ASSERT_EQ(rig.manager->metrics().counter_value("swap.worker.decoded_pages"),
+            7u);
+  // The worker decodes in member order, so page 7 is ready last; page 1
+  // is ready while the faulting thread decodes page 0.
+  const SimTime ready = rig.manager->worker_free_at();
+  const std::uint64_t faults = rig.manager->faults();
+  ASSERT_TRUE(rig.manager->touch(1).ok());
+  const Histogram& waits =
+      rig.manager->metrics().histogram("swap.worker.wait_ns");
+  EXPECT_EQ(waits.count(), 0u);
+  const SimTime before = sim.now();
+  ASSERT_GT(ready, before);
+  ASSERT_TRUE(rig.manager->touch(7).ok());
+  EXPECT_EQ(sim.now(), ready + dram_ns(rig));
+  EXPECT_EQ(waits.count(), 1u);
+  EXPECT_EQ(waits.max(), static_cast<std::uint64_t>(ready - before));
+  EXPECT_EQ(rig.manager->faults(), faults);
+  auto bytes = rig.manager->resident_bytes(7);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(fnv1a(*bytes), expected_checksum(7));
+}
+
+// The staging bound is the worker's backpressure: with room for one batch
+// and a worker that takes 8 ms per batch, staging a second batch waits for
+// the first to land. With the default bound the same fault does not wait.
+TEST(SwapWorkerTest, SlowWorkerStallsTheAppAtTheStagingBound) {
+  auto second_batch_ns = [](std::size_t bound) {
+    auto setup = make_system(SystemKind::kFastSwap, 8);
+    setup.swap.writeback_batches = bound;
+    setup.swap.compress_ns = 1 * kMilli;
+    Rig rig(setup);
+    auto& sim = rig.system->simulator();
+    for (std::uint64_t p = 0; p < 16; ++p)  // 0..7 staged at page 8
+      EXPECT_TRUE(rig.manager->touch(p, /*write=*/true).ok());
+    const SimTime start = sim.now();
+    EXPECT_TRUE(rig.manager->touch(16, /*write=*/true).ok());  // 8..15
+    EXPECT_LE(rig.manager->wb_staged_batches(), bound);
+    return sim.now() - start;
+  };
+  EXPECT_GE(second_batch_ns(1), 8 * kMilli);
+  EXPECT_LT(second_batch_ns(4), 1 * kMicro);
+}
+
+// A write-back put that lands after its manager is gone frees its entry,
+// as a compaction's landing does: nothing would ever name it. Without
+// compression the worker has no work, so each put goes out at its flush
+// deadline and is still in flight when the manager goes.
+TEST(SwapWriteBackTest, PutLandingAfterDestructionFreesItsEntry) {
+  auto setup = make_system(SystemKind::kFastSwapAdaptive, 8);
+  setup.ldmc.shm_fraction = 0.0;
+  setup.swap.compression = CompressionMode::kOff;
+  Rig rig(setup);
+  for (std::uint64_t p = 0; p < 16; ++p)
+    ASSERT_TRUE(rig.manager->touch(p, /*write=*/true).ok());
+  rig.system->run_for(setup.swap.writeback_flush_delay);
+  ASSERT_EQ(rig.manager->wb_in_flight(), 2u);
+  const auto at_destruction = stored_entries(*rig.client);
+  rig.manager.reset();
+  rig.system->run_for(10 * kMilli);
+  EXPECT_EQ(rig.client->puts_to_remote(), 2u);  // both puts landed
+  EXPECT_EQ(stored_entries(*rig.client), at_destruction);
 }
 
 // ---- zswap -----------------------------------------------------------------
