@@ -7,8 +7,9 @@
 # byte-identical snapshot diff), a CXL-tier stage (the litmus battery +
 # coherence soak run twice same-seed cross-process and diffed, plus the
 # storage-tiers ablation gate), a gcov-instrumented build gating
-# line coverage of the swap + compression + cxl + ec layers, then a
-# perfbench stage pinning the benchmark's virtual numbers to a golden.
+# line coverage of the swap + compression + cxl + ec + storage layers,
+# then a perfbench stage pinning the benchmark's virtual numbers to a
+# golden.
 #
 # Usage: ./ci.sh [--lint-only|--plain-only|--sanitize-only|--obs-only|
 #                 --scale-only|--ec-only|--cxl-only|--coverage-only|
@@ -24,8 +25,8 @@
 # The sanitizer pass uses the DM_SANITIZE cache option defined in the root
 # CMakeLists.txt (compiles the whole tree with -fsanitize=address,undefined).
 # The coverage pass uses DM_COVERAGE and fails CI if line coverage of the
-# .cc files under src/swap/ + src/compress/ + src/cxl/ + src/ec/ drops
-# below the floor.
+# .cc files under src/swap/ + src/compress/ + src/cxl/ + src/ec/ +
+# src/storage/ drops below the floor.
 set -euo pipefail
 
 cd "$(dirname "$0")"
@@ -297,9 +298,11 @@ run_coverage() {
   # The swap/compress test set: unit, sweep, adaptive-engine, the
   # trace-replay model checker, and the crash-recovery suite (which is
   # what reaches the write-back failure / degraded-fallback paths), plus
-  # the codec battery: every remote byte goes through src/ec.
+  # the codec battery (every remote byte goes through src/ec) and the
+  # block device + extent allocator suite (every device-tier byte goes
+  # through src/storage).
   local tests=(swap_test swap_adaptive_test swap_sweep_test model_test
-               compress_test recovery_test cxl_test ec_test)
+               compress_test recovery_test cxl_test ec_test storage_test)
   cmake -B "$build_dir" -S . -DDM_COVERAGE=ON -DCMAKE_BUILD_TYPE=Debug
   cmake --build "$build_dir" -j "$jobs" --target "${tests[@]}"
   find "$build_dir" -name '*.gcda' -delete
@@ -312,7 +315,7 @@ run_coverage() {
   mkdir -p "$covdir"
   : > "$covdir/lines.txt"
   local lib src objdir
-  for lib in swap compress cxl ec; do
+  for lib in swap compress cxl ec storage; do
     objdir="../src/$lib/CMakeFiles/dm_${lib}.dir"
     for src in src/"$lib"/*.cc; do
       # cmake names objects "<src>.cc.o", so gcov needs the object path
@@ -337,7 +340,7 @@ run_coverage() {
     END {
       if (total == 0) { print "coverage: no gcov data found"; exit 1 }
       pct = 100.0 * covered / total;
-      printf "==> swap+compress+cxl+ec line coverage: %.2f%% (floor %.1f%%)\n",
+      printf "==> swap+compress+cxl+ec+storage line coverage: %.2f%% (floor %.1f%%)\n",
              pct, floor;
       if (pct < floor) {
         print "==> COVERAGE GATE FAILED: below established level";
@@ -403,7 +406,7 @@ if [[ "$mode" == "all" || "$mode" == "--cxl-only" ]]; then
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--coverage-only" ]]; then
-  echo "==> coverage build + swap/compress/cxl/ec gate"
+  echo "==> coverage build + swap/compress/cxl/ec/storage gate"
   run_coverage
 fi
 

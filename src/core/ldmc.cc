@@ -8,8 +8,7 @@
 namespace dm::core {
 
 Ldmc::Ldmc(NodeService& service, cluster::ServerId server, Config config)
-    : service_(service), server_(server), config_(config),
-      map_(config.map_shards) {}
+    : service_(service), server_(server), config_(config) {}
 
 void Ldmc::put(mem::EntryId entry, std::span<const std::byte> data,
                std::function<void(const Status&)> done, net::TraceId trace) {

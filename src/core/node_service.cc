@@ -1,6 +1,7 @@
 #include "core/node_service.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/checksum.h"
 #include "common/status.h"
@@ -10,6 +11,7 @@
 #include "ec/rs_codec.h"
 #include "mem/memory_map.h"
 #include "net/wire.h"
+#include "sim/latency_model.h"
 #include "storage/block_device.h"
 
 namespace dm::core {
@@ -18,11 +20,45 @@ using cluster::kRpcEvictNotice;
 using cluster::kRpcMigrateRegion;
 using cluster::kRpcQueryCandidates;
 
+namespace {
+
+// Shared-pool LRU entries a put may spill to remote memory to make room
+// before it falls through to the tiers below (§IV.B).
+constexpr std::size_t kMaxSpillPerPut = 4;
+// Period of the leader candidate-set refresh (§IV.E).
+constexpr SimTime kCandidateRefreshPeriod = 500 * kMilli;
+// Window over which the node's disaggregated-memory pressure (remote puts
+// + non-shm gets) is counted. The last full window's count is what
+// heartbeats advertise and load-aware placement discounts by.
+constexpr SimTime kPressureWindow = 1 * kSecond;
+// Donation a hot server gives back per eviction-monitor period when
+// ballooning is on (§IV.F policy 2).
+constexpr double kBalloonStep = 0.05;
+// Virtual-time CPU cost of the Reed–Solomon codec when rdmc.ec_k > 1
+// (k = 1 copies cost nothing). The codec itself is pure computation, so
+// its cost is modeled as latency: encode on every remote put, decode on
+// degraded reads and shard reconstruction. The figures approximate a
+// table-driven GF(2^8) software codec on one core.
+constexpr sim::CostModel kEcEncodeCost{2000, 4.0};
+constexpr sim::CostModel kEcDecodeCost{3000, 3.0};
+
+}  // namespace
+
 NodeService::NodeService(cluster::Node& node, Config config)
     : node_(node), config_(std::move(config)), rdms_(node),
       rdmc_(node, config_.rdmc),
       // A (k, r) the codec rejects is a configuration error (asserted).
       codec_(*ec::RsCodec::make(config_.rdmc.ec_k, config_.rdmc.ec_r)) {
+  // §VI convergence: a local NVM tier, when present, sits between remote
+  // memory and the rotational swap device.
+  if (storage::BlockDevice* nvm = node_.nvm(); nvm != nullptr)
+    devices_.push_back({nvm, storage::ExtentAllocator(nvm->capacity()),
+                        mem::Tier::kNvm, "ldms.put_nvm", "nvm.read",
+                        "nvm.write"});
+  devices_.push_back({&node_.disk(),
+                      storage::ExtentAllocator(node_.disk().capacity()),
+                      mem::Tier::kDisk, "ldms.put_disk", "disk.read",
+                      "disk.write"});
   // Candidate set for placement: either this node's own heartbeat view or
   // the leader-aggregated cache (§IV.E), when enabled and populated.
   rdmc_.set_candidates_provider([this]() {
@@ -120,8 +156,7 @@ void NodeService::put_entry(cluster::ServerId server, mem::EntryId entry,
           return;
         }
         const bool can_spill = s.code() == StatusCode::kResourceExhausted &&
-                               self->config_.spill_shm_lru && allow_remote &&
-                               spill_budget > 0;
+                               allow_remote && spill_budget > 0;
         if (can_spill) {
           --spill_budget;
           auto self_ptr = shared_from_this();
@@ -138,14 +173,8 @@ void NodeService::put_entry(cluster::ServerId server, mem::EntryId entry,
       }
 
       void fall_through() {
-        if (allow_remote) {
-          self->put_remote(server, entry, payload, allow_disk,
-                           std::move(done), trace);
-        } else if (allow_disk) {
-          self->put_device(server, entry, payload, std::move(done));
-        } else {
-          done(ResourceExhaustedError("no tier available for entry"));
-        }
+        self->put_below_shm(server, entry, payload, allow_remote, allow_disk,
+                            std::move(done), trace);
       }
     };
     auto attempt = std::make_shared<ShmAttempt>();
@@ -153,7 +182,7 @@ void NodeService::put_entry(cluster::ServerId server, mem::EntryId entry,
     attempt->server = server;
     attempt->entry = entry;
     attempt->payload.assign(data.begin(), data.end());
-    attempt->spill_budget = config_.max_spill_per_put;
+    attempt->spill_budget = kMaxSpillPerPut;
     attempt->allow_remote = allow_remote;
     attempt->allow_disk = allow_disk;
     attempt->trace = trace;
@@ -161,11 +190,18 @@ void NodeService::put_entry(cluster::ServerId server, mem::EntryId entry,
     attempt->run();
     return;
   }
+  put_below_shm(server, entry, data, allow_remote, allow_disk,
+                std::move(done), trace);
+}
 
+void NodeService::put_below_shm(cluster::ServerId server, mem::EntryId entry,
+                                std::span<const std::byte> data,
+                                bool allow_remote, bool allow_disk,
+                                PutCallback done, net::TraceId trace) {
   if (allow_remote) {
     put_remote(server, entry, data, allow_disk, std::move(done), trace);
   } else if (allow_disk) {
-    put_device(server, entry, data, std::move(done), trace);
+    put_device(data, std::move(done), trace);
   } else {
     done(ResourceExhaustedError("no tier available for entry"));
   }
@@ -182,7 +218,7 @@ void NodeService::put_remote(cluster::ServerId server, mem::EntryId entry,
                                                           data.end());
   store_stripe(
       server, entry, *payload,
-      [this, server, entry, allow_disk, payload, trace,
+      [this, allow_disk, payload, trace,
        done = std::move(done)](StatusOr<mem::EntryLocation> loc) mutable {
         if (loc.ok()) {
           // Degraded-mode put (§IV.D hardening): fewer shards than the
@@ -200,7 +236,7 @@ void NodeService::put_remote(cluster::ServerId server, mem::EntryId entry,
             loc.status().code() != StatusCode::kResourceExhausted;
         if (allow_disk) {
           ++metrics_.counter("ldms.remote_overflow_to_disk");
-          put_device(server, entry, *payload,
+          put_device(*payload,
                      [this, unreachable, done = std::move(done)](
                          StatusOr<mem::EntryLocation> result) mutable {
                        if (result.ok() && unreachable) {
@@ -279,7 +315,7 @@ void NodeService::store_stripe(
     fan_out();
     return;
   }
-  const SimTime cost = config_.ec_encode_cost.cost(size);
+  const SimTime cost = kEcEncodeCost.cost(size);
   metrics_.histogram("ec.encode_ns").record(
       static_cast<std::uint64_t>(cost));
   ++metrics_.counter("ec.encodes");
@@ -415,8 +451,7 @@ void NodeService::degraded_read(mem::EntryLocation location,
       st->done(data.status());
       return;
     }
-    const SimTime cost =
-        st->self->config_.ec_decode_cost.cost(st->loc.stored_size);
+    const SimTime cost = kEcDecodeCost.cost(st->loc.stored_size);
     st->self->metrics_.histogram("ec.decode_ns")
         .record(static_cast<std::uint64_t>(cost));
     ++st->self->metrics_.counter("ec.degraded_reads");
@@ -459,68 +494,18 @@ void NodeService::degraded_read(mem::EntryLocation location,
   }
 }
 
-void NodeService::put_device(cluster::ServerId server, mem::EntryId entry,
-                             std::span<const std::byte> data, PutCallback done,
-                             net::TraceId trace) {
+void NodeService::put_device(std::span<const std::byte> data,
+                             PutCallback done, net::TraceId trace) {
   note_pressure();
-  // §VI convergence: a local NVM tier, when present, sits between remote
-  // memory and the rotational swap device.
-  if (node_.nvm() != nullptr) {
-    put_nvm(server, entry, data, std::move(done), trace);
-    return;
-  }
-  put_disk(server, entry, data, std::move(done), trace);
-}
-
-void NodeService::put_nvm(cluster::ServerId server, mem::EntryId entry,
-                          std::span<const std::byte> data, PutCallback done,
-                          net::TraceId trace) {
-  auto offset = alloc_nvm(static_cast<std::uint32_t>(data.size()));
-  if (!offset.ok()) {
+  const auto size = static_cast<std::uint32_t>(data.size());
+  Device* dev = &devices_.front();
+  auto offset = dev->extents.allocate(size);
+  if (!offset.ok() && dev->tier == mem::Tier::kNvm) {
     // NVM full: fall through to the disk below it.
     ++metrics_.counter("ldms.nvm_overflow_to_disk");
-    put_disk(server, entry, data, std::move(done), trace);
-    return;
+    dev = &devices_.back();
+    offset = dev->extents.allocate(size);
   }
-  if (spans_ != nullptr && trace != net::kNoTrace) {
-    // dm-lint: allow(span-unclosed) — closed by the wrapped completion.
-    const std::uint64_t span =
-        spans_->begin_span(trace, node_.id(), "disk", "nvm.write");
-    done = [spans = spans_, span, inner = std::move(done)](
-               StatusOr<mem::EntryLocation> result) {
-      spans->end_span(span);
-      inner(std::move(result));
-    };
-  }
-  const auto size = static_cast<std::uint32_t>(data.size());
-  const std::uint64_t at = *offset;
-  auto done_ptr = std::make_shared<PutCallback>(std::move(done));
-  Status posted = node_.nvm()->write(
-      at, data, [this, at, size, done_ptr](const Status& s, SimTime) {
-        if (!s.ok()) {
-          free_nvm(at, size);
-          (*done_ptr)(s);
-          return;
-        }
-        mem::EntryLocation loc;
-        loc.tier = mem::Tier::kNvm;
-        loc.stored_size = size;
-        loc.disk_offset = at;
-        ++metrics_.counter("ldms.put_nvm");
-        (*done_ptr)(loc);
-      });
-  if (!posted.ok()) {
-    free_nvm(at, size);
-    (*done_ptr)(posted);
-  }
-}
-
-void NodeService::put_disk(cluster::ServerId server, mem::EntryId entry,
-                           std::span<const std::byte> data, PutCallback done,
-                           net::TraceId trace) {
-  (void)server;
-  (void)entry;
-  auto offset = alloc_disk(static_cast<std::uint32_t>(data.size()));
   if (!offset.ok()) {
     done(offset.status());
     return;
@@ -528,34 +513,33 @@ void NodeService::put_disk(cluster::ServerId server, mem::EntryId entry,
   if (spans_ != nullptr && trace != net::kNoTrace) {
     // dm-lint: allow(span-unclosed) — closed by the wrapped completion.
     const std::uint64_t span =
-        spans_->begin_span(trace, node_.id(), "disk", "disk.write");
+        spans_->begin_span(trace, node_.id(), "disk", dev->write_span);
     done = [spans = spans_, span, inner = std::move(done)](
                StatusOr<mem::EntryLocation> result) {
       spans->end_span(span);
       inner(std::move(result));
     };
   }
-  const auto size = static_cast<std::uint32_t>(data.size());
   const std::uint64_t at = *offset;
   // Shared so the error path below can still invoke it if the device
   // rejects the I/O at post time (the lambda then never runs).
   auto done_ptr = std::make_shared<PutCallback>(std::move(done));
-  Status posted = node_.disk().write(
-      at, data, [this, at, size, done_ptr](const Status& s, SimTime) {
+  Status posted = dev->block->write(
+      at, data, [this, dev, at, size, done_ptr](const Status& s, SimTime) {
         if (!s.ok()) {
-          free_disk(at, size);
+          dev->extents.release(at, size);
           (*done_ptr)(s);
           return;
         }
         mem::EntryLocation loc;
-        loc.tier = mem::Tier::kDisk;
+        loc.tier = dev->tier;
         loc.stored_size = size;
         loc.disk_offset = at;
-        ++metrics_.counter("ldms.put_disk");
+        ++metrics_.counter(dev->put_counter);
         (*done_ptr)(loc);
       });
   if (!posted.ok()) {
-    free_disk(at, size);
+    dev->extents.release(at, size);
     ++metrics_.counter("ldms.put_disk_failed");
     (*done_ptr)(posted);
   }
@@ -662,17 +646,15 @@ void NodeService::get_entry(cluster::ServerId server, mem::EntryId entry,
       return;
     case mem::Tier::kNvm:
     case mem::Tier::kDisk: {
-      storage::BlockDevice* device =
-          location.tier == mem::Tier::kNvm ? node_.nvm() : &node_.disk();
-      if (device == nullptr) {
+      Device* dev = device(location.tier);
+      if (dev == nullptr) {
         done(FailedPreconditionError("entry on absent NVM tier"));
         return;
       }
       if (spans_ != nullptr && trace != net::kNoTrace) {
         // dm-lint: allow(span-unclosed) — closed by the wrapped completion.
-        const std::uint64_t span = spans_->begin_span(
-            trace, node_.id(), "disk",
-            location.tier == mem::Tier::kNvm ? "nvm.read" : "disk.read");
+        const std::uint64_t span =
+            spans_->begin_span(trace, node_.id(), "disk", dev->read_span);
         done = [spans = spans_, span,
                 inner = std::move(done)](const Status& s) {
           spans->end_span(span);
@@ -680,7 +662,7 @@ void NodeService::get_entry(cluster::ServerId server, mem::EntryId entry,
         };
       }
       auto done_ptr = std::make_shared<DoneCallback>(std::move(done));
-      Status posted = device->read(
+      Status posted = dev->block->read(
           location.disk_offset + offset, out,
           [done_ptr](const Status& s, SimTime) { (*done_ptr)(s); });
       if (!posted.ok()) {
@@ -708,12 +690,9 @@ void NodeService::remove_entry(cluster::ServerId server, mem::EntryId entry,
       rdmc_.free_replicas(location.replicas, std::move(done), trace);
       return;
     case mem::Tier::kNvm:
-      free_nvm(location.disk_offset, location.stored_size);
-      node_.simulator().schedule_after(
-          0, [done = std::move(done)]() { done(Status::Ok()); });
-      return;
     case mem::Tier::kDisk:
-      free_disk(location.disk_offset, location.stored_size);
+      if (Device* dev = device(location.tier); dev != nullptr)
+        dev->extents.release(location.disk_offset, location.stored_size);
       node_.simulator().schedule_after(
           0, [done = std::move(done)]() { done(Status::Ok()); });
       return;
@@ -1059,7 +1038,7 @@ void NodeService::repair_entry(cluster::ServerId server, mem::EntryId entry,
                   done(Status::Ok());
                   return;
                 }
-                const mem::Tier old_tier = old.tier;
+                Device* dev = device(old.tier);
                 const std::uint64_t extent = old.disk_offset;
                 mem::EntryLocation updated = std::move(old);
                 updated.tier = mem::Tier::kRemote;
@@ -1071,10 +1050,7 @@ void NodeService::repair_entry(cluster::ServerId server, mem::EntryId entry,
                 updated.disk_offset = 0;
                 const std::uint32_t stored = updated.stored_size;
                 live_owner->map().commit(entry, std::move(updated));
-                if (old_tier == mem::Tier::kNvm)
-                  free_nvm(extent, stored);
-                else
-                  free_disk(extent, stored);
+                if (dev != nullptr) dev->extents.release(extent, stored);
                 ++metrics_.counter("ldms.promoted_from_disk");
                 done(Status::Ok());
               },
@@ -1157,7 +1133,7 @@ void NodeService::repair_stripe(cluster::ServerId server, mem::EntryId entry,
     // decode, charged as virtual time before the fan-out.
     SimTime cost = 0;
     if (k > 1) {
-      cost = self->config_.ec_decode_cost.cost(st->base.stored_size);
+      cost = kEcDecodeCost.cost(st->base.stored_size);
       self->metrics_.histogram("ec.decode_ns")
           .record(static_cast<std::uint64_t>(cost));
     }
@@ -1255,29 +1231,22 @@ void NodeService::repair_stripe(cluster::ServerId server, mem::EntryId entry,
 // count of the last *complete* window regardless of call order. A node
 // that goes quiet for more than a window reports zero (stale demand must
 // not repel placements forever).
-void NodeService::note_pressure() {
+void NodeService::roll_pressure_window() const {
   const SimTime now = node_.simulator().now();
-  if (now - pressure_window_start_ >= config_.pressure_window) {
-    const bool adjacent =
-        now - pressure_window_start_ < 2 * config_.pressure_window;
-    pressure_last_ = adjacent ? pressure_accum_ : 0;
-    pressure_accum_ = 0;
-    pressure_window_start_ =
-        now - (now - pressure_window_start_) % config_.pressure_window;
-  }
+  const SimTime elapsed = now - pressure_window_start_;
+  if (elapsed < kPressureWindow) return;
+  pressure_last_ = elapsed < 2 * kPressureWindow ? pressure_accum_ : 0;
+  pressure_accum_ = 0;
+  pressure_window_start_ = now - elapsed % kPressureWindow;
+}
+
+void NodeService::note_pressure() {
+  roll_pressure_window();
   ++pressure_accum_;
 }
 
 std::uint64_t NodeService::pressure() const {
-  const SimTime now = node_.simulator().now();
-  if (now - pressure_window_start_ >= config_.pressure_window) {
-    const bool adjacent =
-        now - pressure_window_start_ < 2 * config_.pressure_window;
-    pressure_last_ = adjacent ? pressure_accum_ : 0;
-    pressure_accum_ = 0;
-    pressure_window_start_ =
-        now - (now - pressure_window_start_) % config_.pressure_window;
-  }
+  roll_pressure_window();
   return pressure_last_;
 }
 
@@ -1324,7 +1293,7 @@ void NodeService::refresh_candidates() {
       node_.election() != nullptr ? node_.election()->leader()
                                   : net::kInvalidNode;
   auto reschedule = [this]() {
-    node_.simulator().schedule_after(config_.candidate_refresh_period,
+    node_.simulator().schedule_after(kCandidateRefreshPeriod,
                                      [this]() { refresh_candidates(); });
   };
   if (leader == net::kInvalidNode || leader == node_.id()) {
@@ -1406,7 +1375,7 @@ void NodeService::eviction_tick() {
     if (cfg.auto_balloon) {
       if (auto* vs = node_.find_server(server)) {
         const double next =
-            std::max(0.0, vs->donation_fraction() - cfg.balloon_step);
+            std::max(0.0, vs->donation_fraction() - kBalloonStep);
         if (node_.set_server_donation(server, next).ok())
           ++metrics_.counter("eviction.balloon_applied");
       }
@@ -1417,47 +1386,33 @@ void NodeService::eviction_tick() {
   remote_puts_window_ = 0;
 }
 
-// ---- disk extents -----------------------------------------------------------
+// ---- the device tier ---------------------------------------------------------
 
-std::uint32_t NodeService::disk_class(std::uint32_t size) noexcept {
-  std::uint32_t cls = 512;
-  while (cls < size) cls <<= 1;
-  return cls;
+NodeService::Device* NodeService::device(mem::Tier tier) {
+  for (Device& dev : devices_)
+    if (dev.tier == tier) return &dev;
+  return nullptr;
 }
 
-StatusOr<std::uint64_t> NodeService::alloc_extent(DiskExtents& extents,
-                                                  std::uint64_t capacity,
-                                                  std::uint32_t size) {
-  const std::uint32_t cls = disk_class(size);
-  auto& free_list = extents.free_by_class[cls];
-  if (!free_list.empty()) {
-    const std::uint64_t offset = free_list.back();
-    free_list.pop_back();
-    return offset;
+void NodeService::reserve_backup_ring() {
+  if (backup_cursor_ != 0) return;
+  Device& disk = devices_.back();
+  const std::uint64_t ring = disk.block->capacity() / 2;
+  // Extents already in the ring would be overwritten by backup writes.
+  [[maybe_unused]] const Status reserved = disk.extents.reserve_top(ring);
+  assert(reserved.ok() && "disk extents already reach the backup ring");
+  backup_cursor_ = ring;
+}
+
+void NodeService::backup_pages(std::size_t pages, std::size_t page_bytes) {
+  storage::BlockDevice& disk = *devices_.back().block;
+  for (std::size_t i = 0; i < pages; ++i) {
+    if (backup_cursor_ + page_bytes > disk.capacity())
+      backup_cursor_ = disk.capacity() / 2;
+    std::vector<std::byte> copy(page_bytes);
+    (void)disk.write(backup_cursor_, copy, {});
+    backup_cursor_ += page_bytes;
   }
-  if (extents.cursor + cls > capacity)
-    return ResourceExhaustedError("device full");
-  const std::uint64_t offset = extents.cursor;
-  extents.cursor += cls;
-  return offset;
-}
-
-StatusOr<std::uint64_t> NodeService::alloc_disk(std::uint32_t size) {
-  return alloc_extent(disk_extents_, node_.disk().capacity(), size);
-}
-
-void NodeService::free_disk(std::uint64_t offset, std::uint32_t size) {
-  disk_extents_.free_by_class[disk_class(size)].push_back(offset);
-}
-
-StatusOr<std::uint64_t> NodeService::alloc_nvm(std::uint32_t size) {
-  if (node_.nvm() == nullptr)
-    return FailedPreconditionError("no NVM tier on this node");
-  return alloc_extent(nvm_extents_, node_.nvm()->capacity(), size);
-}
-
-void NodeService::free_nvm(std::uint64_t offset, std::uint32_t size) {
-  nvm_extents_.free_by_class[disk_class(size)].push_back(offset);
 }
 
 }  // namespace dm::core

@@ -8,7 +8,10 @@
 //  * the put path: try the node-coordinated shared memory pool first (DRAM
 //    speed), spill the pool's LRU entries to remote memory under pressure,
 //    route overflow to remote memory via the RDMC, and fall back to the
-//    local swap disk when the cluster has no room (§IV.B);
+//    device tier when the cluster has no room (§IV.B);
+//  * the device tier, the only code that places bytes on the node's block
+//    devices: one extent allocator per device, NVM (when present) before
+//    the disk (§VI), and Infiniswap's backup ring over the disk's top half;
 //  * the get path: serve from whichever tier the entry's committed map
 //    location names, failing over across copies or reconstructing a
 //    stripe around lost shards;
@@ -24,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "cluster/node.h"
 #include "common/metrics.h"
@@ -34,8 +38,8 @@
 #include "ec/rs_codec.h"
 #include "mem/memory_map.h"
 #include "net/wire.h"
-#include "sim/latency_model.h"
 #include "sim/span_sink.h"
+#include "storage/block_device.h"
 
 namespace dm::core {
 
@@ -48,7 +52,6 @@ struct LdmcOptions {
   double shm_fraction = 1.0;
   bool allow_remote = true;
   bool allow_disk = true;
-  std::size_t map_shards = 16;
   bool verify_checksums = false;  // verify full-entry gets against the map
 };
 
@@ -61,36 +64,19 @@ class NodeService {
     // drops below this while local servers are going remote.
     double low_free_watermark = 0.15;
     std::uint64_t remote_rate_threshold = 32;  // puts/period to count as hot
-    // Policy 2: shrink a hot server's donation by this much per period,
-    // giving it back resident DRAM (ballooning).
+    // Policy 2: shrink a hot server's donation by a fixed step per
+    // period, giving it back resident DRAM (ballooning).
     bool auto_balloon = false;
-    double balloon_step = 0.05;
   };
 
   struct Config {
     Rdmc::Config rdmc{};
     EvictionConfig eviction{};
-    // Migrate shared-pool LRU entries to remote memory when the pool is
-    // full, instead of sending the incoming entry remote directly.
-    bool spill_shm_lru = true;
-    std::size_t max_spill_per_put = 4;
     // §IV.E: consult the group leader for the placement candidate set
     // (refreshed periodically) instead of each node's own heartbeat view.
     // The leader aggregates the group, so placement decisions across nodes
     // draw from one consistent picture.
     bool leader_candidates = false;
-    SimTime candidate_refresh_period = 500 * kMilli;
-    // Window over which the node's disaggregated-memory pressure (remote
-    // puts + non-shm gets) is counted. The last full window's count is
-    // what heartbeats advertise and load-aware placement discounts by.
-    SimTime pressure_window = 1 * kSecond;
-    // Virtual-time CPU cost of the Reed–Solomon codec when rdmc.ec_k > 1
-    // (k = 1 copies cost nothing). The codec itself is pure computation,
-    // so its cost is modeled as latency here: encode on every remote put,
-    // decode on degraded reads and shard reconstruction. Defaults
-    // approximate a table-driven GF(2^8) software codec on one core.
-    sim::CostModel ec_encode_cost{2000, 4.0};
-    sim::CostModel ec_decode_cost{3000, 3.0};
   };
 
   using PutCallback = std::function<void(StatusOr<mem::EntryLocation>)>;
@@ -110,6 +96,7 @@ class NodeService {
   // Causal span sink (not owned; null detaches). Traced device-tier I/O
   // gets "disk"/"disk.read|write" and "disk"/"nvm.read|write" spans from
   // post to completion, the disk/NVM components of a fault's critical path.
+  // The backup ring's writes are untraced.
   void set_span_sink(sim::SpanSink* spans) noexcept { spans_ = spans; }
 
   // --- client registry -------------------------------------------------------
@@ -165,6 +152,18 @@ class NodeService {
 
   std::uint64_t data_loss_entries() const noexcept { return data_loss_; }
 
+  // --- the backup ring (Infiniswap's durability path) -----------------------
+  // Sets aside the top half of the disk, [capacity/2, capacity), as a ring
+  // of whole-page backup writes; device-tier extents stop below it from
+  // then on. Called by every swap manager with disk backup on; the first
+  // call reserves. A disk whose extents already reach the ring is a
+  // configuration error (asserted).
+  void reserve_backup_ring();
+  // Queues `pages` asynchronous whole-page writes at the ring's cursor,
+  // wrapping at the end of the disk. Nothing reads them back: they cost
+  // disk time, which is what the backup models.
+  void backup_pages(std::size_t pages, std::size_t page_bytes);
+
   // --- cluster balancing (§I, §IV.F extended) --------------------------------
   // This node's disaggregated-memory demand: the op count of the last full
   // pressure window (lazily rotated against virtual time). Advertised in
@@ -189,15 +188,24 @@ class NodeService {
   bool reclaim_donated_slab();
 
  private:
-  struct DiskExtents {
-    std::uint64_t cursor = 0;
-    std::map<std::uint32_t, std::vector<std::uint64_t>> free_by_class;
+  // One block device of the node's device tier: the only place bytes
+  // land on the disk or the NVM.
+  struct Device {
+    storage::BlockDevice* block;
+    storage::ExtentAllocator extents;
+    mem::Tier tier;
+    const char* put_counter;  // "ldms.put_<tier>"
+    const char* read_span;    // "<tier>.read", subsystem "disk"
+    const char* write_span;   // "<tier>.write", subsystem "disk"
   };
 
-  [[nodiscard]] StatusOr<std::uint64_t> alloc_extent(DiskExtents& extents,
-                                       std::uint64_t capacity,
-                                       std::uint32_t size);
-
+  // The device holding `tier`'s entries; null when the node has none.
+  Device* device(mem::Tier tier);
+  // Below shared memory: remote memory when allowed (which itself falls
+  // to the device tier on overflow), else the device tier, else an error.
+  void put_below_shm(cluster::ServerId server, mem::EntryId entry,
+                     std::span<const std::byte> data, bool allow_remote,
+                     bool allow_disk, PutCallback done, net::TraceId trace);
   void put_remote(cluster::ServerId server, mem::EntryId entry,
                   std::span<const std::byte> data, bool allow_disk,
                   PutCallback done, net::TraceId trace = net::kNoTrace);
@@ -234,16 +242,10 @@ class NodeService {
   // counts as lost instead of poisoning a decode.
   void drop_corrupt_shards(const mem::EntryLocation& loc,
                            std::vector<std::vector<std::byte>>& shards);
-  // Device tiers: NVM when present (and then disk on failure), else disk.
-  void put_device(cluster::ServerId server, mem::EntryId entry,
-                  std::span<const std::byte> data, PutCallback done,
-                  net::TraceId trace = net::kNoTrace);
-  void put_disk(cluster::ServerId server, mem::EntryId entry,
-                std::span<const std::byte> data, PutCallback done,
-                net::TraceId trace = net::kNoTrace);
-  void put_nvm(cluster::ServerId server, mem::EntryId entry,
-               std::span<const std::byte> data, PutCallback done,
-               net::TraceId trace = net::kNoTrace);
+  // The device tier: the first device with room, NVM (when present)
+  // before the disk.
+  void put_device(std::span<const std::byte> data, PutCallback done,
+                  net::TraceId trace);
   // Frees one LRU shared-pool entry by pushing it to remote memory; the
   // callback reports whether space was reclaimed.
   void spill_one(std::function<void(bool)> done);
@@ -262,12 +264,8 @@ class NodeService {
                      net::TraceId trace = net::kNoTrace);
   void repair_after_node_down(net::NodeId dead);
   void note_pressure();
-
-  [[nodiscard]] StatusOr<std::uint64_t> alloc_disk(std::uint32_t size);
-  void free_disk(std::uint64_t offset, std::uint32_t size);
-  [[nodiscard]] StatusOr<std::uint64_t> alloc_nvm(std::uint32_t size);
-  void free_nvm(std::uint64_t offset, std::uint32_t size);
-  static std::uint32_t disk_class(std::uint32_t size) noexcept;
+  // Rolls the pressure window forward to the one containing now.
+  void roll_pressure_window() const;
 
   cluster::Node& node_;
   Config config_;
@@ -280,8 +278,9 @@ class NodeService {
   // Ordered: repair and eviction scans iterate these and issue RPCs, so
   // the walk order must not depend on hash-bucket layout.
   std::map<cluster::ServerId, std::unique_ptr<Ldmc>> clients_;
-  DiskExtents disk_extents_;
-  DiskExtents nvm_extents_;
+  // Fall-through order: NVM (when present) first, the disk last.
+  std::vector<Device> devices_;
+  std::uint64_t backup_cursor_ = 0;  // 0 = no ring reserved
   // Per-server disaggregated-memory request counts within the current
   // monitor window (feeds §IV.F policy 2).
   std::map<cluster::ServerId, std::uint64_t> dm_requests_window_;

@@ -16,8 +16,7 @@ std::uint64_t pack(RddId rdd, std::uint64_t partition) {
 }  // namespace
 
 Executor::Executor(core::Ldmc& client, Config config)
-    : client_(client), config_(config),
-      disk_cursor_(client.service().node().disk().capacity() / 2) {}
+    : client_(client), config_(config) {}
 
 void Executor::charge(SimTime cost) {
   auto& sim = client_.service().node().simulator();
@@ -52,24 +51,19 @@ StatusOr<std::vector<Record>> Executor::get_partition(const RddPtr& rdd,
       ++hits_;
       return *std::move(cached);
     }
-    // Off-heap copy (DAHI entries or vanilla spill)?
+    // Off-heap copy?
     auto off = offheap_.find(key);
     if (off != offheap_.end()) {
       ++offheap_fetches_;
       std::vector<std::byte> bytes(off->second.bytes);
-      if (off->second.on_disk) {
-        DM_RETURN_IF_ERROR(client_.service().node().disk().read_sync(
-            off->second.disk_offset, bytes));
-      } else {
-        std::uint64_t cursor = 0;
-        for (std::uint64_t c = 0; c < off->second.chunks; ++c) {
-          const mem::EntryId entry = chunk_entry(key, c);
-          auto size = client_.stored_size(entry);
-          if (!size.ok()) return size.status();
-          DM_RETURN_IF_ERROR(client_.get_sync(
-              entry, std::span(bytes).subspan(cursor, *size)));
-          cursor += *size;
-        }
+      std::uint64_t cursor = 0;
+      for (std::uint64_t c = 0; c < off->second.chunks; ++c) {
+        const mem::EntryId entry = chunk_entry(key, c);
+        auto size = client_.stored_size(entry);
+        if (!size.ok()) return size.status();
+        DM_RETURN_IF_ERROR(client_.get_sync(
+            entry, std::span(bytes).subspan(cursor, *size)));
+        cursor += *size;
       }
       return deserialize(bytes);
     }
@@ -102,8 +96,8 @@ void Executor::cache_store(const CacheKey& key,
   if (heap_used_ + bytes > config_.cache_bytes) {
     // Spark MEMORY_ONLY semantics: a block that does not fit is not
     // admitted (blocks of the RDD being materialized are never evicted for
-    // it). Vanilla drops it — "partial caching" — while the spill/DAHI
-    // policies store it off-heap instead.
+    // it). Vanilla drops it — "partial caching" — while DAHI stores it
+    // off-heap instead.
     overflow_store(key, records);
     return;
   }
@@ -117,15 +111,6 @@ void Executor::overflow_store(const CacheKey& key,
   switch (config_.overflow) {
     case OverflowPolicy::kRecompute:
       return;  // dropped; lineage recomputes on next use
-    case OverflowPolicy::kSpillDisk: {
-      std::vector<std::byte> bytes = serialize(records);
-      auto& disk = client_.service().node().disk();
-      if (disk_cursor_ + bytes.size() > disk.capacity()) return;  // spill full
-      if (!disk.write_sync(disk_cursor_, bytes).ok()) return;
-      offheap_[key] = OffHeapRef{0, bytes.size(), true, disk_cursor_};
-      disk_cursor_ += bytes.size();
-      return;
-    }
     case OverflowPolicy::kDahi: {
       std::vector<std::byte> bytes = serialize(records);
       const std::uint64_t chunk_bytes = config_.dahi_chunk_bytes;
@@ -144,26 +129,9 @@ void Executor::overflow_store(const CacheKey& key,
           return;
         }
       }
-      offheap_[key] = OffHeapRef{chunks, bytes.size(), false, 0};
+      offheap_[key] = OffHeapRef{chunks, bytes.size()};
       return;
     }
-  }
-}
-
-void Executor::drop_entry(const CacheKey& key) {
-  auto it = heap_.find(key);
-  if (it != heap_.end()) {
-    heap_used_ -= it->second.size() * sizeof(Record);
-    heap_.erase(it);
-    lru_.erase(pack(key.rdd, key.partition));
-  }
-  auto off = offheap_.find(key);
-  if (off != offheap_.end()) {
-    if (!off->second.on_disk) {
-      for (std::uint64_t c = 0; c < off->second.chunks; ++c)
-        (void)client_.remove_sync(chunk_entry(key, c));
-    }
-    offheap_.erase(off);
   }
 }
 

@@ -8,11 +8,14 @@
 //
 //   kRecompute — vanilla Spark MEMORY_ONLY: the partition is dropped and
 //                recomputed from lineage on the next use;
-//   kSpillDisk — vanilla Spark MEMORY_AND_DISK: serialize to the local disk;
-//   kDahi      — DAHI: serialize off-heap into disaggregated memory through
-//                the executor's LDMC (node-level shared pool first, then
-//                remote memory), in window-batched chunks as DAHI does on
-//                Accelio (default 64 KiB = window of eight 8 KiB messages).
+//   kDahi      — DAHI: serialize off-heap through the executor's LDMC, in
+//                window-batched chunks as DAHI does on Accelio (default
+//                64 KiB = window of eight 8 KiB messages). The LDMC's
+//                options pick the tiers: the default is the node-level
+//                shared pool first, then remote memory; a disk-only LDMC
+//                (shm_fraction = 0, allow_remote = false) is vanilla
+//                Spark's MEMORY_AND_DISK, spilling to the node's disk
+//                through its device tier.
 #pragma once
 
 #include <optional>
@@ -27,7 +30,7 @@
 
 namespace dm::rdd {
 
-enum class OverflowPolicy { kRecompute, kSpillDisk, kDahi };
+enum class OverflowPolicy { kRecompute, kDahi };
 
 class Executor {
  public:
@@ -44,8 +47,8 @@ class Executor {
   core::Ldmc& client() noexcept { return client_; }
 
   // Returns partition `p` of `rdd`, from cache if possible; on miss,
-  // computes from lineage (or fetches the off-heap/spilled copy) and, if the
-  // RDD is marked cached, stores it. Charges all virtual-time costs.
+  // computes from lineage (or fetches the off-heap copy) and, if the RDD is
+  // marked cached, stores it. Charges all virtual-time costs.
   StatusOr<std::vector<Record>> get_partition(const RddPtr& rdd,
                                               std::size_t p);
 
@@ -70,8 +73,6 @@ class Executor {
   struct OffHeapRef {
     std::uint64_t chunks = 0;
     std::uint64_t bytes = 0;
-    bool on_disk = false;          // spilled (vanilla) vs DAHI entries
-    std::uint64_t disk_offset = 0;
   };
 
   void charge(SimTime cost);
@@ -85,7 +86,6 @@ class Executor {
   void cache_store(const CacheKey& key, const std::vector<Record>& records);
   void overflow_store(const CacheKey& key, const std::vector<Record>& records);
   std::optional<std::vector<Record>> cache_load(const CacheKey& key);
-  void drop_entry(const CacheKey& key);
 
   core::Ldmc& client_;
   Config config_;
@@ -94,7 +94,6 @@ class Executor {
   LruTracker<std::uint64_t> lru_;  // packed CacheKey
   std::unordered_set<std::uint64_t> computed_before_;
   std::uint64_t heap_used_ = 0;
-  std::uint64_t disk_cursor_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t recomputes_ = 0;

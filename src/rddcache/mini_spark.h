@@ -8,7 +8,10 @@
 // that Fig 10 reports.)
 //
 // The two configurations of §V.B:
-//   vanilla Spark — OverflowPolicy::kRecompute (or kSpillDisk),
+//   vanilla Spark — OverflowPolicy::kRecompute (MEMORY_ONLY), or kDahi
+//                   with a disk-only `ldmc` (shm_fraction = 0,
+//                   allow_remote = false: MEMORY_AND_DISK, spilling to
+//                   the executor node's disk),
 //   DAHI          — OverflowPolicy::kDahi: overflow partitions are cached
 //                   off-heap in disaggregated memory instead of dropped.
 #pragma once

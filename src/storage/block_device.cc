@@ -86,23 +86,37 @@ Status BlockDevice::write_sync(std::uint64_t offset,
   return result;
 }
 
-SwapExtentAllocator::SwapExtentAllocator(std::uint64_t capacity_bytes,
-                                         std::uint64_t slot_bytes)
-    : slot_bytes_(slot_bytes), total_slots_(capacity_bytes / slot_bytes) {}
-
-StatusOr<std::uint64_t> SwapExtentAllocator::allocate() {
-  if (!free_.empty()) {
-    const std::uint64_t slot = free_.back();
-    free_.pop_back();
-    return slot * slot_bytes_;
-  }
-  if (next_fresh_slot_ >= total_slots_)
-    return ResourceExhaustedError("swap device full");
-  return next_fresh_slot_++ * slot_bytes_;
+std::uint32_t ExtentAllocator::size_class(std::uint32_t size) noexcept {
+  std::uint32_t cls = 512;
+  while (cls < size) cls <<= 1;
+  return cls;
 }
 
-void SwapExtentAllocator::release(std::uint64_t offset) {
-  free_.push_back(offset / slot_bytes_);
+StatusOr<std::uint64_t> ExtentAllocator::allocate(std::uint32_t size) {
+  const std::uint32_t cls = size_class(size);
+  auto& free_list = free_by_class_[cls];
+  if (!free_list.empty()) {
+    const std::uint64_t offset = free_list.back();
+    free_list.pop_back();
+    return offset;
+  }
+  if (cursor_ + cls > limit_) return ResourceExhaustedError("device full");
+  const std::uint64_t offset = cursor_;
+  cursor_ += cls;
+  return offset;
+}
+
+void ExtentAllocator::release(std::uint64_t offset, std::uint32_t size) {
+  free_by_class_[size_class(size)].push_back(offset);
+}
+
+Status ExtentAllocator::reserve_top(std::uint64_t from) {
+  // Every extent ever handed out, free-listed ones included, lies below
+  // the cursor.
+  if (cursor_ > from)
+    return FailedPreconditionError("extents already reach the reserved top");
+  limit_ = std::min(limit_, from);
+  return Status::Ok();
 }
 
 }  // namespace dm::storage

@@ -3,14 +3,17 @@
 // Real data, virtual time: the device owns a real byte store; reads and
 // writes move actual bytes and charge virtual time for seek + rotation
 // (random access) or pure transfer (sequential access, detected by head
-// position tracking), serialized through a single device queue. This is the
-// substrate for the Linux swap baseline and for Infiniswap's asynchronous
-// disk backup path — the paper's core performance argument is the gap
-// between this device and the RDMA/shared-memory tiers.
+// position tracking), serialized through a single device queue. A node
+// has a disk and, optionally, an NVM device; the node service's device tier
+// is the only code that places bytes on either (device-tier entries, such
+// as the Linux swap baseline's, and Infiniswap's backup ring), carving them
+// with the ExtentAllocator below. The paper's core performance argument is
+// the gap between this device and the RDMA/shared-memory tiers.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <span>
 #include <vector>
 
@@ -64,27 +67,30 @@ class BlockDevice {
   std::uint64_t head_pos_ = 0;  // byte offset just past the last I/O
 };
 
-// Page-slot allocator over a BlockDevice: fixed-size slots handed out to
-// swap frontends. Free slots are recycled LIFO so sequential swap-out bursts
-// tend to land on adjacent slots (as Linux's swap slot cache does).
-class SwapExtentAllocator {
+// Extent allocator over one block device: power-of-two size classes from
+// 512 B, a LIFO free list per class (a freed extent is the next one its
+// class hands out, as Linux's swap slot cache recycles slots) and a bump
+// cursor over fresh space. The top of the device can be set aside; fresh
+// extents then stop below it.
+class ExtentAllocator {
  public:
-  SwapExtentAllocator(std::uint64_t capacity_bytes, std::uint64_t slot_bytes);
+  explicit ExtentAllocator(std::uint64_t capacity_bytes)
+      : limit_(capacity_bytes) {}
 
-  StatusOr<std::uint64_t> allocate();  // returns byte offset of the slot
-  void release(std::uint64_t offset);
+  // The class `size` rounds up to: the smallest power of two >= 512 B.
+  static std::uint32_t size_class(std::uint32_t size) noexcept;
 
-  std::uint64_t slot_bytes() const noexcept { return slot_bytes_; }
-  std::uint64_t total_slots() const noexcept { return total_slots_; }
-  std::uint64_t used_slots() const noexcept {
-    return next_fresh_slot_ - free_.size();
-  }
+  StatusOr<std::uint64_t> allocate(std::uint32_t size);  // byte offset
+  void release(std::uint64_t offset, std::uint32_t size);
+
+  // Sets aside [from, capacity): no extent is handed out there from now
+  // on. Fails if one already was.
+  Status reserve_top(std::uint64_t from);
 
  private:
-  std::uint64_t slot_bytes_;
-  std::uint64_t total_slots_;
-  std::uint64_t next_fresh_slot_ = 0;
-  std::vector<std::uint64_t> free_;
+  std::uint64_t limit_;  // fresh extents end at or below this
+  std::uint64_t cursor_ = 0;
+  std::map<std::uint32_t, std::vector<std::uint64_t>> free_by_class_;
 };
 
 }  // namespace dm::storage

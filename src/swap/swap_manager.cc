@@ -49,9 +49,7 @@ SwapManager::SwapManager(core::Ldmc& client, Config config,
                    config_.max_batch_pages),
         config_.pattern_hysteresis});
   }
-  // Backup region: top half of the node's swap disk (never read back; it
-  // models Infiniswap's asynchronous durability path).
-  backup_cursor_ = client_.service().node().disk().capacity() / 2;
+  if (config_.disk_backup) client_.service().reserve_backup_ring();
 }
 
 SwapManager::~SwapManager() {
@@ -550,7 +548,12 @@ void SwapManager::wb_post(mem::EntryId entry) {
             // the placement in the background; swapping continues.
             ++metrics_.counter("swap.degraded_batches");
           }
-          if (config_.disk_backup) backup(wb_it->second.pages);
+          if (config_.disk_backup) {
+            // Infiniswap's asynchronous durability path: whole-page backup
+            // writes that queue on the disk but block nothing.
+            client_.service().backup_pages(wb_it->second.pages, kPageBytes);
+            metrics_.counter("swap.backup_writes") += wb_it->second.pages;
+          }
         }
         wb_.erase(wb_it);
       },
@@ -633,20 +636,6 @@ Status SwapManager::restore(std::uint64_t page,
   }
   if (own_lz) charge_decode();
   return Status::Ok();
-}
-
-void SwapManager::backup(std::size_t pages) {
-  // Asynchronous full-page backup writes (Infiniswap durability path);
-  // they queue on the disk but block nothing.
-  auto& disk = client_.service().node().disk();
-  for (std::size_t i = 0; i < pages; ++i) {
-    if (backup_cursor_ + kPageBytes > disk.capacity())
-      backup_cursor_ = disk.capacity() / 2;
-    std::vector<std::byte> copy(kPageBytes);
-    (void)disk.write(backup_cursor_, copy, {});
-    backup_cursor_ += kPageBytes;
-    ++metrics_.counter("swap.backup_writes");
-  }
 }
 
 Status SwapManager::fault_in_zswap(std::uint64_t page) {

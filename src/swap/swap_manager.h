@@ -113,7 +113,9 @@ class SwapManager {
     // CPU cost of (de)compressing one 4 KiB page (LZO-class speeds).
     SimTime compress_ns = 1 * kMicro;
     SimTime decompress_ns = 500;
-    // Infiniswap-style asynchronous whole-page disk backup on swap-out.
+    // Infiniswap-style asynchronous whole-page disk backup of every landed
+    // batch, into the ring the node service sets aside over the top half
+    // of the node's disk (NodeService::reserve_backup_ring).
     bool disk_backup = false;
     // Block-I/O-stack tax charged per swapped *page* (bio submission, nbd
     // request path) on both swap-out and swap-in. Zero for FastSwap (its
@@ -293,8 +295,6 @@ class SwapManager {
   // decodes every LZ sibling, and each sibling is ready when it is done.
   Status restore(std::uint64_t page, const std::vector<std::uint64_t>& members,
                  std::span<const std::byte> batch);
-  // Infiniswap's asynchronous whole-page disk backup of a landed batch.
-  void backup(std::size_t pages);
   // Returns every page still backed by `entry` to resident+dirty, decoded
   // from `buffer` (the entry's only copy: its put failed), and forgets the
   // entry. A page already resident keeps its resident bytes.
@@ -354,7 +354,6 @@ class SwapManager {
   std::unordered_map<std::uint64_t, Backing> backed_;
   std::unordered_map<mem::EntryId, BatchInfo> batches_;
   mem::EntryId next_batch_ = 1;
-  std::uint64_t backup_cursor_ = 0;
 
   // Write-back staging buffer. wb_order_ is the FIFO flush order (it may
   // hold ids of batches that were since flushed or coalesced; stale ids

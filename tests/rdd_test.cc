@@ -3,6 +3,8 @@
 
 #include "common/units.h"
 #include "core/dm_system.h"
+#include "core/ldmc.h"
+#include "core/node_service.h"
 #include "rddcache/mini_spark.h"
 
 namespace dm::rdd {
@@ -120,13 +122,35 @@ TEST(MiniSparkTest, DahiServesOverflowOffHeap) {
   EXPECT_EQ(spark.total_recomputes(), 0u);
 }
 
+// Vanilla Spark's MEMORY_AND_DISK: DAHI's off-heap path over a disk-only
+// LDMC, so every overflow partition lands on the node's disk.
+core::LdmcOptions disk_only() {
+  core::LdmcOptions options;
+  options.shm_fraction = 0.0;
+  options.allow_remote = false;
+  return options;
+}
+
+// The executors' disk puts, checking that none went anywhere else.
+std::uint64_t puts_to_disk(MiniSpark& spark) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < spark.executor_count(); ++i) {
+    const core::Ldmc& client = spark.executor(i).client();
+    EXPECT_EQ(client.puts_to_shm(), 0u);
+    EXPECT_EQ(client.puts_to_remote(), 0u);
+    total += client.puts_to_disk();
+  }
+  return total;
+}
+
 TEST(MiniSparkTest, SpillDiskServesOverflowCorrectly) {
   core::DmSystem system(cluster_config());
   system.start();
   MiniSpark::Config config;
   config.executors = 2;
   config.executor.cache_bytes = 64 * KiB;
-  config.executor.overflow = OverflowPolicy::kSpillDisk;
+  config.executor.overflow = OverflowPolicy::kDahi;
+  config.ldmc = disk_only();
   MiniSpark spark(system, config);
   auto rdd = make_dataset(16, 4000);
   rdd->cache();
@@ -136,6 +160,31 @@ TEST(MiniSparkTest, SpillDiskServesOverflowCorrectly) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*first, *second);
   EXPECT_GT(spark.total_offheap_fetches(), 0u);
+  EXPECT_GT(puts_to_disk(spark), 0u);
+}
+
+// Two executors per node share that node's disk: their spilled partitions
+// must not overwrite each other.
+TEST(MiniSparkTest, ExecutorsSharingADiskSpillIntact) {
+  core::DmSystem system(cluster_config());
+  system.start();
+  MiniSpark::Config config;
+  config.executors = 8;  // on 4 nodes
+  config.executor.cache_bytes = 64 * KiB;
+  config.executor.overflow = OverflowPolicy::kDahi;
+  config.ldmc = disk_only();
+  MiniSpark spark(system, config);
+  auto rdd = make_dataset(32, 4000);
+  rdd->cache();
+  const Record expected = expected_sum(32, 4000, [](Record r) { return r; });
+  auto first = spark.sum(rdd);
+  auto second = spark.sum(rdd);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(*first, expected);
+  EXPECT_EQ(*second, expected);
+  EXPECT_GT(spark.total_offheap_fetches(), 0u);
+  EXPECT_GT(puts_to_disk(spark), 0u);
 }
 
 TEST(MiniSparkTest, DahiFasterThanRecomputeOnReuse) {

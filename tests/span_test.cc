@@ -17,6 +17,7 @@
 #include "core/dm_system.h"
 #include "core/ldmc.h"
 #include "core/node_service.h"
+#include "mem/memory_map.h"
 #include "obs/flight_recorder.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
@@ -325,6 +326,41 @@ TEST(SpanIntegration, SkippedCopyPutsOneFailoverEventOnReadersRing) {
   EXPECT_NE(failovers[0].find("skip node" + std::to_string(dead) + ","),
             std::string::npos)
       << failovers[0];
+}
+
+// A shm-first put that may not go remote and finds the pool full falls to
+// the device tier on the put's own trace, so its disk.write span is there.
+TEST(SpanIntegration, FullPoolFallsToDiskOnThePutsTrace) {
+  core::DmSystem::Config config;
+  config.node_count = 2;
+  config.node.shm.arena_bytes = 64 * KiB;
+  config.node.recv.arena_bytes = 8 * MiB;
+  core::DmSystem system(config);
+  obs::SpanTracer tracer(system.simulator());
+  system.set_span_sink(&tracer);
+  system.start();
+  core::LdmcOptions options;  // shm_fraction 1: every put tries shm first
+  options.allow_remote = false;
+  auto& client = system.create_server(0, 64 * MiB, options);
+
+  const std::vector<std::byte> page(4096, std::byte{0x5a});
+  mem::EntryId id = 0;
+  while (client.puts_to_disk() == 0) {
+    ASSERT_LT(id, 64u) << "the shared pool never filled";
+    ASSERT_TRUE(client.put_sync(id++, page).ok());
+  }
+  const net::TraceId trace = system.node(0).next_trace_id();
+  ASSERT_TRUE(client.put_sync(id, page, trace).ok());
+  const auto loc = client.map().lookup(id);
+  ASSERT_TRUE(loc.ok());
+  ASSERT_EQ(loc->tier, mem::Tier::kDisk);
+
+  const auto* spans = tracer.spans(trace);
+  ASSERT_NE(spans, nullptr) << "the put's trace holds no span";
+  std::size_t disk_writes = 0;
+  for (const auto& span : *spans)
+    if (span.subsystem == "disk" && span.name == "disk.write") ++disk_writes;
+  EXPECT_EQ(disk_writes, 1u);
 }
 
 TEST(SpanIntegration, AttachedSinkDoesNotPerturbEventOrder) {

@@ -1,5 +1,8 @@
-// Tests for the simulated block device and swap extent allocator.
+// Tests for the simulated block device and its extent allocator.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "common/status.h"
 #include "common/units.h"
@@ -102,30 +105,74 @@ TEST(BlockDeviceTest, AsyncWriteLandsAtCompletion) {
 }
 
 TEST(SwapExtentTest, AllocatesDistinctSlots) {
-  SwapExtentAllocator alloc(64 * KiB, 4096);
-  EXPECT_EQ(alloc.total_slots(), 16u);
-  std::set<std::uint64_t> seen;
-  for (int i = 0; i < 16; ++i) {
-    auto slot = alloc.allocate();
-    ASSERT_TRUE(slot.ok());
-    EXPECT_TRUE(seen.insert(*slot).second);
-    EXPECT_EQ(*slot % 4096, 0u);
+  // Classes are powers of two from 512 B.
+  EXPECT_EQ(ExtentAllocator::size_class(1), 512u);
+  EXPECT_EQ(ExtentAllocator::size_class(512), 512u);
+  EXPECT_EQ(ExtentAllocator::size_class(513), 1024u);
+  EXPECT_EQ(ExtentAllocator::size_class(4096), 4096u);
+  EXPECT_EQ(ExtentAllocator::size_class(4097), 8192u);
+
+  // Fresh extents are cut back to back at their class size. Near the end
+  // of the device a class that no longer fits is refused while a smaller
+  // one still takes the tail.
+  ExtentAllocator alloc(24 * KiB);
+  std::vector<std::uint64_t> offsets;
+  for (std::uint32_t size : {100u, 3000u, 4096u, 700u, 6000u}) {
+    auto extent = alloc.allocate(size);
+    ASSERT_TRUE(extent.ok()) << size;
+    offsets.push_back(*extent);
   }
-  EXPECT_FALSE(alloc.allocate().ok());
-  EXPECT_EQ(alloc.used_slots(), 16u);
+  EXPECT_EQ(offsets,
+            (std::vector<std::uint64_t>{0, 512, 4608, 8704, 9728}));
+  auto full = alloc.allocate(8192);  // 17920 + 8192 > 24 KiB
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.status().code(), StatusCode::kResourceExhausted);
+  auto last = alloc.allocate(4096);  // the tail still fits a smaller class
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(*last, 17920u);
+  EXPECT_FALSE(alloc.allocate(4096).ok());
 }
 
 TEST(SwapExtentTest, ReleaseRecyclesLifo) {
-  SwapExtentAllocator alloc(64 * KiB, 4096);
-  auto a = alloc.allocate();
-  auto b = alloc.allocate();
+  ExtentAllocator alloc(64 * KiB);
+  auto a = alloc.allocate(4096);
+  auto b = alloc.allocate(3000);  // same 4 KiB class
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  alloc.release(*a);
-  auto c = alloc.allocate();
+  alloc.release(*a, 4096);
+  alloc.release(*b, 3000);
+  // Another class never takes a freed 4 KiB extent: fresh space instead.
+  auto small = alloc.allocate(1024);
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(*small, 8192u);
+  // Within the class, the last extent freed is the first reused.
+  auto c = alloc.allocate(4000);
+  auto d = alloc.allocate(2049);
   ASSERT_TRUE(c.ok());
-  EXPECT_EQ(*c, *a);  // LIFO reuse keeps the swap area hot
-  EXPECT_EQ(alloc.used_slots(), 2u);
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(*c, *b);
+  EXPECT_EQ(*d, *a);
+}
+
+TEST(SwapExtentTest, NoExtentInsideTheReservedTop) {
+  ExtentAllocator alloc(64 * KiB);
+  ASSERT_TRUE(alloc.allocate(4096).ok());
+  ASSERT_TRUE(alloc.reserve_top(32 * KiB).ok());
+  std::uint64_t end = 0;
+  for (;;) {
+    auto extent = alloc.allocate(4096);
+    if (!extent.ok()) break;
+    end = std::max(end, *extent + 4096);
+  }
+  EXPECT_EQ(end, 32 * KiB);  // the bottom half fills; the top stays free
+  EXPECT_FALSE(alloc.allocate(512).ok());
+
+  // Space that already holds an extent cannot be set aside.
+  ExtentAllocator used(64 * KiB);
+  ASSERT_TRUE(used.allocate(16 * KiB).ok());
+  ASSERT_TRUE(used.allocate(16 * KiB).ok());
+  EXPECT_FALSE(used.reserve_top(16 * KiB).ok());
+  EXPECT_TRUE(used.reserve_top(32 * KiB).ok());
 }
 
 }  // namespace

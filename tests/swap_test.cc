@@ -171,6 +171,40 @@ TEST(SwapManagerTest, InfiniswapUsesRemoteNotShm) {
   EXPECT_GT(rig.manager->metrics().counter_value("swap.backup_writes"), 0u);
 }
 
+// Infiniswap's backup ring shares the disk with the batches that overflow
+// to it. With one node every put falls to the disk, and on a 1 MiB disk the
+// batches outgrow its bottom half: the ring's zero pages must land on none
+// of them.
+TEST(SwapManagerTest, InfiniswapBackupRingNeverOverwritesSwappedPages) {
+  auto setup = make_system(SystemKind::kInfiniswap, 32);
+  core::DmSystem::Config config;
+  config.node_count = 1;
+  config.node.shm.arena_bytes = 16 * MiB;
+  config.node.recv.arena_bytes = 16 * MiB;
+  config.node.disk.capacity_bytes = 1 * MiB;
+  config.service = setup.service;
+  core::DmSystem system(config);
+  system.start();
+  auto& client = system.create_server(0, 64 * MiB, setup.ldmc);
+  SwapManager manager(client, setup.swap,
+                      [](std::uint64_t page, std::span<std::byte> out) {
+                        workloads::fill_page(out, page, 0.3, 11);
+                      });
+  constexpr std::uint64_t kPages = 192;
+  for (std::uint64_t p = 0; p < kPages; ++p)
+    ASSERT_TRUE(manager.touch(p, /*write=*/true).ok()) << p;
+  std::vector<std::uint64_t> wrong;
+  for (std::uint64_t p = 0; p < kPages; ++p) {
+    ASSERT_TRUE(manager.touch(p).ok()) << p;
+    auto bytes = manager.resident_bytes(p);
+    ASSERT_TRUE(bytes.ok()) << p;
+    if (fnv1a(*bytes) != expected_checksum(p)) wrong.push_back(p);
+  }
+  EXPECT_TRUE(wrong.empty()) << wrong.size() << " pages read back wrong";
+  EXPECT_GT(client.puts_to_disk(), 0u);
+  EXPECT_GT(manager.metrics().counter_value("swap.backup_writes"), 0u);
+}
+
 TEST(SwapManagerTest, FastSwapFasterThanLinuxUnderPressure) {
   auto run = [](SystemKind kind) {
     Rig rig(make_system(kind, 32));

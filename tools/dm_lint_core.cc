@@ -82,7 +82,7 @@ const std::map<std::string, std::string>& owner_table() {
       {"RetryPolicy", "net/retry_policy.h"},
       {"ConnectionManager", "net/connection_manager.h"},
       {"BlockDevice", "storage/block_device.h"},
-      {"SwapExtentAllocator", "storage/block_device.h"},
+      {"ExtentAllocator", "storage/block_device.h"},
       {"SlabAllocator", "mem/slab_allocator.h"},
       {"BufferPool", "mem/buffer_pool.h"},
       {"SharedMemoryPool", "mem/shared_memory_pool.h"},
