@@ -49,16 +49,6 @@ VirtualServer* Node::find_server(ServerId id) {
   return it == servers_.end() ? nullptr : &it->second;
 }
 
-Status Node::set_server_donation(ServerId id, double fraction) {
-  VirtualServer* server = find_server(id);
-  if (server == nullptr) return NotFoundError("server not hosted here");
-  const double previous = server->donation_fraction();
-  server->set_donation_fraction(fraction);
-  Status applied = shm_.set_donation(id, server->donated_bytes());
-  if (!applied.ok()) server->set_donation_fraction(previous);
-  return applied;
-}
-
 void Node::join_group(GroupId group, std::vector<net::NodeId> members) {
   group_ = group;
   std::vector<net::NodeId> peers;

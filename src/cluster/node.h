@@ -72,10 +72,6 @@ class Node {
     return server_order_;
   }
 
-  // Adjusts a server's donation (ballooning / elastic pool §IV.F). Fails if
-  // the pool cannot shrink below its stored bytes.
-  Status set_server_donation(ServerId id, double fraction);
-
   // --- group wiring (done by ClusterBuilder after all nodes exist) ----------
   void join_group(GroupId group, std::vector<net::NodeId> members);
   GroupId group() const noexcept { return group_; }

@@ -4,8 +4,8 @@
 // memory principal with an allocation fixed at initialization time (sized
 // for estimated peak usage) that donates a configurable fraction of that
 // allocation to the node-coordinated shared memory pool. The donation is
-// elastic at runtime: the node manager may grow it (toward 40%) when the
-// server is idle or shrink it (toward 0) when the server balloons.
+// fixed when the server is added; a server that hits disaggregated memory
+// too often gets ballooning advice from the eviction monitor (§IV.F).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,6 @@ class VirtualServer {
   std::uint64_t allocated_bytes() const noexcept { return allocated_; }
 
   double donation_fraction() const noexcept { return donation_fraction_; }
-  void set_donation_fraction(double f) noexcept { donation_fraction_ = f; }
   std::uint64_t donated_bytes() const noexcept {
     return static_cast<std::uint64_t>(donation_fraction_ *
                                       static_cast<double>(allocated_));

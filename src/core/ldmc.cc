@@ -69,6 +69,7 @@ void Ldmc::store(mem::EntryId entry, std::span<const std::byte> data,
         }
         location->checksum = checksum;
         location->logical_size = logical;
+        location->generation = ++generations_;
         if (routed) {
           switch (location->tier) {
             case mem::Tier::kSharedMemory: ++puts_shm_; break;
@@ -90,15 +91,15 @@ void Ldmc::get(mem::EntryId entry, std::span<std::byte> out,
     done(location.status());
     return;
   }
+  // A full read is checked against the checksum its put committed: for a
+  // k = 1 copy that is the only integrity check.
   const bool full_read = out.size() >= location->stored_size;
   auto window = full_read ? out.first(location->stored_size) : out;
   const std::uint64_t expect = location->checksum;
-  const bool verify = config_.verify_checksums && full_read &&
-                      location->stored_size == location->logical_size;
   service_.get_entry(
       server_, entry, *location, 0, window,
-      [window, expect, verify, done = std::move(done)](const Status& s) {
-        if (s.ok() && verify && word_checksum(window) != expect) {
+      [window, expect, full_read, done = std::move(done)](const Status& s) {
+        if (s.ok() && full_read && word_checksum(window) != expect) {
           done(DataLossError("checksum mismatch on get"));
           return;
         }

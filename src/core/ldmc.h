@@ -42,7 +42,8 @@ class Ldmc {
   void put(mem::EntryId entry, std::span<const std::byte> data,
            std::function<void(const Status&)> done,
            net::TraceId trace = net::kNoTrace);
-  // Full-entry read of stored bytes (out must be >= stored size).
+  // Full-entry read of stored bytes (out must be >= stored size), verified
+  // against the entry's committed checksum (DataLoss on a mismatch).
   void get(mem::EntryId entry, std::span<std::byte> out,
            std::function<void(const Status&)> done,
            net::TraceId trace = net::kNoTrace);
@@ -107,6 +108,7 @@ class Ldmc {
   Config config_;
   mem::MemoryMap map_;
   std::uint64_t put_counter_ = 0;
+  std::uint32_t generations_ = 0;  // last generation a put stamped
   std::uint64_t puts_shm_ = 0;
   std::uint64_t puts_remote_ = 0;
   std::uint64_t puts_disk_ = 0;

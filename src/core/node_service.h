@@ -22,6 +22,11 @@
 //  * the eviction monitor (§IV.F policies 1 and 2): watermark-triggered
 //    preemptive slab deregistration and ballooning advice for servers that
 //    hit disaggregated memory too often.
+//
+// Background work (LRU spill, migration, re-promotion, shard repair) copies
+// an entry while its owner keeps using it. Each such relocation commits
+// through one rule: onto the entry only if it still carries the generation
+// the copy was made from (see commit_relocation).
 #pragma once
 
 #include <functional>
@@ -52,21 +57,13 @@ struct LdmcOptions {
   double shm_fraction = 1.0;
   bool allow_remote = true;
   bool allow_disk = true;
-  bool verify_checksums = false;  // verify full-entry gets against the map
 };
 
 class NodeService {
  public:
+  // The monitor's period and thresholds are constants (node_service.cc).
   struct EvictionConfig {
     bool enabled = false;
-    SimTime period = 500 * kMilli;
-    // Policy 1: drain a receive-pool slab when the pool's free fraction
-    // drops below this while local servers are going remote.
-    double low_free_watermark = 0.15;
-    std::uint64_t remote_rate_threshold = 32;  // puts/period to count as hot
-    // Policy 2: shrink a hot server's donation by a fixed step per
-    // period, giving it back resident DRAM (ballooning).
-    bool auto_balloon = false;
   };
 
   struct Config {
@@ -194,7 +191,6 @@ class NodeService {
     storage::BlockDevice* block;
     storage::ExtentAllocator extents;
     mem::Tier tier;
-    const char* put_counter;  // "ldms.put_<tier>"
     const char* read_span;    // "<tier>.read", subsystem "disk"
     const char* write_span;   // "<tier>.write", subsystem "disk"
   };
@@ -227,21 +223,51 @@ class NodeService {
   void read_stripe(const mem::EntryLocation& location, std::uint64_t offset,
                    std::span<std::byte> out, DoneCallback done,
                    net::TraceId trace);
-  void degraded_read(mem::EntryLocation location, std::uint64_t offset,
+  void degraded_read(const mem::EntryLocation& location, std::uint64_t offset,
                      std::span<std::byte> out, DoneCallback done,
                      net::TraceId trace);
   // Rebuilds the shards lost to crashed hosts onto fresh nodes ("min
   // surviving shards" repair). Merges by shard index against the *current*
   // committed replica set, so a concurrent repair or migration never loses
-  // shards, and preserves the stale re-check.
+  // shards.
   void repair_stripe(cluster::ServerId server, mem::EntryId entry,
-                     const mem::EntryLocation& loc, DoneCallback done,
+                     mem::MemoryMap& map, DoneCallback done,
                      net::TraceId trace);
-  // Clears every read shard whose bytes fail the location's committed
-  // per-shard checksum (k > 1 stripes carry them), so a corrupt shard
-  // counts as lost instead of poisoning a decode.
-  void drop_corrupt_shards(const mem::EntryLocation& loc,
-                           std::vector<std::vector<std::byte>>& shards);
+
+  // --- one copy of each rule applied to an entry's stripe -----------------
+  // The relocation commit (§IV.G: the map is the commit point). A
+  // relocation copied `server`'s entry at `generation` and wrote `fresh`
+  // replicas. It commits only if the entry still carries that generation
+  // and `holds` accepts its current location, which `apply` then rewrites.
+  // Otherwise the entry was removed, overwritten or moved while the copy
+  // was in flight: `fresh` is freed and false returned (the caller counts
+  // its own "*_stale").
+  bool commit_relocation(
+      cluster::ServerId server, mem::EntryId entry, std::uint32_t generation,
+      std::vector<mem::RemoteReplica>& fresh,
+      const std::function<bool(const mem::EntryLocation&)>& holds,
+      const std::function<void(mem::EntryLocation&)>& apply);
+  // The survivor prune: drops every shard of the remote `entry` that `keep`
+  // rejects and recommits the rest with `degraded` recomputed, when that
+  // changes anything. Fewer than ec_k survivors is data loss: counted,
+  // nothing committed, and a DataLoss status returned.
+  StatusOr<mem::EntryLocation> prune_shards(
+      mem::MemoryMap& map, mem::EntryId entry,
+      const std::function<bool(const mem::RemoteReplica&)>& keep);
+  // The shard gather: reads every listed shard of `loc` in full and in
+  // parallel, in listed order, into one slot per shard index. A shard whose
+  // read fails, or whose bytes fail the committed per-shard checksum (k > 1
+  // stripes carry them), comes back empty: it counts as lost instead of
+  // poisoning a decode.
+  void gather_shards(
+      const mem::EntryLocation& loc, net::TraceId trace,
+      std::function<void(std::vector<std::vector<std::byte>>)> done);
+  // The codec charge: a k > 1 encode or decode of `bytes` is pure
+  // computation, charged as virtual time. Records "ec.encode_ns" or
+  // "ec.decode_ns", spans the delay as "ec"/"ec.encode|decode" when
+  // traced, and runs `next` once it has elapsed.
+  void charge_codec(bool encode, std::uint32_t bytes, net::TraceId trace,
+                    std::function<void()> next);
   // The device tier: the first device with room, NVM (when present)
   // before the disk.
   void put_device(std::span<const std::byte> data, PutCallback done,

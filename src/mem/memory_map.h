@@ -62,8 +62,11 @@ struct EntryLocation {
   Tier tier = Tier::kSharedMemory;
   std::uint32_t logical_size = 0;  // original entry bytes (e.g. 4096)
   std::uint32_t stored_size = 0;   // bytes as stored (post-compression)
-  bool compressed = false;
-  bool raw_fallback = false;       // compressed=true but stored raw
+  // Which put wrote these bytes. Ldmc::store stamps every put with a fresh
+  // number; a relocation (spill, migration, re-promotion, shard repair)
+  // copies the location and keeps it, so a relocation whose copy was in
+  // flight commits only onto the generation it copied (§IV.G).
+  std::uint32_t generation = 0;
   std::uint64_t checksum = 0;      // word_checksum of the logical bytes
   std::uint64_t disk_offset = 0;   // device offset (tier kDisk or kNvm)
   // Degraded mode (§IV.D hardening): the entry is durable but below its

@@ -527,18 +527,6 @@ TEST_F(ClusterFixture, ServerDonationFlowsIntoPool) {
   EXPECT_EQ(server.donated_bytes(), 10 * MiB);
   EXPECT_EQ(server.resident_budget(), 90 * MiB);
   EXPECT_EQ(nodes_[0]->shm().donation_of(1), 10 * MiB);
-
-  ASSERT_TRUE(nodes_[0]->set_server_donation(1, 0.40).ok());
-  EXPECT_EQ(nodes_[0]->shm().donation_of(1), 40 * MiB);
-}
-
-TEST_F(ClusterFixture, DonationShrinkFailsWhenPoolHoldsData) {
-  nodes_[0]->add_server(1, ServerKind::kContainer, 1 * MiB, 0.10);
-  std::vector<std::byte> data(4096, std::byte{1});
-  ASSERT_TRUE(nodes_[0]->shm().put(1, 7, data).ok());
-  EXPECT_FALSE(nodes_[0]->set_server_donation(1, 0.0).ok());
-  // The failed attempt must not corrupt the server's fraction.
-  EXPECT_DOUBLE_EQ(nodes_[0]->find_server(1)->donation_fraction(), 0.10);
 }
 
 }  // namespace

@@ -98,30 +98,30 @@ TEST(CoverageTest, EvictionPolicyOneDrainsUnderPressure) {
   auto config = cluster(3);
   config.node.recv.arena_bytes = 512 * KiB;  // small donated pool
   config.service.eviction.enabled = true;
-  config.service.eviction.period = 200 * kMilli;
-  config.service.eviction.low_free_watermark = 0.9;  // drain aggressively
-  config.service.eviction.remote_rate_threshold = 4;
   DmSystem system(config);
   system.start();
 
-  // Node 1 hosts remote data from node 0...
+  // Node 1's donated pool fills past the 85% watermark with node 0's
+  // data...
   LdmcOptions remote_only;
   remote_only.shm_fraction = 0.0;
   auto& client0 = system.create_server(0, 64 * MiB, remote_only);
-  for (mem::EntryId id = 0; id < 48; ++id)
+  for (mem::EntryId id = 0; id < 224; ++id)
     ASSERT_TRUE(client0.put_sync(id, page_data(id)).ok());
 
-  // ...while node 1's own tenant also overflows to remote memory: policy 1
-  // says node 1 should reclaim donated slabs.
+  // ...while node 1's own tenant also overflows to remote memory, more
+  // than 32 puts in the monitor's window: policy 1 says node 1 should
+  // reclaim donated slabs.
   auto& client1 = system.create_server(1, 64 * MiB, remote_only);
-  for (mem::EntryId id = 100; id < 148; ++id)
+  for (mem::EntryId id = 1000; id < 1048; ++id)
     ASSERT_TRUE(client1.put_sync(id, page_data(id)).ok());
-  system.run_for(2 * kSecond);  // several monitor periods
+  system.service(1).eviction_tick();
+  system.run_for(2 * kSecond);  // the drain's migrations settle
 
   EXPECT_GT(system.total_counter("eviction.slab_drains"), 0u);
   // Migrated entries stay intact.
   std::vector<std::byte> out(4096);
-  for (mem::EntryId id = 0; id < 48; ++id) {
+  for (mem::EntryId id = 0; id < 224; ++id) {
     ASSERT_TRUE(client0.get_sync(id, out).ok()) << id;
     ASSERT_EQ(fnv1a(out), fnv1a(page_data(id))) << id;
   }
