@@ -106,7 +106,6 @@ void DmSystem::start() {
     service->start_candidate_refresh();
   }
   for (auto& repair : repairs_) repair->start();
-  if (config_.scrape_period > 0) hub_.start_scrape(sim_, config_.scrape_period);
   if (config_.regroup_low_watermark > 0.0) {
     // Periodic regroup evaluation (self-rescheduling functor).
     struct Rearm {

@@ -61,10 +61,6 @@ class DmSystem {
     // the richest group (0 disables).
     double regroup_low_watermark = 0.0;
     SimTime regroup_check_period = 1 * kSecond;
-    // Period of the observability scrape started by start(): the MetricsHub
-    // snapshots the merged cluster metrics every `scrape_period` of virtual
-    // time (0 disables).
-    SimTime scrape_period = 1 * kSecond;
     // Cluster memory harvesting (§I, §IV.F extended): a periodic planner
     // that live-migrates hosted regions off pressure-hot nodes and drains
     // donated slabs when those nodes' pools are nearly exhausted.

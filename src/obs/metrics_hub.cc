@@ -3,8 +3,6 @@
 #include <cstdio>
 
 #include "common/metrics.h"
-#include "common/units.h"
-#include "sim/simulator.h"
 
 namespace dm::obs {
 namespace {
@@ -125,28 +123,6 @@ std::string MetricsHub::prometheus_text() const {
     out += prom + "_count " + std::to_string(h.count()) + "\n";
   }
   return out;
-}
-
-void MetricsHub::start_scrape(sim::Simulator& sim, SimTime period) {
-  ++scrape_generation_;
-  if (period <= 0) return;
-  const std::uint64_t generation = scrape_generation_;
-  sim.schedule_after(period, [this, &sim, period, generation]() {
-    scrape_tick(sim, period, generation);
-  });
-}
-
-void MetricsHub::stop_scrape() { ++scrape_generation_; }
-
-void MetricsHub::scrape_tick(sim::Simulator& sim, SimTime period,
-                             std::uint64_t generation) {
-  if (generation != scrape_generation_) return;  // superseded or stopped
-  last_scrape_ = snapshot_json();
-  last_scrape_at_ = sim.now();
-  ++scrape_count_;
-  sim.schedule_after(period, [this, &sim, period, generation]() {
-    scrape_tick(sim, period, generation);
-  });
 }
 
 }  // namespace dm::obs

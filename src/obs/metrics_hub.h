@@ -10,10 +10,6 @@
 // Exports are deterministic: all maps are ordered, doubles are printed
 // with fixed precision, and no wall-clock time is consulted anywhere —
 // two identically seeded runs produce byte-identical snapshot_json().
-//
-// The periodic scrape runs in *virtual* time on the simulator, modeling a
-// monitoring agent: each tick stores the latest snapshot, which dm_top
-// and the benches read instead of poking subsystems directly.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +19,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/units.h"
-#include "sim/simulator.h"
 
 namespace dm::obs {
 
@@ -52,28 +46,8 @@ class MetricsHub {
   // "dm_" namespace; histograms exported as summaries.
   std::string prometheus_text() const;
 
-  // Starts a periodic sim-time scrape storing snapshot_json() every
-  // `period`. Restarting replaces the previous schedule; period <= 0
-  // stops it.
-  void start_scrape(sim::Simulator& sim, SimTime period);
-  void stop_scrape();
-
-  // Most recent scrape result (empty before the first tick).
-  const std::string& last_scrape() const noexcept { return last_scrape_; }
-  std::uint64_t scrape_count() const noexcept { return scrape_count_; }
-  SimTime last_scrape_at() const noexcept { return last_scrape_at_; }
-
  private:
-  void scrape_tick(sim::Simulator& sim, SimTime period,
-                   std::uint64_t generation);
-
   std::map<std::string, std::vector<const MetricsRegistry*>> sources_;
-  std::string last_scrape_;
-  std::uint64_t scrape_count_ = 0;
-  SimTime last_scrape_at_ = 0;
-  // Bumped on every start/stop; stale scheduled ticks see a mismatch and
-  // die instead of double-scraping.
-  std::uint64_t scrape_generation_ = 0;
 };
 
 }  // namespace dm::obs

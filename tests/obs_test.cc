@@ -204,22 +204,6 @@ TEST(MetricsHub, SameCounterNameUnderDifferentPrefixesStaysSeparate) {
   EXPECT_NE(prom.find("dm_node_1_swap_faults 31"), std::string::npos);
 }
 
-TEST(MetricsHub, ScrapeRunsInVirtualTime) {
-  sim::Simulator sim;
-  MetricsRegistry reg;
-  reg.counter("x") += 1;
-  obs::MetricsHub hub;
-  hub.add("a", &reg);
-  hub.start_scrape(sim, 10 * kMilli);
-  sim.run_until(35 * kMilli);
-  EXPECT_EQ(hub.scrape_count(), 3u);
-  EXPECT_FALSE(hub.last_scrape().empty());
-  EXPECT_EQ(hub.last_scrape_at(), 30 * kMilli);
-  hub.stop_scrape();
-  sim.run_until(85 * kMilli);
-  EXPECT_EQ(hub.scrape_count(), 3u);  // stopped: no further ticks
-}
-
 // ---- snapshot determinism across seeded runs --------------------------------
 
 std::string run_seeded_workload(std::uint64_t seed) {
@@ -242,7 +226,7 @@ std::string run_seeded_workload(std::uint64_t seed) {
       EXPECT_TRUE(client.get_sync(id, out).ok());
     }
   }
-  system.run_for(500 * kMilli);  // several scrape periods + heartbeats
+  system.run_for(500 * kMilli);  // several heartbeat rounds
   return system.hub().snapshot_json();
 }
 

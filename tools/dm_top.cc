@@ -134,10 +134,9 @@ std::string ns_str(std::uint64_t ns) {
 // percentiles pulled from the merged hub snapshot.
 void render_table(core::DmSystem& system) {
   const MetricsRegistry merged = system.hub().merged();
-  std::printf("t=%.3fms  sources=%zu  scrapes=%llu\n",
+  std::printf("t=%.3fms  sources=%zu\n",
               static_cast<double>(system.simulator().now()) / 1e6,
-              system.hub().source_count(),
-              static_cast<unsigned long long>(system.hub().scrape_count()));
+              system.hub().source_count());
   std::printf(
       "%-5s %9s %9s %9s %9s | %-21s %-21s %-21s\n", "node", "put:shm",
       "remote", "disk", "nvm", "get shm p50/p99", "get remote p50/p99",
@@ -279,7 +278,7 @@ int main(int argc, char** argv) {
     if (!client.put_sync(entry, page).ok()) continue;
     if (op % 3 == 0) (void)client.get_sync(entry, out);
   }
-  system.run_for(100 * kMilli);  // let scrapes/heartbeats settle
+  system.run_for(100 * kMilli);  // let heartbeats settle
 
   int exit_code = 0;
   if (tracer != nullptr && !opt.trace_out.empty()) {
