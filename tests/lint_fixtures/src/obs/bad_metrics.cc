@@ -1,6 +1,6 @@
-// Fixture: metric-contract violations — one name emitted as both counter
-// and histogram, one name breaking the lowercase-dotted convention, and a
-// read of a metric no code emits.
+// Fixture: metric-contract violations — a counter/histogram collision, a
+// name breaking the lowercase-dotted convention, a read no code emits, and
+// a read only a tool's helper names (tools/reads_metrics.cc).
 // Line numbers are asserted by tests/lint_test.cc.
 #include <cstdint>
 
@@ -14,9 +14,10 @@ struct FixtureMetrics {
 
 void emit_some(FixtureMetrics& m) {
   ++m.counter("fix.requests");
-  m.histogram("fix.requests", 1.0);      // line 17: collides with counter
-  ++m.counter("fix.BadName");            // line 18: naming convention
-  (void)m.counter_value("fix.missing");  // line 19: orphaned read
+  m.histogram("fix.requests", 1.0);        // line 17: collides with counter
+  ++m.counter("fix.BadName");              // line 18: naming convention
+  (void)m.counter_value("fix.missing");    // line 19: orphaned read
+  (void)m.counter_value("fix.tool_only");  // line 20: tools emit nothing
 }
 
 }  // namespace dm::obs

@@ -61,6 +61,7 @@ const Expected kExpected[] = {
     {"src/obs/bad_metrics.cc", 17, kRuleMetricContract},
     {"src/obs/bad_metrics.cc", 18, kRuleMetricContract},
     {"src/obs/bad_metrics.cc", 19, kRuleMetricContract},
+    {"src/obs/bad_metrics.cc", 20, kRuleMetricContract},
     {"src/obs/bad_span.cc", 12, kRuleSpanUnclosed},
     {"src/obs/bad_span_branch.cc", 15, kRuleSpanUnclosed},
     {"src/obs/bad_unordered.cc", 12, kRuleUnorderedIter},
@@ -122,6 +123,18 @@ TEST(LintFixturesTest, MetricRegistryListsUniverseEmissions) {
   EXPECT_NE(result.metric_registry.find("\"fix.requests\""),
             std::string::npos);
   EXPECT_NE(result.metric_registry.find("\"fix.probe\""), std::string::npos);
+  // A ternary span name is one span per arm under its subsystem
+  // (span_ternary.cc), never the two arms joined.
+  EXPECT_NE(result.metric_registry.find("\"fix.fix.hot\""),
+            std::string::npos);
+  EXPECT_NE(result.metric_registry.find("\"fix.fix.cold\""),
+            std::string::npos);
+  EXPECT_EQ(result.metric_registry.find("fix.hot.fix.cold"),
+            std::string::npos);
+  // Tools only read metrics: no entry is credited to a file under tools/.
+  EXPECT_EQ(result.metric_registry.find("\"file\": \"tools/"),
+            std::string::npos)
+      << result.metric_registry;
 }
 
 // The real tree must stay violation-free: this is the same scan `ci.sh

@@ -721,8 +721,7 @@ bool lower_dotted(const std::string& name, bool trailing_dot_ok,
 }
 
 bool universe_file(const SourceFile& file) {
-  return file.rel.rfind("src/", 0) == 0 || file.rel.rfind("tools/", 0) == 0 ||
-         file.rel.rfind("bench/", 0) == 0;
+  return file.rel.rfind("src/", 0) == 0;
 }
 
 void add_emission(const SourceFile& file, int line, const std::string& name,
@@ -814,20 +813,23 @@ void collect_metric_contract(const SourceFile& file, const FileAnalysis& fa,
       add_emission(file, lit->line, lit->text, "histogram", state, report);
     }
   }
-  // Spans: the last two literals are (subsystem, name); with only the
+  // Spans: the first literal is the subsystem and every later one a name
+  // under it (a ternary name has one literal per arm); with only the
   // subsystem literal present the name is dynamic, so record a prefix.
   for (bool scoped : {false, true}) {
     const char* token = scoped ? "SpanScope" : "begin_span";
     for (const CallLits& call : find_calls(file, token, scoped)) {
-      if (call.lits.empty() || call.lits.back()->text.empty()) continue;
-      std::string name;
-      if (call.lits.size() >= 2) {
-        name = call.lits[call.lits.size() - 2]->text + "." +
-               call.lits.back()->text;
-      } else {
-        name = call.lits.back()->text + ".";
+      if (call.lits.empty() || call.lits.front()->text.empty()) continue;
+      const std::string& subsystem = call.lits.front()->text;
+      if (call.lits.size() == 1) {
+        add_emission(file, call.lits.front()->line, subsystem + ".", "span",
+                     state, report);
       }
-      add_emission(file, call.lits.back()->line, name, "span", state, report);
+      for (std::size_t i = 1; i < call.lits.size(); ++i) {
+        add_emission(file, call.lits[i]->line,
+                     subsystem + "." + call.lits[i]->text, "span", state,
+                     report);
+      }
     }
   }
   for (const char* reader : {"counter_value", "find_histogram",

@@ -121,7 +121,9 @@ struct MetricContract {
   struct Emission {
     Site site;
     std::string kind;  // "counter" | "histogram" | "span"
-    bool universe = false;  // src/ | tools/ | bench/ (tests are ad hoc)
+    // src/ only: tools, benches and tests read metrics, so their counter()
+    // and histogram() calls are file-local reads, not emissions.
+    bool universe = false;
   };
   std::map<std::string, std::vector<Emission>> names;     // full names
   std::map<std::string, std::vector<Emission>> prefixes;  // "rpc.rtt." ...
