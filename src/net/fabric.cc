@@ -182,7 +182,7 @@ StatusOr<SimTime> Fabric::model_transfer(NodeId src, NodeId dst,
 
 void Fabric::complete_with_error(QueuePair* qp, Status status,
                                  CompletionCallback done) {
-  qp->error_ = true;
+  if (qp != nullptr) qp->error_ = true;
   ++metrics_.counter("fabric.op_errors");
   const SimTime when = sim_.now() + config_.failure_detect_ns;
   sim_.schedule_at(when, [status = std::move(status), done = std::move(done),
@@ -191,20 +191,9 @@ void Fabric::complete_with_error(QueuePair* qp, Status status,
   });
 }
 
-// ---- CXL-class load/store port ---------------------------------------------
-
-void Fabric::complete_cxl_error(Status status, CompletionCallback done) {
-  ++metrics_.counter("fabric.op_errors");
-  const SimTime when = sim_.now() + config_.failure_detect_ns;
-  sim_.schedule_at(when, [status = std::move(status), done = std::move(done),
-                          when]() {
-    if (done) done(Completion{status, when, 0});
-  });
-}
-
-CompletionCallback Fabric::wrap_cxl_span(TraceId trace, NodeId at,
-                                         const char* name,
-                                         CompletionCallback done) {
+CompletionCallback Fabric::wrap_span(TraceId trace, NodeId at,
+                                     const char* name,
+                                     CompletionCallback done) {
   if (spans_ == nullptr || trace == kNoTrace) return done;
   // dm-lint: allow(span-unclosed) — closed by the wrapped completion.
   const std::uint64_t span = spans_->begin_span(trace, at, "net", name);
@@ -214,16 +203,19 @@ CompletionCallback Fabric::wrap_cxl_span(TraceId trace, NodeId at,
   };
 }
 
+// ---- CXL-class load/store port ---------------------------------------------
+
 Status Fabric::cxl_read(NodeId src, NodeId dst, RKey rkey,
                         std::uint64_t offset, std::span<std::byte> dest,
                         CompletionCallback done, TraceId trace) {
   if (!has_node(src) || !has_node(dst))
     return InvalidArgumentError("unknown node");
-  done = wrap_cxl_span(trace, src, "fabric.cxl_read", std::move(done));
+  done = wrap_span(trace, src, "fabric.cxl_read", std::move(done));
   const SimTime posted_at = sim_.now();
   ++metrics_.counter("fabric.cxl_reads");
   if (!path_up(src, dst)) {
-    complete_cxl_error(UnavailableError("path down"), std::move(done));
+    complete_with_error(nullptr, UnavailableError("path down"),
+                        std::move(done));
     return Status::Ok();  // posted; failure arrives via completion
   }
   // Request flit to the memory node, then the data transaction back. The
@@ -239,7 +231,7 @@ Status Fabric::cxl_read(NodeId src, NodeId dst, RKey rkey,
         offset + dest.size() > region->bytes.size()) {
       Status err = region == nullptr ? NotFoundError("remote MR invalid")
                                      : UnavailableError("remote down");
-      complete_cxl_error(std::move(err), std::move(done));
+      complete_with_error(nullptr, std::move(err), std::move(done));
       return;
     }
     // Snapshot the remote line now; it travels back on the data hop.
@@ -249,7 +241,7 @@ Status Fabric::cxl_read(NodeId src, NodeId dst, RKey rkey,
             static_cast<std::ptrdiff_t>(dest.size()));
     auto back = model_transfer(dst, src, payload.size(), config_.latency.cxl);
     if (!back.ok()) {
-      complete_cxl_error(back.status(), std::move(done));
+      complete_with_error(nullptr, back.status(), std::move(done));
       return;
     }
     sim_.schedule_at(*back, [this, dest, payload = std::move(payload),
@@ -271,12 +263,12 @@ Status Fabric::cxl_write(NodeId src, NodeId dst, RKey rkey,
                          CompletionCallback done, TraceId trace) {
   if (!has_node(src) || !has_node(dst))
     return InvalidArgumentError("unknown node");
-  done = wrap_cxl_span(trace, src, "fabric.cxl_write", std::move(done));
+  done = wrap_span(trace, src, "fabric.cxl_write", std::move(done));
   const SimTime posted_at = sim_.now();
   ++metrics_.counter("fabric.cxl_writes");
   auto arrival = model_transfer(src, dst, data.size(), config_.latency.cxl);
   if (!arrival.ok()) {
-    complete_cxl_error(arrival.status(), std::move(done));
+    complete_with_error(nullptr, arrival.status(), std::move(done));
     return Status::Ok();
   }
   // Copy out now (doorbell + DMA snapshot, as with post_write).
@@ -290,7 +282,7 @@ Status Fabric::cxl_write(NodeId src, NodeId dst, RKey rkey,
       Status err = region == nullptr
                        ? NotFoundError("remote MR invalid")
                        : UnavailableError("remote node down at delivery");
-      complete_cxl_error(std::move(err), std::move(done));
+      complete_with_error(nullptr, std::move(err), std::move(done));
       return;
     }
     if (!payload.empty())
@@ -315,17 +307,7 @@ Status QueuePair::post_write(RKey rkey, std::uint64_t offset,
                              std::span<const std::byte> data,
                              CompletionCallback done, TraceId trace) {
   if (error_) return FailedPreconditionError("QP in error state");
-  if (fabric_.spans_ != nullptr && trace != kNoTrace) {
-    // Span closes when the completion fires, on success and failure alike —
-    // wrap `done` so every settle path ends it. dm-lint: allow(span-unclosed)
-    const std::uint64_t span =
-        fabric_.spans_->begin_span(trace, local_, "net", "fabric.write");
-    done = [spans = fabric_.spans_, span,
-            inner = std::move(done)](const Completion& c) {
-      spans->end_span(span);
-      if (inner) inner(c);
-    };
-  }
+  done = fabric_.wrap_span(trace, local_, "fabric.write", std::move(done));
   const SimTime posted_at = fabric_.sim_.now();
   auto arrival = fabric_.model_transfer(local_, remote_, data.size(),
                                         fabric_.config().latency.rdma);
@@ -374,16 +356,7 @@ Status QueuePair::post_read(RKey rkey, std::uint64_t offset,
                             std::span<std::byte> dest, CompletionCallback done,
                             TraceId trace) {
   if (error_) return FailedPreconditionError("QP in error state");
-  if (fabric_.spans_ != nullptr && trace != kNoTrace) {
-    // dm-lint: allow(span-unclosed) — closed by the wrapped completion.
-    const std::uint64_t span =
-        fabric_.spans_->begin_span(trace, local_, "net", "fabric.read");
-    done = [spans = fabric_.spans_, span,
-            inner = std::move(done)](const Completion& c) {
-      spans->end_span(span);
-      if (inner) inner(c);
-    };
-  }
+  done = fabric_.wrap_span(trace, local_, "fabric.read", std::move(done));
   const SimTime posted_at = fabric_.sim_.now();
   // Request hop (tiny control message), then data hop back.
   auto request_arrival =

@@ -187,13 +187,14 @@ class Fabric {
   bool path_up(NodeId src, NodeId dst) const;
   // Loss draw for one delivered message (false when loss is disabled).
   bool should_drop_message();
+  // Fails an op after the detection delay, poisoning `qp` when there is
+  // one (the CXL port has no connection to poison).
   void complete_with_error(QueuePair* qp, Status status,
                            CompletionCallback done);
-  // QP-free error completion for the CXL port (no connection to poison).
-  void complete_cxl_error(Status status, CompletionCallback done);
-  // Shared span-wrapping for the CXL port ops.
-  CompletionCallback wrap_cxl_span(TraceId trace, NodeId at, const char* name,
-                                   CompletionCallback done);
+  // Wraps `done` in a "net"/`name` span from post to completion, on
+  // success and failure alike (no-op untraced).
+  CompletionCallback wrap_span(TraceId trace, NodeId at, const char* name,
+                               CompletionCallback done);
   NodeState* state_of(NodeId node);
   const NodeState* state_of(NodeId node) const;
   MemoryRegion* find_region(NodeId node, RKey rkey);
