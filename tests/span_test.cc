@@ -363,6 +363,50 @@ TEST(SpanIntegration, FullPoolFallsToDiskOnThePutsTrace) {
   EXPECT_EQ(disk_writes, 1u);
 }
 
+// Rebuilding a lost shard of a k > 1 stripe is a decode: a traced repair
+// spans it the way a degraded read does.
+TEST(SpanIntegration, TracedShardRepairSpansItsDecode) {
+  core::DmSystem::Config config;
+  config.node_count = 5;
+  config.node.recv.arena_bytes = 8 * MiB;
+  config.service.rdmc.ec_k = 2;
+  config.service.rdmc.ec_r = 1;
+  core::DmSystem system(config);
+  obs::SpanTracer tracer(system.simulator());
+  system.set_span_sink(&tracer);
+  system.start();
+  core::LdmcOptions remote_only;
+  remote_only.shm_fraction = 0.0;
+  auto& client = system.create_server(0, 64 * MiB, remote_only);
+  ASSERT_TRUE(client.put_sync(1, std::vector<std::byte>(4096, std::byte{7}))
+                  .ok());
+  const auto loc = client.map().lookup(1);
+  ASSERT_TRUE(loc.ok());
+  for (std::size_t i = 0; i < system.node_count(); ++i)
+    if (system.node(i).id() == loc->replicas.back().node)
+      system.crash_node(i);
+
+  const net::TraceId trace = system.node(0).next_trace_id();
+  bool repaired = false;
+  system.service(0).repair_entry(
+      client.server(), 1,
+      [&](const Status& s) {
+        EXPECT_TRUE(s.ok()) << s;
+        repaired = true;
+      },
+      trace);
+  ASSERT_TRUE(system.simulator().run_until_flag(repaired));
+  EXPECT_EQ(system.service(0).metrics().counter_value("ec.shards_repaired"),
+            1u);
+
+  const auto* spans = tracer.spans(trace);
+  ASSERT_NE(spans, nullptr) << "the repair's trace holds no span";
+  std::size_t decodes = 0;
+  for (const auto& span : *spans)
+    if (span.subsystem == "ec" && span.name == "ec.decode") ++decodes;
+  EXPECT_EQ(decodes, 1u);
+}
+
 TEST(SpanIntegration, AttachedSinkDoesNotPerturbEventOrder) {
   auto run = [](bool traced) {
     core::DmSystem::Config config;
