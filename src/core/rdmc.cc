@@ -91,8 +91,24 @@ void Rdmc::put(cluster::ServerId server, mem::EntryId entry,
       tx->done(tx->first_error);
       return;
     }
-    if (tx->failed)
+    if (tx->failed) {
       ++node_.recv_pool().metrics().counter("rdmc.put_degraded_alloc");
+      // Shed parity, not data: every shard of one put has the same size,
+      // so the landed blocks take the put's lowest shard ids, in the order
+      // of the ids they drew (a block below the first failure keeps its
+      // own). Nothing has been written yet.
+      std::vector<std::uint32_t> drawn;
+      std::vector<std::uint32_t> ids;
+      for (const auto& replica : tx->replicas) drawn.push_back(replica.shard);
+      for (const auto& s : tx->shards) ids.push_back(s.shard);
+      std::ranges::sort(drawn);
+      std::ranges::sort(ids);
+      for (auto& replica : tx->replicas) {
+        const auto rank =
+            std::ranges::lower_bound(drawn, replica.shard) - drawn.begin();
+        replica.shard = ids[static_cast<std::size_t>(rank)];
+      }
+    }
     // Phase 2: one-sided writes to every reserved block. A failed write
     // drops that shard (its block is freed); the put still succeeds if
     // enough writes landed.

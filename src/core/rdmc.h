@@ -81,12 +81,17 @@ class Rdmc {
   // survivors, with RemoteReplica::shard identifying each — and rolls
   // everything back below that. When placement comes up short, shards are
   // dropped from the *back* of the vector down to min_needed, so callers
-  // order them data-first/parity-last to shed parity before data. `exclude`
-  // removes nodes from candidacy (migration and repair place fresh shards
-  // away from every current host); repair paths pass just the missing
-  // shards with min_needed = 1. `trace` joins the alloc RPCs and data-plane
-  // writes to the caller's causal chain (kNoTrace = start a fresh chain at
-  // this node).
+  // order them data-first/parity-last to shed parity before data. A failed
+  // reservation (say, on a host that crashed before membership noticed)
+  // also costs parity before data: every shard of one put has the same
+  // size, so the blocks that were reserved take the put's lowest shard ids
+  // before anything is written. Only a write that fails after that drops
+  // the shard it carried. `exclude` removes nodes from candidacy (migration
+  // and repair place fresh shards away from every current host); repair
+  // paths pass just the missing shards with min_needed = 1, so a short
+  // repair restores the lowest missing ids. `trace` joins the alloc RPCs
+  // and data-plane writes to the caller's causal chain (kNoTrace = start a
+  // fresh chain at this node).
   void put(cluster::ServerId server, mem::EntryId entry,
            std::vector<ShardPayload> shards, std::size_t min_needed,
            PutCallback done, std::span<const net::NodeId> exclude = {},

@@ -479,6 +479,43 @@ TEST(EcSystemTest, ShortPlacementDegradesToMinShards) {
   EXPECT_FALSE(loc->degraded);
 }
 
+// A host that crashed before membership noticed still draws shards, and
+// every reservation on it fails. The put then sheds parity, not data: each
+// short stripe keeps shards 0..k-1, so reads stay on the direct path.
+TEST(EcSystemTest, PutsDuringUndetectedCrashKeepEveryDataShard) {
+  DmSystem system(ec_config(8, 4, 2, /*min_shards=*/4));
+  system.start();
+  auto& client = system.create_server(0, 64 * MiB, remote_only());
+  system.crash_node(3);  // no virtual time passes: still listed alive
+
+  constexpr std::uint64_t kEntries = 32;
+  for (std::uint64_t id = 0; id < kEntries; ++id)
+    ASSERT_TRUE(client.put_sync(id, page_data(id)).ok()) << id;
+  std::size_t short_stripes = 0;
+  for (std::uint64_t id = 0; id < kEntries; ++id) {
+    auto loc = client.map().lookup(id);
+    ASSERT_TRUE(loc.ok());
+    ASSERT_EQ(loc->tier, mem::Tier::kRemote);
+    if (!loc->degraded) continue;
+    ++short_stripes;
+    std::set<std::uint32_t> shards;
+    for (const auto& replica : loc->replicas) shards.insert(replica.shard);
+    for (std::uint32_t data_shard = 0; data_shard < 4; ++data_shard)
+      EXPECT_TRUE(shards.count(data_shard))
+          << "entry " << id << " lost data shard " << data_shard;
+  }
+  EXPECT_GT(short_stripes, 0u);  // the crashed host did draw shards
+
+  const auto& metrics = system.service(0).metrics();
+  const std::uint64_t degraded = metrics.counter_value("ec.degraded_reads");
+  std::vector<std::byte> out(4096);
+  for (std::uint64_t id = 0; id < kEntries; ++id) {
+    ASSERT_TRUE(client.get_sync(id, out).ok()) << id;
+    EXPECT_EQ(out, page_data(id)) << id;
+  }
+  EXPECT_EQ(metrics.counter_value("ec.degraded_reads"), degraded);
+}
+
 // EC memory economics (the Hydra claim): hosted bytes across the cluster
 // for (k=4, r=2) stay at ~1.5x the logical bytes — strictly below the 2x
 // floor of replication factor 2.

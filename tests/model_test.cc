@@ -715,7 +715,7 @@ TEST(SwapModelTest, SameSeedReplaysAreByteIdentical) {
 // --- erasure-coded stripe invariants (Hydra-style EC model checker) ----------
 //
 // A seeded op stream (stripe puts, reads, guarded crashes/recoveries, repair
-// scans) runs against a live cluster while four invariants are re-checked
+// scans) runs against a live cluster while five invariants are re-checked
 // after every step, for a k > 1 code and for k = 1 (replication, where
 // every shard is a whole copy):
 //   E1  every EC stripe carries unique shard indices, at most k+r of them;
@@ -724,7 +724,10 @@ TEST(SwapModelTest, SameSeedReplaysAreByteIdentical) {
 //   E3  a repair scan never decreases any stripe's surviving-shard count;
 //   E4  degraded reads return bytes identical to the fault-free read
 //       (checked implicitly by E2's byte-exact comparison both before and
-//       after faults).
+//       after faults);
+//   E5  the stripe a successful put commits holds a prefix of shard ids,
+//       0..n-1: a short put sheds parity, never data, even when a
+//       reservation fails on a host membership has not yet declared down.
 namespace dm::core {
 namespace {
 
@@ -794,9 +797,19 @@ TEST_P(EcModelTest, StripeInvariantsHoldOverRandomOps) {
 
   for (int step = 0; step < 120; ++step) {
     const std::size_t op = rng.next_below(10);
-    if (op < 4) {  // put a fresh key
+    if (op < 4) {  // put a fresh key; E5 on the stripe it commits
       const mem::EntryId key = next_key++;
-      if (client.put_sync(key, ec_page(key)).ok()) live_keys.insert(key);
+      if (client.put_sync(key, ec_page(key)).ok()) {
+        live_keys.insert(key);
+        auto loc = client.map().lookup(key);
+        ASSERT_TRUE(loc.ok());
+        std::set<std::uint32_t> shards;
+        for (const auto& replica : loc->replicas) shards.insert(replica.shard);
+        // Distinct ids whose largest is n - 1 are exactly 0..n-1.
+        ASSERT_FALSE(shards.empty());
+        EXPECT_EQ(*shards.rbegin() + 1u, shards.size())
+            << "key " << key << " committed a stripe missing a lower shard";
+      }
     } else if (op < 7 && !live_keys.empty()) {  // read a random key
       auto it = live_keys.begin();
       std::advance(it, rng.next_below(live_keys.size()));
