@@ -572,34 +572,38 @@ void NodeService::get_entry(cluster::ServerId server, mem::EntryId entry,
       read_stripe(location, offset, out, std::move(done), trace);
       return;
     case mem::Tier::kNvm:
-    case mem::Tier::kDisk: {
-      Device* dev = device(location.tier);
-      if (dev == nullptr) {
-        done(FailedPreconditionError("entry on absent NVM tier"));
-        return;
-      }
-      if (spans_ != nullptr && trace != net::kNoTrace) {
-        // dm-lint: allow(span-unclosed) — closed by the wrapped completion.
-        const std::uint64_t span =
-            spans_->begin_span(trace, node_.id(), "disk", dev->read_span);
-        done = [spans = spans_, span,
-                inner = std::move(done)](const Status& s) {
-          spans->end_span(span);
-          inner(s);
-        };
-      }
-      auto done_ptr = std::make_shared<DoneCallback>(std::move(done));
-      Status posted = dev->block->read(
-          location.disk_offset + offset, out,
-          [done_ptr](const Status& s, SimTime) { (*done_ptr)(s); });
-      if (!posted.ok()) {
-        node_.simulator().schedule_after(
-            0, [posted, done_ptr]() { (*done_ptr)(posted); });
-      }
+    case mem::Tier::kDisk:
+      read_device(location, offset, out, std::move(done), trace);
       return;
-    }
   }
   done(InternalError("unknown tier"));
+}
+
+void NodeService::read_device(const mem::EntryLocation& location,
+                              std::uint64_t offset, std::span<std::byte> out,
+                              DoneCallback done, net::TraceId trace) {
+  Device* dev = device(location.tier);
+  if (dev == nullptr) {
+    done(FailedPreconditionError("entry on absent NVM tier"));
+    return;
+  }
+  if (spans_ != nullptr && trace != net::kNoTrace) {
+    // dm-lint: allow(span-unclosed) — closed by the wrapped completion.
+    const std::uint64_t span =
+        spans_->begin_span(trace, node_.id(), "disk", dev->read_span);
+    done = [spans = spans_, span, inner = std::move(done)](const Status& s) {
+      spans->end_span(span);
+      inner(s);
+    };
+  }
+  auto done_ptr = std::make_shared<DoneCallback>(std::move(done));
+  Status posted = dev->block->read(
+      location.disk_offset + offset, out,
+      [done_ptr](const Status& s, SimTime) { (*done_ptr)(s); });
+  if (!posted.ok()) {
+    node_.simulator().schedule_after(
+        0, [posted, done_ptr]() { (*done_ptr)(posted); });
+  }
 }
 
 void NodeService::remove_entry(cluster::ServerId server, mem::EntryId entry,
@@ -900,10 +904,11 @@ void NodeService::repair_entry(cluster::ServerId server, mem::EntryId entry,
   if ((loc->tier == mem::Tier::kDisk || loc->tier == mem::Tier::kNvm) &&
       loc->degraded) {
     // Disk-fallback entry: read the device copy, re-promote it to remote
-    // memory as a full stripe, then release the device extent.
+    // memory as a full stripe, then release the device extent. Background
+    // I/O, so the read skips get_entry's demand accounting.
     auto bytes = std::make_shared<std::vector<std::byte>>(loc->stored_size);
-    get_entry(
-        server, entry, *loc, 0, *bytes,
+    read_device(
+        *loc, 0, *bytes,
         [this, server, entry, bytes, old = *loc,
          done = std::move(done), trace](const Status& s) mutable {
           if (!s.ok()) {

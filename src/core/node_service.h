@@ -272,6 +272,13 @@ class NodeService {
   // before the disk.
   void put_device(std::span<const std::byte> data, PutCallback done,
                   net::TraceId trace);
+  // Reads `out.size()` bytes at `offset` within a device-tier entry,
+  // spanned as "disk"/"<tier>.read" when traced. No demand accounting:
+  // get_entry adds it for application gets, and re-promotion reads
+  // through here directly.
+  void read_device(const mem::EntryLocation& location, std::uint64_t offset,
+                   std::span<std::byte> out, DoneCallback done,
+                   net::TraceId trace);
   // Frees one LRU shared-pool entry by pushing it to remote memory; the
   // callback reports whether space was reclaimed.
   void spill_one(std::function<void(bool)> done);
