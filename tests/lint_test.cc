@@ -51,7 +51,6 @@ const Expected kExpected[] = {
     {"src/core/bad_determinism.cc", 26, kRuleGetenv},
     {"src/core/bad_determinism.cc", 30, kRulePtrHash},
     {"src/core/bad_determinism.cc", 34, kRulePtrHash},
-    {"src/core/bad_include.cc", 7, kRuleIncludeDirect},
     {"src/core/bad_status_branch.cc", 13, kRuleStatusDiscard},
     {"src/cxl/bad_lock_cycle.cc", 15, kRuleLockOrder},
     {"src/cxl/bad_lock_cycle.cc", 22, kRuleLockOrder},

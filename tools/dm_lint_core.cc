@@ -51,89 +51,6 @@ const std::map<std::string, std::set<std::string>>& layer_table() {
   return kTable;
 }
 
-// ---------------------------------------------------------------------------
-// include-direct token map: distinctive project names -> owning header.
-// A file whose code names one of these must include the header directly
-// (IWYU-lite); transitive pulls rot when intermediate headers slim down.
-// ---------------------------------------------------------------------------
-const std::map<std::string, std::string>& owner_table() {
-  static const std::map<std::string, std::string> kOwners = {
-      {"Status", "common/status.h"},
-      {"StatusOr", "common/status.h"},
-      {"StatusCode", "common/status.h"},
-      {"SimTime", "common/units.h"},
-      {"MetricsRegistry", "common/metrics.h"},
-      {"Histogram", "common/histogram.h"},
-      {"Rng", "common/rng.h"},
-      {"ZipfGenerator", "common/rng.h"},
-      {"LruTracker", "common/lru.h"},
-      {"Logger", "common/logging.h"},
-      {"fnv1a", "common/checksum.h"},
-      {"word_checksum", "common/checksum.h"},
-      {"ZeroArena", "common/zero_arena.h"},
-      {"Simulator", "sim/simulator.h"},
-      {"FailureInjector", "sim/failure_injector.h"},
-      {"ChaosSchedule", "sim/chaos_schedule.h"},
-      {"LatencyModel", "sim/latency_model.h"},
-      {"WireReader", "net/wire.h"},
-      {"WireWriter", "net/wire.h"},
-      {"Fabric", "net/fabric.h"},
-      {"RpcEndpoint", "net/rpc.h"},
-      {"RetryPolicy", "net/retry_policy.h"},
-      {"ConnectionManager", "net/connection_manager.h"},
-      {"BlockDevice", "storage/block_device.h"},
-      {"ExtentAllocator", "storage/block_device.h"},
-      {"SlabAllocator", "mem/slab_allocator.h"},
-      {"BufferPool", "mem/buffer_pool.h"},
-      {"SharedMemoryPool", "mem/shared_memory_pool.h"},
-      {"MemoryMap", "mem/memory_map.h"},
-      {"EntryLocation", "mem/memory_map.h"},
-      {"RemoteReplica", "mem/memory_map.h"},
-      {"RsCodec", "ec/rs_codec.h"},
-      {"gf_mul_add", "ec/gf256.h"},
-      {"CxlDirectory", "cxl/coherence.h"},
-      {"CxlAgent", "cxl/coherence.h"},
-      {"LineState", "cxl/coherence.h"},
-      {"CxlPageTier", "cxl/page_tier.h"},
-      {"PlacementPolicy", "cluster/placement.h"},
-      {"PlacementPolicyKind", "cluster/placement.h"},
-      {"Harvester", "cluster/harvester.h"},
-      {"NodeLoad", "cluster/harvester.h"},
-      {"HarvestAction", "cluster/harvester.h"},
-      {"ScenarioEngine", "sim/scenario.h"},
-      {"Membership", "cluster/membership.h"},
-      {"GroupDirectory", "cluster/group.h"},
-      {"LeaderElection", "cluster/group.h"},
-      {"VirtualServer", "cluster/virtual_server.h"},
-      {"Ldmc", "core/ldmc.h"},
-      {"Rdmc", "core/rdmc.h"},
-      {"Rdms", "core/rdms.h"},
-      {"NodeService", "core/node_service.h"},
-      {"LdmcOptions", "core/node_service.h"},
-      {"DmSystem", "core/dm_system.h"},
-      {"RepairService", "core/repair_service.h"},
-      {"PageCompressor", "compress/page_compressor.h"},
-      {"CompressedPage", "compress/page_compressor.h"},
-      {"SwapManager", "swap/swap_manager.h"},
-      {"PatternTracker", "swap/pattern_tracker.h"},
-      {"AdaptiveWindow", "swap/pattern_tracker.h"},
-      {"SystemSetup", "swap/systems.h"},
-      {"SystemKind", "swap/systems.h"},
-      {"ZswapCache", "swap/zswap_cache.h"},
-      {"KvStore", "kvstore/kv_store.h"},
-      {"SpanSink", "sim/span_sink.h"},
-      {"SpanScope", "sim/span_sink.h"},
-      {"SpanTracer", "obs/span.h"},
-      {"FlightRecorder", "obs/flight_recorder.h"},
-      {"SloMonitor", "obs/slo.h"},
-      {"Profiler", "obs/profiler.h"},
-      {"MetricsHub", "obs/metrics_hub.h"},
-      {"MiniSpark", "rddcache/mini_spark.h"},
-      {"AppSpec", "workloads/app_catalog.h"},
-  };
-  return kOwners;
-}
-
 // Determinism token sets. Function-like names are only flagged when called
 // (next significant char '('; not a member access), type-like names on any
 // use.
@@ -231,7 +148,6 @@ class Analyzer {
   void check_determinism(const SourceFile& file);
   void check_unordered_iteration(const SourceFile& file);
   void check_layering(const SourceFile& file);
-  void check_include_direct(const SourceFile& file);
   void report(const SourceFile& file, int line, const char* rule,
               std::string message);
 
@@ -487,35 +403,6 @@ void Analyzer::check_layering(const SourceFile& file) {
   }
 }
 
-void Analyzer::check_include_direct(const SourceFile& file) {
-  // Identity of this file in include-path terms ("common/status.h" for
-  // src/common/status.h) plus its own header pair.
-  std::string self = file.rel;
-  if (self.rfind("src/", 0) == 0) self = self.substr(4);
-  std::string pair;
-  if (self.ends_with(".cc")) pair = self.substr(0, self.size() - 3) + ".h";
-  std::set<std::string> included;
-  for (const auto& [line, inc] : file.includes) included.insert(inc);
-
-  std::map<std::string, int> first_use;  // owner header -> first line
-  std::map<std::string, std::string> use_token;
-  for (const Token& t : tokenize(file)) {
-    auto it = owner_table().find(t.text);
-    if (it == owner_table().end()) continue;
-    if (is_member_access(t)) continue;
-    const std::string& owner = it->second;
-    if (owner == self || owner == pair) continue;
-    if (included.count(owner) > 0) continue;
-    if (file.fwd_decls.count(t.text) > 0) continue;
-    if (first_use.emplace(owner, t.line).second) use_token[owner] = t.text;
-  }
-  for (const auto& [owner, line] : first_use) {
-    report(file, line, kRuleIncludeDirect,
-           "uses '" + use_token[owner] + "' but does not include \"" + owner +
-               "\" directly (include what you use)");
-  }
-}
-
 RunResult Analyzer::run() {
   load_tree();
   std::set<std::string> void_names;
@@ -547,7 +434,6 @@ RunResult Analyzer::run() {
       check_determinism(file);
       check_unordered_iteration(file);
       check_layering(file);
-      check_include_direct(file);
       check_status_branches(file, fa, status_names_, reporter);
       check_span_flow(file, fa, reporter);
       collect_lock_order(file, fa, &lock_graph, reporter);
@@ -593,8 +479,6 @@ const std::vector<RuleInfo>& rule_catalog() {
        "src/ must not include test or bench headers"},
       {kRuleStatusDiscard,
        "Status/StatusOr results must be consumed on every path"},
-      {kRuleIncludeDirect,
-       "include what you use: name a project type, include its header"},
       {kRuleSpanUnclosed,
        "begin_span must reach an end_span on every path to the exit"},
       {kRuleLockOrder,

@@ -1,5 +1,5 @@
 // dm_lint: project-invariant static analysis (determinism, layering,
-// status hygiene, include hygiene).
+// status hygiene, lock order, RPC and metric contracts).
 //
 // The reproduction's results are seeded sim-time runs pinned to
 // byte-identical outputs, so the invariants that keep replays honest are
@@ -19,8 +19,6 @@
 //    consume the result (the [[nodiscard]] types catch this at compile
 //    time; the lint rule catches it in code that is not compiled in every
 //    configuration, e.g. fixtures and gated paths).
-//  * includes     — IWYU-lite: a file that names a project type includes
-//    that type's header directly instead of leaning on transitive pulls.
 //  * spans        — a raw member call to begin_span must have an end_span
 //    on every control-flow path to the function exit (async hand-offs that
 //    close the span elsewhere carry an explicit allow marker); prefer the
@@ -83,7 +81,6 @@ inline constexpr const char* kRuleUnorderedIter = "det-unordered-iter";
 inline constexpr const char* kRuleLayerDep = "layer-dep";
 inline constexpr const char* kRuleLayerTestInclude = "layer-test-include";
 inline constexpr const char* kRuleStatusDiscard = "status-discard";
-inline constexpr const char* kRuleIncludeDirect = "include-direct";
 inline constexpr const char* kRuleSpanUnclosed = "span-unclosed";
 inline constexpr const char* kRuleLockOrder = "lock-order";
 inline constexpr const char* kRuleRpcContract = "rpc-contract";

@@ -240,29 +240,6 @@ void collect_unordered_names(SourceFile& file) {
   }
 }
 
-void collect_fwd_decls(SourceFile& file) {
-  for (const std::string& line : file.code) {
-    for (const char* kw : {"class", "struct"}) {
-      for (std::size_t pos = 0;;) {
-        auto at = line.find(kw, pos);
-        if (at == std::string::npos) break;
-        pos = at + 1;
-        const std::size_t kwlen = std::string_view(kw).size();
-        if (at > 0 && is_ident_char(line[at - 1])) continue;
-        if (at + kwlen >= line.size() || line[at + kwlen] != ' ') continue;
-        std::size_t i = at + kwlen + 1;
-        const std::size_t name_start = i;
-        while (i < line.size() && is_ident_char(line[i])) ++i;
-        const std::size_t name_end = i;
-        while (i < line.size() && line[i] == ' ') ++i;
-        if (i < line.size() && line[i] == ';' && name_end > name_start) {
-          file.fwd_decls.insert(line.substr(name_start, name_end - name_start));
-        }
-      }
-    }
-  }
-}
-
 // Files that produce exported artifacts: obs snapshots, bench JSON, the
 // RPC wire format. Detected by path and by the tokens those emitters use.
 void detect_exporting(SourceFile& file) {
@@ -322,7 +299,6 @@ void preprocess(SourceFile& file) {
   parse_allow_markers(file);
   parse_lock_markers(file);
   collect_unordered_names(file);
-  collect_fwd_decls(file);
   detect_exporting(file);
 }
 
