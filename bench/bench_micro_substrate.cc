@@ -79,7 +79,7 @@ void BM_SlabAllocatorChurn(benchmark::State& state) {
 BENCHMARK(BM_SlabAllocatorChurn);
 
 void BM_SharedPoolPutGet(benchmark::State& state) {
-  mem::SharedMemoryPool pool({.arena_bytes = 16 * MiB, .slab = {}});
+  mem::SharedMemoryPool pool({.arena_bytes = 16 * MiB});
   (void)pool.set_donation(1, 8 * MiB);
   std::vector<std::byte> data(4096, std::byte{3});
   std::vector<std::byte> out(4096);

@@ -10,6 +10,13 @@
 #include "sim/simulator.h"
 
 namespace dm::cluster {
+namespace {
+
+// Periodic re-election cadence ("a leader election protocol periodically
+// elects the one that meets certain constraints").
+constexpr SimTime kElectionPeriod = 1 * kSecond;
+
+}  // namespace
 
 GroupDirectory::GroupDirectory(std::vector<net::NodeId> nodes,
                                std::size_t group_size) {
@@ -72,16 +79,8 @@ LeaderElection::LeaderElection(sim::Simulator& simulator,
                                net::RpcEndpoint& rpc, Membership& membership,
                                net::NodeId self,
                                std::vector<net::NodeId> group_members)
-    : LeaderElection(simulator, rpc, membership, self,
-                     std::move(group_members), Config{}) {}
-
-LeaderElection::LeaderElection(sim::Simulator& simulator,
-                               net::RpcEndpoint& rpc, Membership& membership,
-                               net::NodeId self,
-                               std::vector<net::NodeId> group_members,
-                               Config config)
     : sim_(simulator), rpc_(rpc), membership_(membership), self_(self),
-      config_(config), members_(std::move(group_members)) {
+      members_(std::move(group_members)) {
   // Adopt announcements from the group's coordinator (see
   // is_coordinator()); a single announcer means no conflicting
   // announcements can race.
@@ -113,7 +112,7 @@ void LeaderElection::start() {
 
 void LeaderElection::tick() {
   if (!running_) return;
-  sim_.schedule_after(config_.period, [this, alive = alive_]() {
+  sim_.schedule_after(kElectionPeriod, [this, alive = alive_]() {
     if (!*alive || !running_) return;
     elect();
     tick();

@@ -63,18 +63,9 @@ class GroupDirectory {
 
 class LeaderElection {
  public:
-  struct Config {
-    // Periodic re-election cadence ("a leader election protocol
-    // periodically elects the one that meets certain constraints").
-    SimTime period = 1 * kSecond;
-  };
-
   LeaderElection(sim::Simulator& simulator, net::RpcEndpoint& rpc,
                  Membership& membership, net::NodeId self,
                  std::vector<net::NodeId> group_members);
-  LeaderElection(sim::Simulator& simulator, net::RpcEndpoint& rpc,
-                 Membership& membership, net::NodeId self,
-                 std::vector<net::NodeId> group_members, Config config);
 
   // Free bytes this node advertises about itself in elections (same source
   // the heartbeat replies use, so views converge).
@@ -114,7 +105,6 @@ class LeaderElection {
   net::RpcEndpoint& rpc_;
   Membership& membership_;
   net::NodeId self_;
-  Config config_;
   std::function<std::uint64_t()> self_free_;
   std::vector<net::NodeId> members_;  // includes self
   net::NodeId leader_ = net::kInvalidNode;

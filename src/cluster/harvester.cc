@@ -3,6 +3,12 @@
 #include <algorithm>
 
 namespace dm::cluster {
+namespace {
+
+// Don't bother migrating off a node hosting less than this.
+constexpr std::uint64_t kMinHostedBytes = 64 * 1024;
+
+}  // namespace
 
 std::vector<HarvestAction> Harvester::plan(std::span<const NodeLoad> loads) {
   ++plans_;
@@ -28,7 +34,7 @@ std::vector<HarvestAction> Harvester::plan(std::span<const NodeLoad> loads) {
   for (const auto& load : loads) {
     if (!load.up) continue;
     if (static_cast<double>(load.pressure) < threshold) continue;
-    if (load.hosted_bytes < config_.min_hosted_bytes) continue;
+    if (load.hosted_bytes < kMinHostedBytes) continue;
     hot.push_back(&load);
   }
   std::sort(hot.begin(), hot.end(),

@@ -59,8 +59,6 @@ class Harvester {
     // quiet cluster (mean ~0) from flagging every node with one fault.
     double hot_ratio = 2.0;
     std::uint64_t min_pressure = 16;
-    // Don't bother migrating off a node hosting less than this.
-    std::uint64_t min_hosted_bytes = 64 * 1024;
     // Per-tick migration budget per hot node (each entry costs one
     // shard read + one single-shard put on the owner).
     std::size_t migrate_entries_per_action = 8;

@@ -7,10 +7,17 @@
 #include "sim/simulator.h"
 
 namespace dm::cluster {
+namespace {
 
-Membership::Membership(sim::Simulator& simulator, net::RpcEndpoint& rpc,
-                       Config config)
-    : sim_(simulator), rpc_(rpc), config_(config) {
+constexpr SimTime kHeartbeatPeriod = 200 * kMilli;
+// A peer silent for longer than this (> 3 missed heartbeats) is down.
+constexpr SimTime kFailureTimeout = 700 * kMilli;
+constexpr SimTime kHeartbeatTimeout = 50 * kMilli;
+
+}  // namespace
+
+Membership::Membership(sim::Simulator& simulator, net::RpcEndpoint& rpc)
+    : sim_(simulator), rpc_(rpc) {
   rpc_.handle(kRpcHeartbeat, [this](net::NodeId, net::WireReader&)
                                  -> StatusOr<std::vector<std::byte>> {
     net::WireWriter w;
@@ -48,7 +55,7 @@ void Membership::start() {
 void Membership::tick() {
   if (!running_) return;
   for (net::NodeId peer : peers_) {
-    rpc_.call(peer, kRpcHeartbeat, {}, config_.rpc_timeout,
+    rpc_.call(peer, kRpcHeartbeat, {}, kHeartbeatTimeout,
               [this, peer](StatusOr<std::vector<std::byte>> resp) {
                 if (!resp.ok()) return;  // silence; timeout sweep handles it
                 net::WireReader r(*resp);
@@ -58,7 +65,7 @@ void Membership::tick() {
               });
   }
   check_timeouts();
-  sim_.schedule_after(config_.heartbeat_period, [this]() { tick(); });
+  sim_.schedule_after(kHeartbeatPeriod, [this]() { tick(); });
 }
 
 void Membership::note_alive(net::NodeId peer, std::uint64_t free_bytes,
@@ -77,7 +84,7 @@ void Membership::check_timeouts() {
   const SimTime now = sim_.now();
   for (net::NodeId peer : peers_) {
     auto& st = state_[peer];
-    if (st.alive && now - st.last_seen > config_.failure_timeout) {
+    if (st.alive && now - st.last_seen > kFailureTimeout) {
       st.alive = false;
       for (const auto& fn : down_listeners_) fn(peer);
     }

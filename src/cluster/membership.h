@@ -24,13 +24,7 @@ namespace dm::cluster {
 
 class Membership {
  public:
-  struct Config {
-    SimTime heartbeat_period = 200 * kMilli;
-    SimTime failure_timeout = 700 * kMilli;  // > 3 missed heartbeats
-    SimTime rpc_timeout = 50 * kMilli;
-  };
-
-  Membership(sim::Simulator& simulator, net::RpcEndpoint& rpc, Config config);
+  Membership(sim::Simulator& simulator, net::RpcEndpoint& rpc);
 
   // Free-bytes the node advertises in heartbeat replies (bound once).
   void set_free_bytes_provider(std::function<std::uint64_t()> provider);
@@ -74,7 +68,6 @@ class Membership {
 
   sim::Simulator& sim_;
   net::RpcEndpoint& rpc_;
-  Config config_;
   std::function<std::uint64_t()> free_provider_;
   std::function<std::uint64_t()> pressure_provider_;
   std::vector<net::NodeId> peers_;

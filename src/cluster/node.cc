@@ -15,7 +15,7 @@ Node::Node(sim::Simulator& simulator, net::Fabric& fabric,
            net::ConnectionManager& connections, net::NodeId id, Config config)
     : sim_(simulator), fabric_(fabric), connections_(connections), id_(id),
       config_(std::move(config)), rpc_(simulator, id),
-      membership_(simulator, rpc_, config_.membership), shm_(config_.shm),
+      membership_(simulator, rpc_), shm_(config_.shm),
       recv_pool_(fabric, id, config_.recv),
       disk_(simulator, config_.disk),
       nvm_(config_.nvm.capacity_bytes > 0

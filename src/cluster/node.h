@@ -43,7 +43,6 @@ class Node {
         .capacity_bytes = 0,
         .model = {.seek_ns = 1 * kMicro, .mib_per_s = 8000.0},
         .sequential_window = ~0ull};
-    Membership::Config membership{};
     std::uint64_t rng_seed = 0;  // mixed with the node id
   };
 

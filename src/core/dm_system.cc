@@ -13,6 +13,13 @@
 #include "sim/span_sink.h"
 
 namespace dm::core {
+namespace {
+
+// Virtual time to run after start() so heartbeats populate the candidate
+// free-memory views before the first placement decision.
+constexpr SimTime kWarmup = 1 * kSecond;
+
+}  // namespace
 
 DmSystem::DmSystem(Config config)
     : config_(std::move(config)), failures_(sim_),
@@ -128,7 +135,7 @@ void DmSystem::start() {
     };
     sim_.schedule_after(config_.harvest_period, Rearm{this});
   }
-  run_for(config_.warmup);
+  run_for(kWarmup);
 }
 
 std::size_t DmSystem::harvest_tick() {

@@ -53,9 +53,6 @@ class DmSystem {
     net::Fabric::Config fabric{};
     double default_donation_fraction = 0.10;  // paper §IV.F: 10% initially
     std::uint64_t seed = 42;
-    // Virtual time to run after start() so heartbeats populate the
-    // candidate free-memory views before the first placement decision.
-    SimTime warmup = 1 * kSecond;
     // §IV.C dynamic regrouping: when a group's aggregate donatable memory
     // falls below this fraction of its capacity, pull a donor node in from
     // the richest group (0 disables).

@@ -13,6 +13,13 @@ namespace dm::core {
 using cluster::kRpcAllocBlock;
 using cluster::kRpcFreeBlock;
 
+namespace {
+
+// Deadline of each block alloc/free RPC.
+constexpr SimTime kBlockCallTimeout = 5 * kMilli;
+
+}  // namespace
+
 Rdmc::Rdmc(cluster::Node& node, Config config)
     : node_(node), config_(config),
       policy_(cluster::make_placement_policy(config.placement)) {}
@@ -182,7 +189,7 @@ void Rdmc::put(cluster::ServerId server, mem::EntryId entry,
     w.put_u64(entry);
     w.put_u32(static_cast<std::uint32_t>(size));
     node_.rpc().call(
-        target, kRpcAllocBlock, std::move(w).take(), config_.rpc_timeout,
+        target, kRpcAllocBlock, std::move(w).take(), kBlockCallTimeout,
         [tx, target, shard_id,
          finish_allocs](StatusOr<std::vector<std::byte>> resp) {
           if (resp.ok()) {
@@ -291,7 +298,7 @@ void Rdmc::free_replicas(std::vector<mem::RemoteReplica> replicas,
     w.put_u64(replica.offset);
     const net::NodeId host = replica.node;
     node_.rpc().call(
-        host, kRpcFreeBlock, std::move(w).take(), config_.rpc_timeout,
+        host, kRpcFreeBlock, std::move(w).take(), kBlockCallTimeout,
         [this, state, host](StatusOr<std::vector<std::byte>> resp) {
           // A block on a crashed host died with its DRAM, and the host's
           // recovery drops every block it hosted: the free is done.

@@ -50,7 +50,6 @@ class Rdmc {
     std::size_t min_shards = 0;
     cluster::PlacementPolicyKind placement =
         cluster::PlacementPolicyKind::kPowerOfTwoChoices;
-    SimTime rpc_timeout = 5 * kMilli;
   };
 
   using PutCallback =

@@ -13,11 +13,9 @@ CxlPageTier::CxlPageTier(CxlAgent& agent, Config config)
     : agent_(agent), config_(config) {
   assert(config_.page_bytes % kLineBytes == 0);
   lines_per_page_ = config_.page_bytes / kLineBytes;
-  // The pool cannot outgrow its slab of the directory region.
-  const std::size_t dir_lines = agent_.directory().line_count();
-  const std::size_t slab_lines =
-      config_.base_line < dir_lines ? dir_lines - config_.base_line : 0;
-  capacity_ = std::min(config_.pool_pages, slab_lines / lines_per_page_);
+  // The pool cannot outgrow the directory region.
+  capacity_ = std::min(config_.pool_pages,
+                       agent_.directory().line_count() / lines_per_page_);
   for (std::size_t i = 0; i < capacity_; ++i) free_slots_.insert(i);
 }
 

@@ -34,11 +34,10 @@ namespace dm::cxl {
 
 class CxlPageTier {
  public:
+  // The pool's slots are consecutive from directory line 0.
   struct Config {
     std::size_t pool_pages = 64;
     std::size_t page_bytes = 4096;
-    // First directory line of the pool's slab (slots are consecutive).
-    LineId base_line = 0;
   };
 
   CxlPageTier(CxlAgent& agent, Config config);
@@ -79,7 +78,7 @@ class CxlPageTier {
 
  private:
   LineId first_line_of(std::size_t slot) const noexcept {
-    return config_.base_line + slot * lines_per_page_;
+    return slot * lines_per_page_;
   }
 
   struct Slot {

@@ -11,6 +11,8 @@ namespace dm::kv {
 namespace {
 
 constexpr std::size_t kMaxEntryBytes = 64 * 1024;
+// CPU cost per operation (hashing, bucket walk, bookkeeping).
+constexpr SimTime kCpuNsPerOp = 500;
 
 std::uint64_t hash_key(std::string_view key, std::uint64_t salt) {
   return fnv1a(std::as_bytes(std::span(key.data(), key.size()))) ^
@@ -65,7 +67,7 @@ mem::EntryId KvStore::allocate_entry_id(const std::string& key) {
 }
 
 Status KvStore::set(std::string_view key, std::span<const std::byte> value) {
-  charge(config_.cpu_ns_per_op);
+  charge(kCpuNsPerOp);
   if (sizeof(std::uint32_t) + key.size() + value.size() > kMaxEntryBytes)
     return InvalidArgumentError("value too large for one kv entry");
   std::string key_owned(key);
@@ -125,7 +127,7 @@ Status KvStore::evict_one() {
 }
 
 StatusOr<std::vector<std::byte>> KvStore::get(std::string_view key) {
-  charge(config_.cpu_ns_per_op);
+  charge(kCpuNsPerOp);
   std::string key_owned(key);
   if (auto it = hot_.find(key_owned); it != hot_.end()) {
     lru_.touch(key_owned);
@@ -164,7 +166,7 @@ StatusOr<std::vector<std::byte>> KvStore::get(std::string_view key) {
 }
 
 Status KvStore::erase(std::string_view key) {
-  charge(config_.cpu_ns_per_op);
+  charge(kCpuNsPerOp);
   return erase_internal(std::string(key), /*missing_ok=*/false);
 }
 

@@ -83,13 +83,6 @@ class Fabric {
  public:
   struct Config {
     sim::LatencyModel latency{};
-    // Delay before an operation against a down node/link errors out
-    // (models RC retry exhaustion / keep-alive timeout).
-    SimTime failure_detect_ns = 50 * kMicro;
-    // Seed for the message-loss draw stream (chaos scenarios). Loss draws
-    // only happen while a loss probability is set, so runs without chaos
-    // are bit-identical to pre-chaos builds.
-    std::uint64_t loss_seed = 0x10553;
   };
 
   explicit Fabric(sim::Simulator& simulator);
@@ -154,7 +147,7 @@ class Fabric {
   // Cache-line-granularity memory transactions against registered memory on
   // `dst`, charged at config().latency.cxl (ns-scale, no page fault, no
   // queue pair). Real bytes move, failures surface in the completion after
-  // failure_detect_ns, exactly like the verbs above. The cxl:: layer builds
+  // the failure-detection delay, exactly like the verbs above. The cxl:: layer builds
   // its coherence protocol out of these two transactions.
   //
   // cxl_read pulls dest.size() bytes from (rkey, offset) on dst into dest.

@@ -8,9 +8,9 @@
 // data loss") only holds when retries are bounded and paced: unbounded
 // immediate retries against a dead node turn one failure into a retry storm.
 //
-// Determinism: jitter is derived by mixing the policy seed with a caller
-// salt and the attempt number — no shared RNG, no wall clock — so two runs
-// of the same seeded simulation back off identically.
+// Determinism: jitter is derived by mixing a fixed seed with a caller salt
+// and the attempt number — no shared RNG, no wall clock — so two runs of
+// the same seeded simulation back off identically.
 #pragma once
 
 #include <algorithm>
@@ -29,18 +29,16 @@ struct RetryPolicy {
   SimTime base_backoff = 1 * kMilli;  // delay before the 2nd attempt
   SimTime max_backoff = 64 * kMilli;  // exponential growth cap
   // Jitter fraction applied after the cap: the actual delay lands in
-  // [backoff * (1 - jitter), backoff * (1 + jitter)].
-  double jitter = 0.2;
-  // kUnavailable is always retryable; timeouts only when opted in (a timed-
-  // out request may have executed — retrying makes the method at-least-once).
-  bool retry_timeouts = false;
-  std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
+  // [backoff * (1 - kJitter), backoff * (1 + kJitter)].
+  static constexpr double kJitter = 0.2;
+  static constexpr std::uint64_t kSeed = 0x9e3779b97f4a7c15ULL;
 
   bool enabled() const noexcept { return max_attempts > 1; }
 
-  bool retryable(StatusCode code) const noexcept {
-    return code == StatusCode::kUnavailable ||
-           (retry_timeouts && code == StatusCode::kTimeout);
+  // Only kUnavailable is retried: a timed-out request may have executed, and
+  // retrying it would make the method at-least-once.
+  static bool retryable(StatusCode code) noexcept {
+    return code == StatusCode::kUnavailable;
   }
 
   // Delay to wait after failed attempt number `attempt` (1-based).
@@ -57,14 +55,14 @@ struct RetryPolicy {
       delay <<= shift;
     }
     delay = std::min(delay, max_backoff);
-    if (jitter > 0.0 && delay > 0) {
+    if (delay > 0) {
       const std::uint64_t h =
-          mix64(seed ^ mix64(salt) ^ (0x9e37ULL * attempt));
-      // Uniform in [-jitter, +jitter] from the top 53 bits.
+          mix64(kSeed ^ mix64(salt) ^ (0x9e37ULL * attempt));
+      // Uniform in [-kJitter, +kJitter] from the top 53 bits.
       const double u =
           static_cast<double>(h >> 11) * 0x1.0p-53 * 2.0 - 1.0;
       const auto jittered = static_cast<SimTime>(
-          static_cast<double>(delay) * (1.0 + jitter * u));
+          static_cast<double>(delay) * (1.0 + kJitter * u));
       delay = std::max<SimTime>(jittered, 0);
     }
     return delay;
@@ -74,7 +72,7 @@ struct RetryPolicy {
   // with this ("cap reached" assertions).
   SimTime backoff_ceiling() const noexcept {
     return static_cast<SimTime>(static_cast<double>(max_backoff) *
-                                (1.0 + std::max(jitter, 0.0)));
+                                (1.0 + kJitter));
   }
 };
 

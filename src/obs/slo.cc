@@ -12,6 +12,11 @@
 namespace dm::obs {
 namespace {
 
+constexpr SimTime kEvaluationPeriod = 100 * kMilli;
+// Consecutive violating ticks before an alert pages.
+constexpr std::uint64_t kBurnThreshold = 3;
+constexpr std::size_t kMaxAlerts = 4096;  // retained alert history
+
 std::string fixed3(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
@@ -122,14 +127,14 @@ Status SloMonitor::add_spec(std::string_view text) {
 void SloMonitor::start() {
   ++generation_;
   const std::uint64_t generation = generation_;
-  sim_.schedule_after(config_.period,
+  sim_.schedule_after(kEvaluationPeriod,
                       [this, generation]() { tick(generation); });
 }
 
 void SloMonitor::tick(std::uint64_t generation) {
   if (generation != generation_) return;  // superseded or stopped
   evaluate_now();
-  sim_.schedule_after(config_.period,
+  sim_.schedule_after(kEvaluationPeriod,
                       [this, generation]() { tick(generation); });
 }
 
@@ -219,11 +224,11 @@ void SloMonitor::evaluate_spec(Spec& spec, const MetricsRegistry& merged) {
   alert.value = value;
   alert.threshold = spec.threshold;
   alert.streak = spec.streak;
-  alert.page = spec.streak >= config_.burn_threshold;
+  alert.page = spec.streak >= kBurnThreshold;
   ++metrics_.counter("slo.violations");
   ++metrics_.counter("slo.violations." + spec.name);
   if (alert.page) ++metrics_.counter("slo.pages");
-  if (alerts_.size() < config_.max_alerts) alerts_.push_back(alert);
+  if (alerts_.size() < kMaxAlerts) alerts_.push_back(alert);
   if (alert_hook_) alert_hook_(alert);
 }
 

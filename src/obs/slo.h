@@ -22,10 +22,11 @@
 // spec abstains — no alert can fire before time window has elapsed, which
 // keeps alert streams deterministic from t=0.
 //
-// A violating tick raises an Alert carrying the consecutive-violation
-// streak; once the streak reaches Config::burn_threshold the alert is
-// flagged `page` — a deterministic stand-in for multi-window burn-rate
-// paging. Alerts feed dm_top, tests, and (via set_alert_hook) the flight
+// Ticks run every 100 ms of virtual time. A violating tick raises an Alert
+// carrying the consecutive-violation streak; once the streak reaches the
+// burn threshold of 3 ticks the alert is flagged `page` — a deterministic
+// stand-in for multi-window burn-rate paging. The first 4096 alerts are
+// retained. Alerts feed dm_top, tests, and (via set_alert_hook) the flight
 // recorder's invariant-failure dump path.
 #pragma once
 
@@ -57,16 +58,8 @@ class SloMonitor {
     bool page = false;         // streak reached the burn threshold
   };
 
-  struct Config {
-    SimTime period = 100 * kMilli;    // evaluation tick
-    std::uint64_t burn_threshold = 3;  // violating ticks before paging
-    std::size_t max_alerts = 4096;    // retained alert history
-  };
-
   SloMonitor(sim::Simulator& sim, const MetricsHub& hub)
-      : SloMonitor(sim, hub, Config()) {}
-  SloMonitor(sim::Simulator& sim, const MetricsHub& hub, Config config)
-      : sim_(sim), hub_(hub), config_(config) {}
+      : sim_(sim), hub_(hub) {}
 
   // Parses and registers one spec; InvalidArgument on grammar errors.
   Status add_spec(std::string_view text);
@@ -113,7 +106,6 @@ class SloMonitor {
 
   sim::Simulator& sim_;
   const MetricsHub& hub_;
-  Config config_;
   std::vector<Spec> specs_;
   std::vector<Alert> alerts_;
   MetricsRegistry metrics_;

@@ -9,6 +9,8 @@
 namespace dm::rdd {
 namespace {
 
+constexpr SimTime kCpuNsPerRecord = 60;  // lineage compute cost
+
 std::uint64_t pack(RddId rdd, std::uint64_t partition) {
   return (static_cast<std::uint64_t>(rdd) << 40) ^ partition;
 }
@@ -73,7 +75,7 @@ StatusOr<std::vector<Record>> Executor::get_partition(const RddPtr& rdd,
   // Compute from lineage.
   std::uint64_t compute_ops = 0;
   std::vector<Record> records = rdd->compute(p, &compute_ops);
-  charge(static_cast<SimTime>(compute_ops) * config_.cpu_ns_per_record);
+  charge(static_cast<SimTime>(compute_ops) * kCpuNsPerRecord);
   if (rdd->is_cached()) {
     if (computed_before_.count(pack(key.rdd, key.partition)) > 0)
       ++recomputes_;

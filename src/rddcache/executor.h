@@ -38,8 +38,6 @@ class Executor {
     std::uint64_t cache_bytes = 8 * MiB;  // heap partition-cache budget
     OverflowPolicy overflow = OverflowPolicy::kRecompute;
     std::uint64_t dahi_chunk_bytes = 64 * KiB;
-    SimTime cpu_ns_per_record = 60;   // lineage compute cost
-    SimTime cpu_ns_per_record_scan = 12;  // action scan cost
   };
 
   Executor(core::Ldmc& client, Config config);

@@ -8,13 +8,24 @@
 #include "core/dm_system.h"
 
 namespace dm::rdd {
+namespace {
+
+// Executor virtual-server memory allocation registered with its node.
+constexpr std::uint64_t kExecutorMemory = 64 * MiB;
+// Action scan cost per record.
+constexpr SimTime kCpuNsPerRecordScan = 12;
+// Shuffle cost per record moved between stages (serialization + network),
+// charged at the stage boundary.
+constexpr SimTime kShuffleNsPerRecord = 25;
+
+}  // namespace
 
 MiniSpark::MiniSpark(core::DmSystem& system, Config config)
     : system_(system), config_(std::move(config)) {
   for (std::size_t i = 0; i < config_.executors; ++i) {
     const std::size_t node = i % system_.node_count();
     auto& client =
-        system_.create_server(node, config_.executor_memory, config_.ldmc,
+        system_.create_server(node, kExecutorMemory, config_.ldmc,
                               cluster::ServerKind::kJvmExecutor);
     executors_.push_back(
         std::make_unique<Executor>(client, config_.executor));
@@ -29,9 +40,8 @@ StatusOr<Record> MiniSpark::sum(const RddPtr& rdd) {
     auto records = exec.get_partition(rdd, p);
     if (!records.ok()) return records.status();
     for (Record r : *records) total += r;
-    sim.run_until(sim.now() +
-                  static_cast<SimTime>(records->size()) *
-                      config_.executor.cpu_ns_per_record_scan);
+    sim.run_until(sim.now() + static_cast<SimTime>(records->size()) *
+                                  kCpuNsPerRecordScan);
   }
   return total;
 }
@@ -44,9 +54,8 @@ StatusOr<std::uint64_t> MiniSpark::count(const RddPtr& rdd) {
     auto records = exec.get_partition(rdd, p);
     if (!records.ok()) return records.status();
     total += records->size();
-    sim.run_until(sim.now() +
-                  static_cast<SimTime>(records->size()) *
-                      config_.executor.cpu_ns_per_record_scan);
+    sim.run_until(sim.now() + static_cast<SimTime>(records->size()) *
+                                  kCpuNsPerRecordScan);
   }
   return total;
 }
@@ -77,7 +86,7 @@ StatusOr<RddPtr> MiniSpark::reduce_by_key(
   }
   // Stage boundary: charge the shuffle transfer.
   sim.run_until(sim.now() + static_cast<SimTime>(shuffled_records) *
-                                config_.shuffle_ns_per_record);
+                                kShuffleNsPerRecord);
   // Reduce side: deterministic order within each output partition.
   std::vector<std::vector<Record>> output(out_partitions);
   for (std::size_t p = 0; p < out_partitions; ++p) {
@@ -123,7 +132,7 @@ StatusOr<RddPtr> MiniSpark::join(
   DM_RETURN_IF_ERROR(scatter(left, left_key, left_buckets));
   DM_RETURN_IF_ERROR(scatter(right, right_key, right_buckets));
   sim.run_until(sim.now() + static_cast<SimTime>(shuffled_records) *
-                                config_.shuffle_ns_per_record);
+                                kShuffleNsPerRecord);
 
   // Reduce side: per output partition, deterministic key order, cross
   // product per key.

@@ -32,12 +32,7 @@ class MiniSpark {
   struct Config {
     std::size_t executors = 4;
     Executor::Config executor{};
-    // Executor virtual-server memory allocation registered with its node.
-    std::uint64_t executor_memory = 64 * MiB;
     core::LdmcOptions ldmc{};
-    // Shuffle cost per record moved between stages (serialization +
-    // network), charged at the stage boundary.
-    SimTime shuffle_ns_per_record = 25;
   };
 
   // Places executors round-robin across the system's nodes.

@@ -7,6 +7,13 @@
 #include "common/units.h"
 
 namespace dm::sim {
+namespace {
+
+// Access skew within a tenant's working set (YCSB-style hot keys).
+constexpr double kZipfTheta = 0.99;
+constexpr double kWriteFraction = 0.35;
+
+}  // namespace
 
 ScenarioEngine::ScenarioEngine(Config config)
     : config_(config), rng_(mix64(config.seed ^ 0x5ce9a210ULL)),
@@ -55,7 +62,7 @@ ScenarioEngine::Op ScenarioEngine::spawn_tenant(SimTime at) {
   t.working_set = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(
              std::exp2(lo + (hi - lo) * rng_.next_double())));
-  t.zipf = std::make_unique<ZipfGenerator>(t.working_set, config_.zipf_theta);
+  t.zipf = std::make_unique<ZipfGenerator>(t.working_set, kZipfTheta);
   t.retire_at = std::min<SimTime>(
       horizon_, at + std::max<SimTime>(1, static_cast<SimTime>(rng_.exponential(
                          static_cast<double>(config_.mean_lifetime)))));
@@ -155,7 +162,7 @@ ScenarioEngine::Op ScenarioEngine::next() {
     op.at = best_at;
     op.tenant = best_tenant;
     op.index = t.zipf->next(rng_);
-    op.write = rng_.bernoulli(config_.write_fraction);
+    op.write = rng_.bernoulli(kWriteFraction);
     t.next_op = best_at + draw_op_gap(best_at);
     ++ops_;
     if (op.write) ++writes_;

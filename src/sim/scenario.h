@@ -55,15 +55,13 @@ class ScenarioEngine {
     SimTime mean_lifetime = 10 * kSecond;
     // Working sets: per-tenant size in pages/keys, drawn log-uniformly from
     // [min_working_set, max_working_set]. Accesses within a working set are
-    // zipf(zipf_theta)-skewed (YCSB-style hot keys).
+    // zipf(0.99)-skewed (YCSB-style hot keys); 35% of them are writes.
     std::uint64_t min_working_set = 32;
     std::uint64_t max_working_set = 256;
-    double zipf_theta = 0.99;
     // Tenant homes are zipf(node_skew)-distributed over [0, node_count):
     // low node ids collect a disproportionate share of tenants — the
     // paper's "busy machines next to idle ones". 0 = uniform.
     double node_skew = 0.6;
-    double write_fraction = 0.35;
     // Pacing: per-tenant think time between ops is exponential around
     // `mean_op_gap`, divided by the diurnal multiplier.
     SimTime mean_op_gap = 2 * kMilli;

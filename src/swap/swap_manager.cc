@@ -38,16 +38,15 @@ SwapManager::SwapManager(core::Ldmc& client, Config config,
     // Cap the window so a PBS restore can always fit the resident budget
     // (make_room(w) must terminate with frames to spare).
     config_.max_batch_pages = std::max<std::size_t>(
-        config_.min_batch_pages,
-        std::min<std::size_t>(config_.max_batch_pages,
-                              config_.resident_pages / 2));
-    pattern_.emplace(config_.pattern_history,
+        kMinBatchPages, std::min<std::size_t>(config_.max_batch_pages,
+                                              config_.resident_pages / 2));
+    pattern_.emplace(kPatternHistory,
                      static_cast<std::int64_t>(config_.max_batch_pages));
     window_.emplace(AdaptiveWindow::Config{
-        config_.min_batch_pages, config_.max_batch_pages,
-        std::clamp(config_.batch_pages, config_.min_batch_pages,
+        kMinBatchPages, config_.max_batch_pages,
+        std::clamp(config_.batch_pages, kMinBatchPages,
                    config_.max_batch_pages),
-        config_.pattern_hysteresis});
+        kPatternHysteresis});
   }
   if (config_.disk_backup) client_.service().reserve_backup_ring();
 }

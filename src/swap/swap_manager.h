@@ -62,7 +62,7 @@
 // Adaptive PBS (adaptive_pbs, default-off): a PatternTracker classifies the
 // fault-address stream (sequential / strided / random) and an AdaptiveWindow
 // resizes the swap-out window with hysteresis: sequential streams grow it
-// toward max_batch_pages, random streams shrink it toward min_batch_pages.
+// toward max_batch_pages, random streams shrink it toward kMinBatchPages.
 // On the swap-in side a random verdict suppresses the PBS fan-out to the
 // single faulted page (fetching a batch of unrelated victims would only
 // pollute the resident set).
@@ -105,6 +105,12 @@ using PageContentFn =
 
 class SwapManager {
  public:
+  // Adaptive PBS: the window floor, the fault deltas the pattern tracker
+  // considers, and the verdicts needed to resize the window.
+  static constexpr std::size_t kMinBatchPages = 1;
+  static constexpr std::size_t kPatternHistory = 32;
+  static constexpr std::size_t kPatternHysteresis = 4;
+
   struct Config {
     std::uint64_t resident_pages = 1024;
     std::size_t batch_pages = 8;  // swap-out window d (1 = per-page)
@@ -133,10 +139,7 @@ class SwapManager {
 
     // --- adaptive PBS (default-off; see file comment) --------------------
     bool adaptive_pbs = false;
-    std::size_t min_batch_pages = 1;   // adaptive window floor
     std::size_t max_batch_pages = 32;  // adaptive window ceiling
-    std::size_t pattern_history = 32;  // fault deltas considered
-    std::size_t pattern_hysteresis = 4;  // verdicts needed to resize
 
     // --- CXL tier (default-off; DESIGN.md §14) --------------------------
     // When set, dirty/unbacked eviction victims demote into this CXL page

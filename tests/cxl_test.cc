@@ -273,7 +273,7 @@ TEST(CxlProtocolTest, LoadHitCostsExactlyTheHitLatency) {
   ASSERT_TRUE(rig.agent(0).load_sync(6, 0, out).ok());
   const SimTime before = rig.sim.now();
   ASSERT_TRUE(rig.agent(0).load_sync(6, 0, out).ok());
-  EXPECT_EQ(rig.sim.now() - before, rig.agents[0]->config().hit_ns);
+  EXPECT_EQ(rig.sim.now() - before, CxlAgent::kHitNs);
 }
 
 // --- edge cases: departed/dead holders, teardown, spans ----------------------

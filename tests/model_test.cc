@@ -119,7 +119,7 @@ TEST(MemoryMapModelTest, MatchesReferenceOverRandomOps) {
 // SharedMemoryPool vs a byte-accurate reference.
 TEST(SharedPoolModelTest, MatchesReferenceOverRandomOps) {
   Rng rng(202);
-  SharedMemoryPool pool({.arena_bytes = 2 * MiB, .slab = {}});
+  SharedMemoryPool pool({.arena_bytes = 2 * MiB});
   ASSERT_TRUE(pool.set_donation(1, 1 * MiB).ok());
   ASSERT_TRUE(pool.set_donation(2, 512 * KiB).ok());
 
@@ -296,13 +296,13 @@ class SwapOracle {
   // clamps max_batch_pages), i.e. manager.config().
   explicit SwapOracle(const SwapManager::Config& config) : config_(config) {
     if (config_.adaptive_pbs) {
-      pattern_.emplace(config_.pattern_history,
+      pattern_.emplace(SwapManager::kPatternHistory,
                        static_cast<std::int64_t>(config_.max_batch_pages));
       window_.emplace(AdaptiveWindow::Config{
-          config_.min_batch_pages, config_.max_batch_pages,
-          std::clamp(config_.batch_pages, config_.min_batch_pages,
+          SwapManager::kMinBatchPages, config_.max_batch_pages,
+          std::clamp(config_.batch_pages, SwapManager::kMinBatchPages,
                      config_.max_batch_pages),
-          config_.pattern_hysteresis});
+          SwapManager::kPatternHysteresis});
     }
   }
 
@@ -557,8 +557,7 @@ class SwapModelChecker {
     // P14: the adaptive window agrees and stays within its bounds.
     ASSERT_EQ(manager_->current_window(), oracle_->window());
     if (manager_->config().adaptive_pbs) {
-      ASSERT_GE(manager_->current_window(),
-                manager_->config().min_batch_pages);
+      ASSERT_GE(manager_->current_window(), SwapManager::kMinBatchPages);
       ASSERT_LE(manager_->current_window(),
                 manager_->config().max_batch_pages);
       ASSERT_EQ(manager_->current_pattern(), oracle_->pattern());

@@ -207,8 +207,7 @@ TEST(AdaptiveSwapTest, RandomAccessShrinksWindowAndSuppressesFanout) {
   Rig rig(make_system(SystemKind::kFastSwapAdaptive, 32));
   run_random(rig, 1200, 128, 99);
 
-  EXPECT_EQ(rig.manager->current_window(),
-            rig.manager->config().min_batch_pages);
+  EXPECT_EQ(rig.manager->current_window(), SwapManager::kMinBatchPages);
   EXPECT_EQ(rig.manager->current_pattern(), AccessPattern::kRandom);
   EXPECT_GT(rig.manager->metrics().counter_value("swap.pbs.fanout_skips"),
             0u);
