@@ -5,13 +5,14 @@
 #pragma once
 
 #include <cassert>
+#include <functional>
 #include <list>
 #include <optional>
 #include <unordered_map>
 
 namespace dm {
 
-template <typename Key>
+template <typename Key, typename Hash = std::hash<Key>>
 class LruTracker {
  public:
   // Inserts the key as MRU, or refreshes it to MRU if present.
@@ -64,7 +65,7 @@ class LruTracker {
 
  private:
   std::list<Key> order_;  // front = LRU, back = MRU
-  std::unordered_map<Key, typename std::list<Key>::iterator> index_;
+  std::unordered_map<Key, typename std::list<Key>::iterator, Hash> index_;
 };
 
 }  // namespace dm
