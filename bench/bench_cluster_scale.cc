@@ -289,7 +289,7 @@ int main(int argc, char** argv) {
   bool first_mode = true;
   for (const auto& [mode, results] : series) {
     std::fprintf(f, "%s\"%s\": [\n", first_mode ? "" : ",\n",
-                 bench::json_escape(mode).c_str());
+                 obs::json_escape(mode).c_str());
     first_mode = false;
     for (std::size_t i = 0; i < results.size(); ++i) {
       const auto& r = results[i];

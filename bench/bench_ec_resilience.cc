@@ -203,7 +203,7 @@ int main() {
         "\"get_ns\": %lld, \"degraded_get_ns\": %lld, \"recovery_ns\": "
         "%lld, \"lost\": %zu, \"degraded_reads\": %llu, "
         "\"shards_repaired\": %llu}%s\n",
-        bench::json_escape(mode.name).c_str(), out.overhead,
+        obs::json_escape(mode.name).c_str(), out.overhead,
         static_cast<long long>(out.put_ns), static_cast<long long>(out.get_ns),
         static_cast<long long>(out.degraded_get_ns),
         static_cast<long long>(out.recovery_ns), out.lost,

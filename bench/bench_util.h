@@ -17,6 +17,7 @@
 #include "common/units.h"
 #include "core/dm_system.h"
 #include "core/ldmc.h"
+#include "obs/metrics_hub.h"
 #include "sim/simulator.h"
 #include "swap/swap_manager.h"
 #include "swap/systems.h"
@@ -69,34 +70,6 @@ inline SwapRig make_swap_rig(const swap::SystemSetup& setup,
   return rig;
 }
 
-// RFC 8259 string escaping for the hand-rolled JSON emitters: system names
-// like `FastSwap "tuned"` or metric labels with backslashes must not
-// produce unparseable output.
-inline std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (unsigned char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
 // Collects one MetricsHub snapshot per system under test and writes them
 // as "BENCH_<name>.json" in the working directory, giving every bench a
 // machine-readable companion to its printed table — including the
@@ -120,9 +93,10 @@ class BenchJson {
     std::sort(sorted.begin(), sorted.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     std::fprintf(f, "{\n\"bench\": \"%s\",\n\"systems\": {\n",
-                 json_escape(bench_).c_str());
+                 obs::json_escape(bench_).c_str());
     for (std::size_t i = 0; i < sorted.size(); ++i) {
-      std::fprintf(f, "\"%s\": %s%s", json_escape(sorted[i].first).c_str(),
+      std::fprintf(f, "\"%s\": %s%s",
+                   obs::json_escape(sorted[i].first).c_str(),
                    sorted[i].second.c_str(),
                    i + 1 < sorted.size() ? ",\n" : "\n");
     }

@@ -7,30 +7,6 @@
 namespace dm::obs {
 namespace {
 
-// Metric names are dot-separated identifiers, but escape defensively so a
-// hostile label can't break the JSON document.
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // Fixed-precision double formatting: locale-independent and deterministic
 // (snapshot_json must be byte-identical across identical seeded runs).
 std::string fixed3(double v) {
@@ -50,6 +26,31 @@ std::string prom_name(std::string_view name) {
 }
 
 }  // namespace
+
+std::string json_escape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  for (const unsigned char c : raw) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  return out;
+}
 
 void MetricsHub::add(std::string prefix, const MetricsRegistry* registry) {
   if (registry == nullptr) return;

@@ -22,6 +22,11 @@
 
 namespace dm::obs {
 
+// RFC 8259 string escaping for the hand-rolled JSON exports (snapshots,
+// span traces, flight dumps, bench JSON): a name or label with quotes or
+// backslashes must not produce unparseable output.
+std::string json_escape(std::string_view raw);
+
 class MetricsHub {
  public:
   // Registers `registry` (not owned; must outlive the hub or be removed)

@@ -5,35 +5,11 @@
 
 #include "common/units.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics_hub.h"
 #include "sim/simulator.h"
 
 namespace dm::obs {
 namespace {
-
-// Local copy of the export escaping rules (metrics_hub.cc keeps its own in
-// file scope as well): RFC 8259 minimal escapes.
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Nanoseconds rendered as microseconds with fixed three decimals — the
 // trace-event format's ts/dur unit, exact for integer ns inputs.
