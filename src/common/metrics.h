@@ -14,6 +14,9 @@
 
 namespace dm {
 
+// A metric is never erased, and the maps never move one, so a reference
+// from counter() or histogram() stays good for the registry's lifetime: a
+// hot path may look its metric up on first use and keep the reference.
 class MetricsRegistry {
  public:
   // Returns the counter by name, creating it at zero on first use.
@@ -38,11 +41,6 @@ class MetricsRegistry {
   }
   const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
-  }
-
-  void reset() {
-    counters_.clear();
-    histograms_.clear();
   }
 
   // "name=value" lines, sorted by name, then one

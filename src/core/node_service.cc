@@ -135,10 +135,17 @@ void NodeService::put_entry(cluster::ServerId server, mem::EntryId entry,
   const SimTime started = node_.simulator().now();
   done = [this, started, inner = std::move(done)](
              StatusOr<mem::EntryLocation> result) {
-    const char* tier =
-        result.ok() ? mem::tier_name(result->tier) : "failed";
-    metrics_.histogram(std::string("ldms.put_ns.") + tier)
-        .record(static_cast<std::uint64_t>(node_.simulator().now() - started));
+    // One slot per tier, and the last for a put no tier accepted.
+    Histogram*& put_ns =
+        put_ns_[result.ok() ? static_cast<std::size_t>(result->tier)
+                            : put_ns_.size() - 1];
+    if (put_ns == nullptr) {
+      const char* tier =
+          result.ok() ? mem::tier_name(result->tier) : "failed";
+      put_ns = &metrics_.histogram(std::string("ldms.put_ns.") + tier);
+    }
+    put_ns->record(
+        static_cast<std::uint64_t>(node_.simulator().now() - started));
     inner(std::move(result));
   };
 
@@ -555,8 +562,12 @@ void NodeService::get_entry(cluster::ServerId server, mem::EntryId entry,
   const SimTime started = node_.simulator().now();
   done = [this, started, tier = location.tier,
           inner = std::move(done)](const Status& s) {
-    metrics_.histogram(std::string("ldms.get_ns.") + mem::tier_name(tier))
-        .record(static_cast<std::uint64_t>(node_.simulator().now() - started));
+    Histogram*& get_ns = get_ns_[static_cast<std::size_t>(tier)];
+    if (get_ns == nullptr)
+      get_ns = &metrics_.histogram(std::string("ldms.get_ns.") +
+                                   mem::tier_name(tier));
+    get_ns->record(
+        static_cast<std::uint64_t>(node_.simulator().now() - started));
     inner(s);
   };
   switch (location.tier) {

@@ -29,6 +29,7 @@
 // the copy was made from (see commit_relocation).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -307,6 +308,10 @@ class NodeService {
   // Reed–Solomon codec matching Config::rdmc.{ec_k, ec_r}.
   ec::RsCodec codec_;
   MetricsRegistry metrics_;
+  // ldms.get_ns.<tier> and ldms.put_ns.<tier> by mem::Tier, looked up on
+  // first use; put_ns_'s last slot is ldms.put_ns.failed.
+  std::array<Histogram*, 4> get_ns_{};
+  std::array<Histogram*, 5> put_ns_{};
   sim::SpanSink* spans_ = nullptr;
   // Ordered: repair and eviction scans iterate these and issue RPCs, so
   // the walk order must not depend on hash-bucket layout.

@@ -183,11 +183,16 @@ StatusOr<SimTime> Fabric::model_transfer(NodeId src, NodeId dst,
       s.egress_free + config_.latency.link_propagation_ns;
   const SimTime arrival = std::max(arrive_earliest, d.ingress_free);
   d.ingress_free = arrival;
-  metrics_.counter("fabric.bytes_transferred") += bytes;
-  ++metrics_.counter("fabric.messages");
-  // Message-size distribution: the §IV.H batching economics in one
-  // histogram (many small messages vs few large ones).
-  metrics_.histogram("fabric.msg_bytes").record(bytes);
+  if (bytes_transferred_ == nullptr) {
+    bytes_transferred_ = &metrics_.counter("fabric.bytes_transferred");
+    messages_ = &metrics_.counter("fabric.messages");
+    // Message-size distribution: the §IV.H batching economics in one
+    // histogram (many small messages vs few large ones).
+    msg_bytes_ = &metrics_.histogram("fabric.msg_bytes");
+  }
+  *bytes_transferred_ += bytes;
+  ++*messages_;
+  msg_bytes_->record(bytes);
   return arrival;
 }
 
@@ -353,8 +358,9 @@ Status QueuePair::post_write(RKey rkey, std::uint64_t offset,
     std::memcpy(region->bytes.data() + offset, payload.data(), payload.size());
     const SimTime acked =
         deliver + fabric.config().latency.link_propagation_ns;
-    fabric.metrics().histogram("fabric.write_ns")
-        .record(static_cast<std::uint64_t>(acked - posted_at));
+    if (fabric.write_ns_ == nullptr)
+      fabric.write_ns_ = &fabric.metrics().histogram("fabric.write_ns");
+    fabric.write_ns_->record(static_cast<std::uint64_t>(acked - posted_at));
     fabric.sim_.schedule_at(acked, [done = std::move(done), acked, nbytes]() {
       if (done) done(Completion{Status::Ok(), acked, nbytes});
     });
@@ -412,8 +418,9 @@ Status QueuePair::post_read(RKey rkey, std::uint64_t offset,
     }
     const SimTime deliver = std::max(*back, self->last_delivery_);
     self->last_delivery_ = deliver;
-    fabric.metrics().histogram("fabric.read_ns")
-        .record(static_cast<std::uint64_t>(deliver - posted_at));
+    if (fabric.read_ns_ == nullptr)
+      fabric.read_ns_ = &fabric.metrics().histogram("fabric.read_ns");
+    fabric.read_ns_->record(static_cast<std::uint64_t>(deliver - posted_at));
     fabric.sim_.schedule_at(deliver, [dest, payload = std::move(payload),
                                       done = std::move(done), deliver]() {
       std::memcpy(dest.data(), payload.data(), payload.size());
@@ -472,8 +479,9 @@ Status QueuePair::post_send(std::span<const std::byte> message,
     }
     peer->receive_handler_(from, std::span<const std::byte>(payload));
     const SimTime acked = deliver + fabric.config().latency.link_propagation_ns;
-    fabric.metrics().histogram("fabric.send_ns")
-        .record(static_cast<std::uint64_t>(acked - posted_at));
+    if (fabric.send_ns_ == nullptr)
+      fabric.send_ns_ = &fabric.metrics().histogram("fabric.send_ns");
+    fabric.send_ns_->record(static_cast<std::uint64_t>(acked - posted_at));
     fabric.sim_.schedule_at(acked, [done = std::move(done), acked, nbytes]() {
       if (done) done(Completion{Status::Ok(), acked, nbytes});
     });

@@ -195,6 +195,13 @@ class Fabric {
   sim::Simulator& sim_;
   Config config_;
   MetricsRegistry metrics_;
+  // Per-message and per-verb metrics, looked up on first use.
+  std::uint64_t* bytes_transferred_ = nullptr;
+  std::uint64_t* messages_ = nullptr;
+  Histogram* msg_bytes_ = nullptr;
+  Histogram* read_ns_ = nullptr;
+  Histogram* write_ns_ = nullptr;
+  Histogram* send_ns_ = nullptr;
   sim::SpanSink* spans_ = nullptr;
   double latency_scale_ = 1.0;
   double loss_probability_ = 0.0;

@@ -209,8 +209,10 @@ void RpcEndpoint::settle(std::uint64_t call_id,
   pending->settled = true;
   // Round-trip latency per method, timeouts and error-settles included —
   // failure detection time is part of the paper's recovery story.
-  metrics_.histogram("rpc.rtt." + method_label(pending->method))
-      .record(static_cast<std::uint64_t>(sim_.now() - pending->started));
+  Histogram*& rtt = rtt_[pending->method];
+  if (rtt == nullptr)
+    rtt = &metrics_.histogram("rpc.rtt." + method_label(pending->method));
+  rtt->record(static_cast<std::uint64_t>(sim_.now() - pending->started));
   if (spans_ != nullptr && pending->span != 0) spans_->end_span(pending->span);
   if (!result.ok()) {
     ++metrics_.counter(result.status().code() == StatusCode::kTimeout

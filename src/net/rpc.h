@@ -50,6 +50,8 @@ class RpcEndpoint {
  public:
   RpcEndpoint(sim::Simulator& simulator, NodeId self)
       : sim_(simulator), self_(self) {}
+  RpcEndpoint(const RpcEndpoint&) = delete;
+  RpcEndpoint& operator=(const RpcEndpoint&) = delete;
 
   NodeId self() const noexcept { return self_; }
   MetricsRegistry& metrics() noexcept { return metrics_; }
@@ -69,6 +71,7 @@ class RpcEndpoint {
   // and the "rpc.rtt.<label>" histogram names.
   void label_method(RpcMethod method, std::string label) {
     labels_[method] = std::move(label);
+    rtt_.erase(method);  // a later settle records under the new label
   }
 
   // Registers the handler for a method id (overwrites any previous one).
@@ -138,6 +141,8 @@ class RpcEndpoint {
   RetryPolicy retry_;
   std::unordered_map<RpcMethod, RpcHandler> handlers_;
   std::unordered_map<RpcMethod, std::string> labels_;
+  // rpc.rtt.<label> by method, looked up on first use.
+  std::unordered_map<RpcMethod, Histogram*> rtt_;
   std::function<Status(NodeId)> repairer_;
   std::unordered_map<NodeId, QueuePair*> channels_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Pending>> pending_;
