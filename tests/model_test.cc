@@ -7,7 +7,7 @@
 // SwapOracle — a pure-function reference that mirrors the paging layer's
 // membership semantics (resident set, dirty set, swap-cache backing, batch
 // composition, LRU order and the adaptive-PBS policy state machines).
-// Seventeen numbered properties (P1–P17) are asserted along the trace; see
+// Eighteen numbered properties (P1–P18) are asserted along the trace; see
 // SwapModelChecker::check_*.
 #include <gtest/gtest.h>
 
@@ -464,14 +464,15 @@ class SwapModelChecker {
     oracle_ = std::make_unique<SwapOracle>(manager_->config());
   }
 
-  void run(int steps) {
+  // Phases draw from the first `modes` of sequential, strided and random.
+  void run(int steps, int modes = 3) {
     int remaining = 0;
     int mode = 0;
     std::uint64_t cursor = 0;
     std::uint64_t stride = 1;
     for (int step = 0; step < steps; ++step) {
       if (remaining == 0) {
-        mode = static_cast<int>(rng_.next_below(3));
+        mode = static_cast<int>(rng_.next_below(modes));
         remaining = 16 + static_cast<int>(rng_.next_below(48));
         cursor = rng_.next_below(page_space_);
         stride = 2 + rng_.next_below(6);
@@ -566,6 +567,8 @@ class SwapModelChecker {
     ASSERT_LE(manager_->wb_staged_batches(),
               std::max<std::size_t>(manager_->config().writeback_batches,
                                     1));
+    // P18: PBS readahead holds at most its window of fetches.
+    ASSERT_LE(manager_->readaheads_held(), SwapManager::kReadaheadBatches);
   }
 
   void check_full(int step) {
@@ -636,6 +639,19 @@ TEST(SwapModelTest, FastSwapFixedWindowMatchesOracle) {
   EXPECT_GT(checker.manager().metrics().counter_value(
                 "swap.compact.committed"),
             0u);
+}
+
+// Sequential phases only, over remote memory and a page space eight times
+// the resident set: PBS faults form streams, so readaheads are posted, hit
+// and dropped while the oracle and the no-orphan invariant (P17) hold.
+TEST(SwapModelTest, SequentialScansWithReadaheadMatchOracle) {
+  auto setup = small_setup(SystemKind::kFastSwap);
+  setup.ldmc.shm_fraction = 0.0;
+  SwapModelChecker checker(setup, 1009, /*page_space=*/256);
+  checker.run(3000, /*modes=*/1);
+  const auto& m = checker.manager().metrics();
+  EXPECT_GT(m.counter_value("swap.readahead.hits"), 0u);
+  EXPECT_GT(m.counter_value("swap.readahead.dropped"), 0u);
 }
 
 TEST(SwapModelTest, NoPbsMatchesOracle) {

@@ -652,6 +652,62 @@ TEST(RecoveryTest, CompactionLostToACrashedHostIsAbandoned) {
   }
 }
 
+// --- crash under a PBS readahead ---------------------------------------------
+
+// A sequential scan over two-copy remote memory has read ahead the next
+// two batch entries when node 1, which holds a copy of every entry, crashes
+// with both gets in flight. Each fault on those entries either restores
+// from a readahead that failed over to the surviving copy, or drops one
+// that failed and fetches on demand, which fails over too: no page is lost.
+TEST(RecoveryTest, CrashUnderAReadaheadLosesNothing) {
+  auto config = cluster_config(3, 2, /*min_shards=*/1);
+  config.rpc_retry.max_attempts = 3;
+  config.rpc_retry.base_backoff = 500 * kMicro;
+  config.rpc_retry.max_backoff = 2 * kMilli;
+  DmSystem system(config);
+  system.start();
+  auto& client = system.create_server(0, 64 * MiB, remote_only());
+  swap::SwapManager::Config swap_config;
+  swap_config.resident_pages = 32;
+  swap_config.batch_pages = 8;
+  swap_config.compression = swap::CompressionMode::kOff;
+  swap::SwapManager manager(client, swap_config, swap_content);
+
+  // Pages 0..127 go out once, in order, as 8-page entries.
+  for (std::uint64_t p = 0; p < 128; ++p)
+    ASSERT_TRUE(manager.touch(p, /*write=*/true).ok());
+  ASSERT_TRUE(manager.flush_all().ok());
+  auto issued = [&manager]() {
+    return manager.metrics().counter_value("swap.readahead.issued");
+  };
+  std::uint64_t p = 0;
+  while (issued() == 0) ASSERT_TRUE(manager.touch(p++).ok());
+  ASSERT_EQ(manager.readaheads_held(), 2u);
+  system.crash_node(1);
+
+  for (; p < 128; ++p) {
+    ASSERT_TRUE(manager.touch(p).ok()) << "page " << p;
+    auto bytes = manager.resident_bytes(p);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(fnv1a(*bytes), swap_checksum(p)) << "page " << p;
+  }
+  const auto& m = manager.metrics();
+  EXPECT_EQ(m.counter_value("swap.readahead.hits") +
+                m.counter_value("swap.readahead.dropped") +
+                manager.readaheads_held(),
+            issued());
+  EXPECT_GT(system.node(0).recv_pool().metrics().counter_value(
+                "rdmc.read_failovers"),
+            0u);
+  ASSERT_TRUE(manager.flush_all().ok());
+  for (std::uint64_t q = 0; q < 128; ++q) {
+    ASSERT_TRUE(manager.touch(q).ok()) << "page " << q;
+    auto bytes = manager.resident_bytes(q);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(fnv1a(*bytes), swap_checksum(q)) << "page " << q;
+  }
+}
+
 // --- erasure-coded shard repair under fire -----------------------------------
 
 DmSystem::Config ec_cluster_config(std::size_t nodes, std::size_t k,

@@ -351,14 +351,19 @@ struct Golden {
 // and write-back staging became the only swap-out path: the fault and swap
 // counts are untouched, elapsed time falls because the faulting thread no
 // longer compresses, puts or decodes siblings, and the dump gains the
-// swap.wb.* and swap.worker.* metrics.
+// swap.wb.* and swap.worker.* metrics. FastSwap and Infiniswap were
+// re-pinned when PBS readahead landed: the trace's sequential runs fetch
+// their next batch entries ahead, so the fault and swap counts are
+// untouched, elapsed time falls by the overlapped fetches, and the dump
+// gains the swap.readahead.* metrics. FastSwap-noPBS makes no PBS fault
+// and Linux swaps to disk, so neither reads ahead and both keep every byte.
 constexpr Golden kSeedGoldens[] = {
-    {"FastSwap", 368ull, 1225ull, 34ull, 1000681683ull,
-     10097424273717797229ull},
+    {"FastSwap", 368ull, 1225ull, 34ull, 1000663911ull,
+     5640712680934353650ull},
     {"FastSwap-noPBS", 430ull, 334ull, 23ull, 1000512880ull,
      15550872554880824175ull},
-    {"Infiniswap", 368ull, 1225ull, 34ull, 1011546092ull,
-     9438041538906897951ull},
+    {"Infiniswap", 368ull, 1225ull, 34ull, 1011156522ull,
+     11651372742006990158ull},
     {"Linux", 368ull, 1225ull, 34ull, 1653752217ull,
      16240518795455536221ull},
 };
@@ -396,10 +401,12 @@ TEST(AdaptiveSwapTest, KnobsOffMatchesSeedGoldensByteForByte) {
 
 // The adaptive preset on the same trace, pinned so that refactors of the
 // paths only it reaches (adaptive PBS) must keep every byte. Re-pinned with
-// the swap worker: counts untouched, elapsed time and dump moved.
+// the swap worker: counts untouched, elapsed time and dump moved. Re-pinned
+// with PBS readahead: counts untouched, elapsed time fell, and the dump
+// gained the swap.readahead.* metrics.
 constexpr Golden kAdaptiveGolden = {"FastSwap-Adaptive", 413ull, 317ull,
-                                    179ull, 1000535227ull,
-                                    17866850145065050964ull};
+                                    179ull, 1000509589ull,
+                                    14192279384375609483ull};
 
 TEST(AdaptiveSwapTest, AdaptivePresetMatchesGoldenByteForByte) {
   Rig rig(make_system(SystemKind::kFastSwapAdaptive, 32));

@@ -18,6 +18,7 @@
 #include "swap/swap_manager.h"
 #include "swap/systems.h"
 #include "swap/zswap_cache.h"
+#include "workloads/app_catalog.h"
 #include "workloads/page_content.h"
 
 namespace dm::swap {
@@ -495,8 +496,10 @@ TEST(SwapCompactionTest, RatioRoutingIgnoresCompactionPuts) {
 class SpanNames : public sim::SpanSink {
  public:
   std::uint64_t begin_span(std::uint64_t trace, std::uint32_t,
-                           std::string_view, std::string_view name) override {
+                           std::string_view subsystem,
+                           std::string_view name) override {
     names[trace].emplace_back(name);
+    subsystems[trace].emplace_back(subsystem);
     return ++next_;
   }
   void end_span(std::uint64_t) override {}
@@ -504,6 +507,7 @@ class SpanNames : public sim::SpanSink {
              std::string_view) override {}
 
   std::map<std::uint64_t, std::vector<std::string>> names;
+  std::map<std::uint64_t, std::vector<std::string>> subsystems;
 
  private:
   std::uint64_t next_ = 0;
@@ -654,6 +658,223 @@ TEST(SwapWriteBackTest, PutLandingAfterDestructionFreesItsEntry) {
   rig.system->run_for(10 * kMilli);
   EXPECT_EQ(rig.client->puts_to_remote(), 2u);  // both puts landed
   EXPECT_EQ(stored_entries(*rig.client), at_destruction);
+}
+
+// ---- PBS readahead ---------------------------------------------------------
+
+// Remote memory without compression: every batch entry is an RDMA read
+// away, so a readahead has a fetch to hide.
+SystemSetup readahead_setup(SystemKind kind = SystemKind::kFastSwap,
+                            std::uint64_t resident = 32) {
+  auto setup = make_system(kind, resident);
+  setup.ldmc.shm_fraction = 0.0;
+  setup.swap.compression = CompressionMode::kOff;
+  return setup;
+}
+
+// Writes pages [0, pages) once in order, so they go out as batch entries of
+// consecutive pages, and lands every entry.
+void write_sequentially(SwapManager& manager, std::uint64_t pages) {
+  for (std::uint64_t p = 0; p < pages; ++p)
+    ASSERT_TRUE(manager.touch(p, /*write=*/true).ok());
+  ASSERT_TRUE(manager.wb_barrier().ok());
+}
+
+std::uint64_t readahead_counter(Rig& rig, const char* name) {
+  return rig.manager->metrics().counter_value(std::string("swap.readahead.") +
+                                              name);
+}
+
+// A scan over remote memory: once four PBS faults in a row have landed on
+// their predicted page, every later PBS fault restores from a readahead,
+// never more than two are held, and every page reads back byte for byte.
+TEST(SwapReadaheadTest, SequentialScanOverRemoteMemoryHitsItsReadaheads) {
+  Rig rig(readahead_setup());
+  write_sequentially(*rig.manager, 256);
+  ASSERT_TRUE(rig.manager->flush_all().ok());
+  rig.system->run_for(1 * kMilli);
+  const std::uint64_t pbs_before =
+      rig.manager->metrics().counter_value("swap.pbs_batch_ins");
+  for (std::uint64_t p = 0; p < 256; ++p) {
+    ASSERT_TRUE(rig.manager->touch(p).ok()) << "page " << p;
+    ASSERT_LE(rig.manager->readaheads_held(), SwapManager::kReadaheadBatches);
+    auto bytes = rig.manager->resident_bytes(p);
+    ASSERT_TRUE(bytes.ok());
+    ASSERT_EQ(fnv1a(*bytes), expected_checksum(p)) << "page " << p;
+  }
+  // 32 PBS faults, one per 8-page entry. The first sets the prediction,
+  // the next four build the streak, and the fifth posts the first window.
+  const std::uint64_t pbs =
+      rig.manager->metrics().counter_value("swap.pbs_batch_ins") - pbs_before;
+  ASSERT_EQ(pbs, 32u);
+  const std::uint64_t hits = readahead_counter(rig, "hits");
+  EXPECT_EQ(hits, pbs - 1 - SwapManager::kPatternHysteresis);
+  // Each fetched entry is used, except the window left held at the end.
+  EXPECT_EQ(readahead_counter(rig, "dropped"), 0u);
+  EXPECT_EQ(readahead_counter(rig, "issued"),
+            hits + rig.manager->readaheads_held());
+}
+
+// A fault whose readahead is still in flight waits for it, and a traced
+// one does so under a "net" span; each readahead is its own trace, rooted
+// in a "swap.readahead" span.
+TEST(SwapReadaheadTest, WaitOnARemoteReadaheadIsNetworkTime) {
+  Rig rig(readahead_setup());
+  write_sequentially(*rig.manager, 128);
+  ASSERT_TRUE(rig.manager->flush_all().ok());
+  SpanNames spans;
+  rig.manager->set_span_sink(&spans);
+  for (std::uint64_t p = 0; p < 128; ++p)
+    ASSERT_TRUE(rig.manager->touch(p).ok());
+
+  const Histogram* waits =
+      rig.manager->metrics().find_histogram("swap.readahead.wait_ns");
+  ASSERT_NE(waits, nullptr);
+  EXPECT_GT(waits->count(), 0u);
+  std::size_t readahead_traces = 0;
+  std::size_t waiting_faults = 0;
+  for (const auto& [trace, names] : spans.names) {
+    if (names.front() == "swap.readahead") ++readahead_traces;
+    if (names.front() != "swap.fault") continue;
+    const auto wait = std::find(names.begin(), names.end(), "readahead.wait");
+    if (wait == names.end()) continue;
+    ++waiting_faults;
+    EXPECT_EQ(spans.subsystems.at(trace)[wait - names.begin()], "net");
+  }
+  EXPECT_EQ(readahead_traces, readahead_counter(rig, "issued"));
+  EXPECT_EQ(waiting_faults, waits->count());
+}
+
+// Device tiers are never read ahead: a Linux scan makes the same PBS
+// faults and issues nothing.
+TEST(SwapReadaheadTest, DeviceTierScanIssuesNoReadahead) {
+  Rig rig(make_system(SystemKind::kLinux, 32), 2);
+  write_sequentially(*rig.manager, 128);
+  ASSERT_TRUE(rig.manager->flush_all().ok());
+  expect_pages_intact(rig, 128);
+  EXPECT_GT(rig.manager->metrics().counter_value("swap.pbs_batch_ins"), 8u);
+  EXPECT_EQ(readahead_counter(rig, "issued"), 0u);
+}
+
+// The kv_zipf_ec setup (perfbench): RS(4,2) remote memory on 8 nodes, half
+// of 2048 Memcached pages resident, a zipf key stream with 10% writes. Its
+// faults never form a stream, so nothing is read ahead.
+TEST(SwapReadaheadTest, ZipfTraceOnTheKvSetupIssuesNone) {
+  auto setup = make_system(SystemKind::kFastSwap, 1024);
+  setup.ldmc.shm_fraction = 0.0;
+  setup.ldmc.allow_disk = false;
+  setup.service.rdmc.ec_k = 4;
+  setup.service.rdmc.ec_r = 2;
+  setup.service.rdmc.min_shards = 4;
+  Rig rig(setup, 8);
+  const workloads::AppSpec app = *workloads::find_app("Memcached");
+  for (std::uint64_t p = 0; p < 2048; ++p)
+    ASSERT_TRUE(rig.manager->touch(p).ok());
+  Rng rng(1);
+  ZipfGenerator keys(2048, app.zipf_theta);
+  for (int op = 0; op < 20000; ++op) {
+    const bool write = rng.bernoulli(0.1);
+    ASSERT_TRUE(rig.manager->touch(keys.next(rng), write).ok());
+  }
+  EXPECT_GT(rig.manager->metrics().counter_value("swap.pbs_batch_ins"),
+            1000u);
+  EXPECT_EQ(readahead_counter(rig, "issued"), 0u);
+}
+
+// FastSwap-Adaptive suppresses PBS under a random verdict, and a
+// suppressed fault fetches on demand, leaving any readahead held. This
+// builds that state: a scan posts readaheads of the entries of pages
+// 40..47 and 48..55, then cold faults far away turn the verdict random.
+// 16 resident pages cap the adaptive window at 8, so every entry holds 8
+// consecutive pages.
+SystemSetup adaptive_readahead_setup() {
+  return readahead_setup(SystemKind::kFastSwapAdaptive, 16);
+}
+
+void hold_readaheads_then_go_random(Rig& rig) {
+  write_sequentially(*rig.manager, 96);
+  for (std::uint64_t p = 0; p < 40; ++p)
+    ASSERT_TRUE(rig.manager->touch(p).ok());
+  ASSERT_EQ(rig.manager->readaheads_held(), 2u);
+  ASSERT_TRUE(rig.manager->readahead_covers(40));
+  ASSERT_TRUE(rig.manager->readahead_covers(48));
+  Rng rng(5);
+  for (int i = 0; i < 64 &&
+                  rig.manager->current_pattern() != AccessPattern::kRandom;
+       ++i)
+    ASSERT_TRUE(rig.manager->touch(1000 + rng.next_below(100000)).ok());
+  ASSERT_EQ(rig.manager->current_pattern(), AccessPattern::kRandom);
+  ASSERT_EQ(rig.manager->readaheads_held(), 2u);
+}
+
+// Every member of a read-ahead entry is rewritten through suppressed
+// faults, so the entry is freed with its readahead held: the readahead is
+// dropped, and the rewritten pages come back with their bytes.
+TEST(SwapReadaheadTest, ReadaheadOfAnEntryFreedByRewritesIsDropped) {
+  Rig rig(adaptive_readahead_setup());
+  hold_readaheads_then_go_random(rig);
+  for (std::uint64_t p = 40; p < 48; ++p)
+    ASSERT_TRUE(rig.manager->touch(p, /*write=*/true).ok());
+  EXPECT_GT(rig.manager->metrics().counter_value("swap.pbs.fanout_skips"),
+            7u);
+  // The fault on 46 began a rewrite of the entry (two live members); the
+  // last rewrite freed the entry before that rewrite could commit.
+  EXPECT_EQ(compact_counter(rig, "committed"), 0u);
+  EXPECT_EQ(readahead_counter(rig, "dropped"), 1u);
+  EXPECT_EQ(readahead_counter(rig, "hits"), 0u);
+  EXPECT_EQ(rig.manager->readaheads_held(), 1u);
+  EXPECT_TRUE(rig.manager->readahead_covers(48));
+  ASSERT_TRUE(rig.manager->flush_all().ok());
+  expect_no_orphans(rig);
+  expect_pages_intact(rig, 96);
+}
+
+// A read-ahead entry is compacted: a suppressed fault reads it whole when
+// two of its eight members are live, and the commit frees it with its
+// readahead held. The readahead is dropped, and the fault on the moved
+// member fetches the new entry on demand.
+TEST(SwapReadaheadTest, ReadaheadOfACompactedEntryIsDropped) {
+  Rig rig(adaptive_readahead_setup());
+  hold_readaheads_then_go_random(rig);
+  for (std::uint64_t p = 40; p < 46; ++p)
+    ASSERT_TRUE(rig.manager->touch(p, /*write=*/true).ok());
+  ASSERT_TRUE(rig.manager->touch(46).ok());  // 46 and 47 live: rewrite
+  ASSERT_EQ(rig.manager->compactions_pending(), 1u);
+  ASSERT_TRUE(rig.manager->readahead_covers(47));
+  rig.system->run_for(1 * kMilli);
+  ASSERT_TRUE(rig.manager->touch(46).ok());  // resident hit: safe point
+  EXPECT_EQ(compact_counter(rig, "committed"), 1u);
+  EXPECT_EQ(readahead_counter(rig, "dropped"), 1u);
+  EXPECT_FALSE(rig.manager->readahead_covers(47));
+  ASSERT_TRUE(rig.manager->is_backed(47));
+  const std::uint64_t faults = rig.manager->faults();
+  ASSERT_TRUE(rig.manager->touch(47).ok());
+  EXPECT_EQ(rig.manager->faults(), faults + 1);
+  auto bytes = rig.manager->resident_bytes(47);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(fnv1a(*bytes), expected_checksum(47));
+  EXPECT_EQ(readahead_counter(rig, "hits"), 0u);
+  ASSERT_TRUE(rig.manager->flush_all().ok());
+  expect_no_orphans(rig);
+  expect_pages_intact(rig, 96);
+}
+
+// A manager destroyed with readaheads in flight: each get still lands,
+// into a buffer it shares, and touches nothing of the manager.
+TEST(SwapReadaheadTest, DestroyedManagerWithAReadaheadInFlight) {
+  Rig rig(readahead_setup());
+  write_sequentially(*rig.manager, 128);
+  ASSERT_TRUE(rig.manager->flush_all().ok());
+  SpanNames spans;
+  rig.manager->set_span_sink(&spans);
+  std::uint64_t p = 0;
+  while (readahead_counter(rig, "issued") == 0)
+    ASSERT_TRUE(rig.manager->touch(p++).ok());
+  ASSERT_EQ(rig.manager->readaheads_held(), SwapManager::kReadaheadBatches);
+  const auto entries = stored_entries(*rig.client);
+  rig.manager.reset();
+  rig.system->run_for(10 * kMilli);
+  EXPECT_EQ(stored_entries(*rig.client), entries);
 }
 
 // ---- zswap -----------------------------------------------------------------
