@@ -10,10 +10,11 @@ counts and ratios; exact for a given seed) with the golden:
 
 Without --update it prints every metric that differs, one line each, and
 exits 1 on any difference, on a page that read back wrong, or on a failed
-op. With --update it rewrites the golden from the runs instead; a change
-that means to move virtual numbers commits the regenerated file, so its
-diff is the metric-by-metric record of what moved. Host-clock figures
-never enter the golden.
+op. With --update it rewrites the golden from the runs instead, and prints
+per workload and seed each metric that moved against the golden it
+replaces ("key: old -> new") and how many did not, so a change that means
+to move virtual numbers can paste that record next to the regenerated
+file. Host-clock figures never enter the golden.
 """
 
 import argparse
@@ -55,23 +56,34 @@ def main():
                     f"{out['errors'][:3]}")
             print(f"    ran {workload} seed {seed}")
 
+    try:
+        with open(args.golden) as f:
+            golden = json.load(f)
+    except FileNotFoundError:
+        if not args.update:
+            raise
+        golden = {}
+    for workload in WORKLOADS:
+        for seed in map(str, SEEDS):
+            want = golden.get(workload, {}).get(seed, {})
+            got = runs[workload][seed]
+            keys = sorted(set(want) | set(got))
+            moved = [key for key in keys if want.get(key) != got.get(key)]
+            if args.update:
+                print(f"    {workload} seed {seed}: {len(moved)} moved, "
+                      f"{len(keys) - len(moved)} unchanged")
+                for key in moved:
+                    print(f"      {key}: {want.get(key)} -> {got.get(key)}")
+            else:
+                for key in moved:
+                    problems.append(f"{workload} seed {seed} {key}: "
+                                    f"golden {want.get(key)} != "
+                                    f"{got.get(key)}")
     if args.update and not problems:
         with open(args.golden, "w") as f:
             json.dump(runs, f, indent=1, sort_keys=True)
             f.write("\n")
         print(f"    wrote {args.golden}")
-    elif not args.update:
-        with open(args.golden) as f:
-            golden = json.load(f)
-        for workload in WORKLOADS:
-            for seed in map(str, SEEDS):
-                want = golden.get(workload, {}).get(seed, {})
-                got = runs[workload][seed]
-                for key in sorted(set(want) | set(got)):
-                    if want.get(key) != got.get(key):
-                        problems.append(f"{workload} seed {seed} {key}: "
-                                        f"golden {want.get(key)} != "
-                                        f"{got.get(key)}")
     for problem in problems:
         print("    " + problem)
     if problems:
