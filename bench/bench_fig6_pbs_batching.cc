@@ -1,15 +1,9 @@
 // Figure 6 — completion time of FastSwap with proactive batch swap-in (PBS)
 // vs FastSwap without PBS vs Infiniswap vs Linux disk swap, across four
-// disaggregated-memory workload sizes. A fifth series adds pattern-aware
-// PBS (the adaptive window and fan-out) to the FastSwap configuration.
+// disaggregated-memory workload sizes.
 //
 // Paper shape: FastSwap+PBS < FastSwap w/o PBS < Infiniswap << Linux at
 // every size, with the gap growing as more of the working set spills.
-// Reproduction extension: on this sequential iterative workload the
-// tracker grows the PBS window past the fixed default. That wins at the
-// larger sizes; at the smaller ones the scan outruns the swap worker's
-// decodes of a large window's siblings and waits for them, so the fixed
-// window finishes first.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -30,15 +24,13 @@ int main() {
 
   const std::uint64_t working_sets[] = {192, 256, 384, 512};
   const swap::SystemKind systems[] = {
-      swap::SystemKind::kFastSwap, swap::SystemKind::kFastSwapAdaptive,
-      swap::SystemKind::kFastSwapNoPbs, swap::SystemKind::kInfiniswap,
-      swap::SystemKind::kLinux};
-  constexpr int kSystems = 5;
+      swap::SystemKind::kFastSwap, swap::SystemKind::kFastSwapNoPbs,
+      swap::SystemKind::kInfiniswap, swap::SystemKind::kLinux};
+  constexpr int kSystems = 4;
 
   bench::BenchJson json("fig6_pbs_batching");
-  std::printf("%-12s %14s %14s %14s %14s %14s %9s %10s\n", "WSet(pages)",
-              "FastSwap+PBS", "FS-Adaptive", "FS-noPBS", "Infiniswap",
-              "Linux", "PBS-gain", "Adpt-gain");
+  std::printf("%-12s %14s %14s %14s %14s %9s\n", "WSet(pages)",
+              "FastSwap+PBS", "FS-noPBS", "Infiniswap", "Linux", "PBS-gain");
   for (std::uint64_t pages : working_sets) {
     SimTime elapsed[kSystems] = {};
     for (int s = 0; s < kSystems; ++s) {
@@ -62,19 +54,15 @@ int main() {
       json.add_system(setup.name + "/ws=" + std::to_string(pages),
                       *rig.system);
     }
-    std::printf("%-12llu %14s %14s %14s %14s %14s %8.2fx %9.2fx\n",
+    std::printf("%-12llu %14s %14s %14s %14s %8.2fx\n",
                 static_cast<unsigned long long>(pages),
                 format_duration(elapsed[0]).c_str(),
                 format_duration(elapsed[1]).c_str(),
                 format_duration(elapsed[2]).c_str(),
                 format_duration(elapsed[3]).c_str(),
-                format_duration(elapsed[4]).c_str(),
-                bench::ratio(elapsed[2], elapsed[0]),
-                bench::ratio(elapsed[0], elapsed[1]));
+                bench::ratio(elapsed[1], elapsed[0]));
   }
-  std::printf(
-      "\n(PBS-gain = FastSwap w/o PBS over FastSwap+PBS; Adpt-gain = "
-      "FastSwap+PBS over FS-Adaptive)\n");
+  std::printf("\n(PBS-gain = FastSwap w/o PBS over FastSwap+PBS)\n");
   if (!json.write()) {
     std::printf("failed to write %s\n", json.path().c_str());
     return 1;

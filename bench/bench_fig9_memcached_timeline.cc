@@ -37,7 +37,6 @@ int main() {
   std::vector<std::string> order;
   bench::BenchJson snapshots("fig9_memcached_timeline");
   for (auto kind : {swap::SystemKind::kFastSwap,
-                    swap::SystemKind::kFastSwapAdaptive,
                     swap::SystemKind::kFastSwapNoPbs,
                     swap::SystemKind::kInfiniswap}) {
     auto setup = swap::make_system(kind, kResident);

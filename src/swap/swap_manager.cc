@@ -8,7 +8,6 @@
 #include "cxl/page_tier.h"
 #include "core/ldmc.h"
 #include "sim/span_sink.h"
-#include "swap/pattern_tracker.h"
 
 namespace dm::swap {
 namespace {
@@ -25,35 +24,14 @@ enum FaultPath : std::size_t { kCxlPath, kZswapPath, kWbPath, kBackendPath,
 constexpr const char* kFaultPathNames[] = {"cxl", "zswap", "wb", "backend",
                                            "cold"};
 
-compress::GranularityMode granularity_of(CompressionMode mode) {
-  return mode == CompressionMode::kTwoGranularity
-             ? compress::GranularityMode::kTwo
-             : compress::GranularityMode::kFour;
-}
-
 }  // namespace
 
 SwapManager::SwapManager(core::Ldmc& client, Config config,
                          PageContentFn content)
-    : client_(client), config_(config), content_(std::move(content)),
-      compressor_(granularity_of(config.compression)) {
+    : client_(client), config_(config), content_(std::move(content)) {
   config_.writeback_batches =
       std::max<std::size_t>(config_.writeback_batches, 1);
   if (config_.zswap_pool_bytes > 0) zswap_.emplace(config_.zswap_pool_bytes);
-  if (config_.adaptive_pbs) {
-    // Cap the window so a PBS restore can always fit the resident budget
-    // (make_room(w) must terminate with frames to spare).
-    config_.max_batch_pages = std::max<std::size_t>(
-        kMinBatchPages, std::min<std::size_t>(config_.max_batch_pages,
-                                              config_.resident_pages / 2));
-    pattern_.emplace(kPatternHistory,
-                     static_cast<std::int64_t>(config_.max_batch_pages));
-    window_.emplace(AdaptiveWindow::Config{
-        kMinBatchPages, config_.max_batch_pages,
-        std::clamp(config_.batch_pages, kMinBatchPages,
-                   config_.max_batch_pages),
-        kPatternHysteresis});
-  }
   if (config_.disk_backup) client_.service().reserve_backup_ring();
 }
 
@@ -104,31 +82,6 @@ void SwapManager::await_decode(std::uint64_t page) {
   sim.run_until(ready);
 }
 
-std::size_t SwapManager::current_window() const noexcept {
-  return window_ ? window_->current() : config_.batch_pages;
-}
-
-AccessPattern SwapManager::current_pattern() const noexcept {
-  return pattern_ ? pattern_->classify() : AccessPattern::kUnknown;
-}
-
-void SwapManager::observe_fault(std::uint64_t page) {
-  pattern_->record(page);
-  const AccessPattern verdict = pattern_->classify();
-  ++metrics_.counter(std::string("swap.pattern.") +
-                     std::string(to_string(verdict)));
-  const std::size_t window = window_->update(verdict);
-  metrics_.histogram("swap.pbs.window")
-      .record(static_cast<std::uint64_t>(window));
-}
-
-bool SwapManager::pbs_fanout_suppressed() {
-  if (!config_.adaptive_pbs) return false;
-  if (pattern_->classify() != AccessPattern::kRandom) return false;
-  ++metrics_.counter("swap.pbs.fanout_skips");
-  return true;
-}
-
 Status SwapManager::touch(std::uint64_t page, bool write) {
   // Safe point: roll back any write-back flush that failed while previous
   // faults were in flight (pages return resident+dirty, nothing is lost),
@@ -149,7 +102,6 @@ Status SwapManager::touch(std::uint64_t page, bool write) {
     return Status::Ok();
   }
   ++faults_;
-  if (config_.adaptive_pbs) observe_fault(page);
   // Fault latency by service path, in virtual time: the zswap pool hit,
   // the write-back staging hit, the backend fault (whatever tier the batch
   // entry lives in), and the demand-content cold fault. The spread between
@@ -327,10 +279,9 @@ Status SwapManager::evict_for_space() {
   // walk early: stopping at the first clean page would fragment the dirty
   // write-out into tiny batches and destroy the §IV.H clustering (and the
   // Linux baseline's write clustering with it).
-  const std::size_t window = current_window();
   std::vector<std::uint64_t> to_write;
   bool freed_any = false;
-  while (to_write.size() < window && !lru_.empty()) {
+  while (to_write.size() < config_.batch_pages && !lru_.empty()) {
     auto victim = lru_.evict_lru();
     if (!victim) break;
     const std::uint64_t page = *victim;
@@ -674,7 +625,7 @@ Status SwapManager::fault_in_wb(std::uint64_t page,
     return InternalError("staged page references unknown batch");
 
   std::vector<std::uint64_t> members;
-  if (config_.proactive_batch_swap_in && !pbs_fanout_suppressed()) {
+  if (config_.proactive_batch_swap_in) {
     for (std::uint64_t member : batch_it->second.pages)
       if (resident_.count(member) == 0) members.push_back(member);
     ++metrics_.counter("swap.pbs_batch_ins");
@@ -698,7 +649,7 @@ Status SwapManager::fault_in(std::uint64_t page) {
   if (auto wb_it = wb_.find(info.batch); wb_it != wb_.end())
     return fault_in_wb(page, wb_it->second.buffer);
 
-  if (config_.proactive_batch_swap_in && !pbs_fanout_suppressed()) {
+  if (config_.proactive_batch_swap_in) {
     // PBS: fetch the whole batch entry with one disaggregated-memory read
     // and repopulate every non-resident page stored in it. The swap-cache
     // copies stay valid (pages come back clean).
@@ -720,12 +671,11 @@ Status SwapManager::fault_in(std::uint64_t page) {
     return Status::Ok();
   }
 
-  // Non-PBS (or adaptive fan-out suppressed under random access): the
-  // batch is still the unit of storage (one §IV.H message holds the
-  // window), so the fault fetches the batch entry but restores only the
-  // faulted page — its siblings stay down-tier and each pays the same
-  // fetch again on its own fault. This is exactly the waste PBS removes.
-  // Batches of one page degenerate to a cheap sub-read.
+  // Non-PBS: the batch is still the unit of storage (one §IV.H message
+  // holds the window), so the fault fetches the batch entry but restores
+  // only the faulted page — its siblings stay down-tier and each pays the
+  // same fetch again on its own fault. This is exactly the waste PBS
+  // removes. Batches of one page degenerate to a cheap sub-read.
   if (config_.extra_op_overhead > 0) charge(config_.extra_op_overhead);
   if (batch_it->second.pages.size() > 1) {
     auto size = client_.stored_size(info.batch);
@@ -785,7 +735,7 @@ void SwapManager::read_ahead(std::uint64_t page) {
   // The stream's next fault: the first page above this one not resident.
   predicted_fault_ = page + 1;
   while (resident_.count(predicted_fault_) > 0) ++predicted_fault_;
-  if (stream_hits_ < kPatternHysteresis) return;
+  if (stream_hits_ < kReadaheadStreak) return;
 
   // The window: the next kReadaheadBatches entries in page order from the
   // prediction that a get can read ahead, i.e. landed in shared or remote
@@ -796,9 +746,8 @@ void SwapManager::read_ahead(std::uint64_t page) {
     return std::any_of(window.begin(), window.end(),
                        [entry](const auto& e) { return e.first == entry; });
   };
-  const std::size_t batch =
-      config_.adaptive_pbs ? config_.max_batch_pages : config_.batch_pages;
-  const std::uint64_t end = predicted_fault_ + 2 * kReadaheadBatches * batch;
+  const std::uint64_t end =
+      predicted_fault_ + 2 * kReadaheadBatches * config_.batch_pages;
   mem::EntryId last = 0;
   for (std::uint64_t q = predicted_fault_;
        q < end && window.size() < kReadaheadBatches; ++q) {

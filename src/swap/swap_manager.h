@@ -60,7 +60,7 @@
 // read-back, rollback and staged-page fault sees real bytes.
 //
 // PBS readahead. Each PBS fault predicts the next one: the first page above
-// the faulted one that is not resident. While at least kPatternHysteresis
+// the faulted one that is not resident. While at least kReadaheadStreak
 // consecutive PBS faults have landed on their predicted page, each such
 // fault makes the window the next kReadaheadBatches batch entries ahead in
 // page order that live in shared or remote memory (a staged batch is
@@ -71,14 +71,6 @@
 // dropped and the fault fetches on demand, so at most kReadaheadBatches
 // buffers are held. Like a write-back landing, a completion only marks its
 // fetch landed; the page maps move on the faulting thread.
-//
-// Adaptive PBS (adaptive_pbs, default-off): a PatternTracker classifies the
-// fault-address stream (sequential / strided / random) and an AdaptiveWindow
-// resizes the swap-out window with hysteresis: sequential streams grow it
-// toward max_batch_pages, random streams shrink it toward kMinBatchPages.
-// On the swap-in side a random verdict suppresses the PBS fan-out to the
-// single faulted page (fetching a batch of unrelated victims would only
-// pollute the resident set).
 //
 // All data is real: page contents come from the workload's content
 // generator, travel compressed through the tiers, and are checksum-checked
@@ -104,14 +96,13 @@
 #include "core/ldmc.h"
 #include "cxl/page_tier.h"
 #include "sim/span_sink.h"
-#include "swap/pattern_tracker.h"
 #include "swap/zswap_cache.h"
 
 namespace dm::swap {
 
 inline constexpr std::size_t kPageBytes = compress::kPageSize;
 
-enum class CompressionMode { kOff, kTwoGranularity, kFourGranularity };
+enum class CompressionMode { kOff, kFourGranularity };
 
 // Fills `out` (4 KiB) with the contents of `page` — deterministic per page.
 using PageContentFn =
@@ -119,12 +110,9 @@ using PageContentFn =
 
 class SwapManager {
  public:
-  // Adaptive PBS: the window floor, the fault deltas the pattern tracker
-  // considers, and the verdicts needed to resize the window.
-  static constexpr std::size_t kMinBatchPages = 1;
-  static constexpr std::size_t kPatternHistory = 32;
-  static constexpr std::size_t kPatternHysteresis = 4;
-  // PBS readahead: the batch entries fetched ahead of a sequential stream.
+  // PBS readahead: the predicted PBS faults in a row that make a stream,
+  // and the batch entries fetched ahead of it.
+  static constexpr std::size_t kReadaheadStreak = 4;
   static constexpr std::size_t kReadaheadBatches = 2;
 
   struct Config {
@@ -152,10 +140,6 @@ class SwapManager {
     // staged or in flight, at least 1 (the constructor raises a 0).
     std::size_t writeback_batches = 4;
     SimTime writeback_flush_delay = 30 * kMicro;  // async flush deadline
-
-    // --- adaptive PBS (default-off; see file comment) --------------------
-    bool adaptive_pbs = false;
-    std::size_t max_batch_pages = 32;  // adaptive window ceiling
 
     // --- CXL tier (default-off; DESIGN.md §14) --------------------------
     // When set, dirty/unbacked eviction victims demote into this CXL page
@@ -215,17 +199,12 @@ class SwapManager {
   // readahead does so under a "net" child span.
   void set_span_sink(sim::SpanSink* spans) noexcept { spans_ = spans; }
 
-  // --- adaptive-engine observability (model checker + tests) -----------
+  // --- paging-state observability (model checker + tests) ---------------
   bool is_backed(std::uint64_t page) const {
     return backed_.count(page) > 0;
   }
   std::size_t backed_count() const noexcept { return backed_.size(); }
   bool is_dirty(std::uint64_t page) const { return dirty_.count(page) > 0; }
-  // Current swap-out window: the adaptive window when adaptive_pbs is on,
-  // the static batch_pages otherwise.
-  std::size_t current_window() const noexcept;
-  // Last pattern verdict (kUnknown when adaptive_pbs is off).
-  AccessPattern current_pattern() const noexcept;
   std::size_t wb_staged_batches() const noexcept { return wb_.size(); }
   std::uint64_t wb_in_flight() const noexcept { return wb_inflight_; }
   // When the swap worker finishes the work queued on it so far.
@@ -357,10 +336,6 @@ class SwapManager {
   void read_ahead(std::uint64_t page);
   void readahead_post(mem::EntryId entry, const mem::EntryLocation& location);
 
-  // Adaptive-PBS helpers.
-  void observe_fault(std::uint64_t page);
-  bool pbs_fanout_suppressed();
-
   // Write-back staging helpers. Flush completions mutate ONLY wb_ /
   // wb_failures_ / counters; the page maps (resident_, backed_, batches_,
   // lru_, dirty_) are rolled back exclusively at safe points — the top of
@@ -388,10 +363,8 @@ class SwapManager {
   core::Ldmc& client_;
   Config config_;
   PageContentFn content_;
-  compress::PageCompressor compressor_;
+  compress::PageCompressor compressor_;  // four-granularity buckets
   std::optional<ZswapCache> zswap_;
-  std::optional<PatternTracker> pattern_;
-  std::optional<AdaptiveWindow> window_;
 
   std::unordered_map<std::uint64_t, std::vector<std::byte>> resident_;
   std::unordered_set<std::uint64_t> dirty_;

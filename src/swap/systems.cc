@@ -12,7 +12,6 @@ std::string_view to_string(SystemKind kind) noexcept {
     case SystemKind::kNbdx: return "NBDX";
     case SystemKind::kLinux: return "Linux";
     case SystemKind::kZswap: return "Zswap";
-    case SystemKind::kFastSwapAdaptive: return "FastSwap-Adaptive";
   }
   return "?";
 }
@@ -81,13 +80,6 @@ SystemSetup make_system(SystemKind kind, std::uint64_t resident_pages) {
       setup.swap.resident_pages = resident_pages - pool_pages;
       break;
     }
-    case SystemKind::kFastSwapAdaptive:
-      setup.ldmc.shm_fraction = 1.0;
-      setup.swap.batch_pages = 8;  // adaptive starting window
-      setup.swap.proactive_batch_swap_in = true;
-      setup.swap.compression = CompressionMode::kFourGranularity;
-      setup.swap.adaptive_pbs = true;
-      break;
   }
   return setup;
 }

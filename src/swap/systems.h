@@ -25,8 +25,6 @@ enum class SystemKind {
   kNbdx,           // raw RDMA block device, per-page
   kLinux,          // disk swap only
   kZswap,          // compressed RAM cache (zbud) in front of disk swap
-  // FastSwap plus pattern-aware PBS: an adaptive window and fan-out.
-  kFastSwapAdaptive,
 };
 
 std::string_view to_string(SystemKind kind) noexcept;

@@ -294,7 +294,7 @@ SwapSoakResult run_swap_soak(std::uint64_t seed) {
   options.shm_fraction = 0.2;  // most batches remote => exposed to crashes
   auto& client = system.create_server(0, 64 * MiB, options);
 
-  auto setup = swap::make_system(swap::SystemKind::kFastSwapAdaptive, 24);
+  auto setup = swap::make_system(swap::SystemKind::kFastSwap, 24);
   setup.swap.writeback_flush_delay = 5 * kMilli;
   swap::SwapManager manager(
       client, setup.swap, [](std::uint64_t page, std::span<std::byte> out) {

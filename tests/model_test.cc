@@ -6,13 +6,12 @@
 // simulator, real tiers, real compression) and, in lockstep, through
 // SwapOracle — a pure-function reference that mirrors the paging layer's
 // membership semantics (resident set, dirty set, swap-cache backing, batch
-// composition, LRU order and the adaptive-PBS policy state machines).
-// Eighteen numbered properties (P1–P18) are asserted along the trace; see
-// SwapModelChecker::check_*.
+// composition and LRU order). Numbered properties P1–P18 are asserted along
+// the trace (P14, the retired adaptive-window check, keeps its number
+// unused); see SwapModelChecker::check_*.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <optional>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -31,7 +30,6 @@
 #include "mem/shared_memory_pool.h"
 #include "net/fabric.h"
 #include "sim/simulator.h"
-#include "swap/pattern_tracker.h"
 #include "swap/swap_manager.h"
 #include "swap/systems.h"
 #include "workloads/page_content.h"
@@ -269,9 +267,8 @@ std::uint64_t model_checksum(std::uint64_t page) {
 // ---------------------------------------------------------------------------
 // SwapOracle: pure-function reference model of SwapManager's membership
 // semantics. No simulator, no I/O, no bytes — it tracks WHICH pages are
-// where (resident / dirty / backed / batch members / LRU order) and what
-// the policy state machines decide, which is exactly what the checker
-// compares against the real implementation.
+// where (resident / dirty / backed / batch members / LRU order), which is
+// exactly what the checker compares against the real implementation.
 //
 // Deliberately out of scope (checked by other means or other tests): fault
 // latencies, the zswap tier (model configs run with zswap off), and the
@@ -288,23 +285,10 @@ class SwapOracle {
     std::uint64_t clean_drops = 0;
     std::uint64_t pbs_batch_ins = 0;
     std::uint64_t single_page_ins = 0;
-    std::uint64_t fanout_skips = 0;
     std::uint64_t swapped_out_pages = 0;
   };
 
-  // `config` must be the manager's post-construction config (the ctor
-  // clamps max_batch_pages), i.e. manager.config().
-  explicit SwapOracle(const SwapManager::Config& config) : config_(config) {
-    if (config_.adaptive_pbs) {
-      pattern_.emplace(SwapManager::kPatternHistory,
-                       static_cast<std::int64_t>(config_.max_batch_pages));
-      window_.emplace(AdaptiveWindow::Config{
-          SwapManager::kMinBatchPages, config_.max_batch_pages,
-          std::clamp(config_.batch_pages, SwapManager::kMinBatchPages,
-                     config_.max_batch_pages),
-          SwapManager::kPatternHysteresis});
-    }
-  }
+  explicit SwapOracle(const SwapManager::Config& config) : config_(config) {}
 
   void touch(std::uint64_t page, bool write) {
     if (resident_.count(page) > 0) {
@@ -316,10 +300,6 @@ class SwapOracle {
       return;
     }
     ++c_.faults;
-    if (config_.adaptive_pbs) {
-      pattern_->record(page);
-      window_->update(pattern_->classify());
-    }
     if (backed_.count(page) > 0) {
       fault_backed(page);
     } else {
@@ -336,13 +316,6 @@ class SwapOracle {
 
   void flush_all() {
     while (!resident_.empty()) evict_for_space();
-  }
-
-  std::size_t window() const {
-    return window_ ? window_->current() : config_.batch_pages;
-  }
-  AccessPattern pattern() const {
-    return pattern_ ? pattern_->classify() : AccessPattern::kUnknown;
   }
 
   const Counters& counters() const { return c_; }
@@ -365,14 +338,8 @@ class SwapOracle {
 
   void fault_backed(std::uint64_t page) {
     const mem::EntryId entry = backed_.at(page);
-    bool pbs = config_.proactive_batch_swap_in;
-    if (pbs && config_.adaptive_pbs &&
-        pattern_->classify() == AccessPattern::kRandom) {
-      pbs = false;
-      ++c_.fanout_skips;
-    }
     std::vector<std::uint64_t> restore;
-    if (pbs) {
+    if (config_.proactive_batch_swap_in) {
       for (std::uint64_t member : batches_.at(entry))
         if (resident_.count(member) == 0) restore.push_back(member);
       ++c_.pbs_batch_ins;
@@ -394,10 +361,8 @@ class SwapOracle {
   }
 
   void evict_for_space() {
-    const std::size_t window_pages =
-        config_.adaptive_pbs ? window_->current() : config_.batch_pages;
     std::vector<std::uint64_t> to_write;
-    while (to_write.size() < window_pages && !lru_.empty()) {
+    while (to_write.size() < config_.batch_pages && !lru_.empty()) {
       const std::uint64_t victim = *lru_.evict_lru();
       const bool clean =
           dirty_.count(victim) == 0 && backed_.count(victim) > 0;
@@ -428,8 +393,6 @@ class SwapOracle {
   }
 
   SwapManager::Config config_;
-  std::optional<PatternTracker> pattern_;
-  std::optional<AdaptiveWindow> window_;
   std::set<std::uint64_t> resident_;
   std::set<std::uint64_t> dirty_;
   LruTracker<std::uint64_t> lru_;
@@ -554,15 +517,6 @@ class SwapModelChecker {
     // P13: the PBS/single-page fan-out decisions match.
     ASSERT_EQ(m.counter_value("swap.pbs_batch_ins"), c.pbs_batch_ins);
     ASSERT_EQ(m.counter_value("swap.single_page_ins"), c.single_page_ins);
-    ASSERT_EQ(m.counter_value("swap.pbs.fanout_skips"), c.fanout_skips);
-    // P14: the adaptive window agrees and stays within its bounds.
-    ASSERT_EQ(manager_->current_window(), oracle_->window());
-    if (manager_->config().adaptive_pbs) {
-      ASSERT_GE(manager_->current_window(), SwapManager::kMinBatchPages);
-      ASSERT_LE(manager_->current_window(),
-                manager_->config().max_batch_pages);
-      ASSERT_EQ(manager_->current_pattern(), oracle_->pattern());
-    }
     // P15 (bound half): the staging buffer respects its configured bound.
     ASSERT_LE(manager_->wb_staged_batches(),
               std::max<std::size_t>(manager_->config().writeback_batches,
@@ -669,13 +623,6 @@ TEST(SwapModelTest, PerPageBatchingMatchesOracle) {
   checker.run(1000);
 }
 
-TEST(SwapModelTest, AdaptivePbsMatchesOracle) {
-  auto setup = small_setup(SystemKind::kFastSwap);
-  setup.swap.adaptive_pbs = true;
-  SwapModelChecker checker(setup, 1004);
-  checker.run(1500);
-}
-
 TEST(SwapModelTest, WriteBackStagingMatchesOracle) {
   auto setup = small_setup(SystemKind::kFastSwap);
   setup.swap.writeback_batches = 4;
@@ -683,15 +630,9 @@ TEST(SwapModelTest, WriteBackStagingMatchesOracle) {
   checker.run(1500);
 }
 
-TEST(SwapModelTest, FullAdaptiveEngineMatchesOracle) {
-  SwapModelChecker checker(small_setup(SystemKind::kFastSwapAdaptive), 1007);
-  checker.run(2000);
-}
-
-TEST(SwapModelTest, FullAdaptiveEngineMatchesOracleAcrossSeeds) {
+TEST(SwapModelTest, FastSwapMatchesOracleAcrossSeeds) {
   for (std::uint64_t seed : {21u, 22u, 23u}) {
-    SwapModelChecker checker(small_setup(SystemKind::kFastSwapAdaptive),
-                             seed);
+    SwapModelChecker checker(small_setup(SystemKind::kFastSwap), seed);
     checker.run(800);
   }
 }
@@ -700,7 +641,6 @@ TEST(SwapModelTest, UncompressedBaselineWithWriteBackMatchesOracle) {
   auto setup = small_setup(SystemKind::kInfiniswap);
   setup.swap.disk_backup = false;  // keep the oracle's scope exact
   setup.swap.writeback_batches = 2;
-  setup.swap.adaptive_pbs = true;
   SwapModelChecker checker(setup, 1008);
   checker.run(1200);
 }
@@ -710,8 +650,7 @@ TEST(SwapModelTest, UncompressedBaselineWithWriteBackMatchesOracle) {
 // chaos/recovery suites rely on for reproducing schedules.
 TEST(SwapModelTest, SameSeedReplaysAreByteIdentical) {
   auto run_once = [](std::uint64_t seed) {
-    SwapModelChecker checker(small_setup(SystemKind::kFastSwapAdaptive),
-                             seed);
+    SwapModelChecker checker(small_setup(SystemKind::kFastSwap), seed);
     checker.run(700);
     const std::string dump = checker.manager().metrics().to_string();
     return std::tuple(checker.manager().faults(),

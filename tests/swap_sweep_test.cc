@@ -1,5 +1,5 @@
 // Parameterized property sweeps over the swap layer configuration space:
-// (batch window x compression mode x resident fraction) and zswap pools,
+// (batch window x compression on/off x resident fraction) and zswap pools,
 // checking integrity and conservation invariants on every combination.
 #include <gtest/gtest.h>
 
@@ -48,6 +48,8 @@ std::uint64_t expected_checksum(std::uint64_t page) {
   return fnv1a(bytes);
 }
 
+// The compression column keeps the numbering the sweep has always printed
+// in its case names: 0 is off, 2 is four-granularity.
 using SweepParam = std::tuple<std::size_t /*batch*/, int /*compression*/,
                               std::uint64_t /*resident*/, bool /*pbs*/>;
 
@@ -59,7 +61,8 @@ TEST_P(SwapSweep, MixedTraceKeepsEveryPageIntact) {
   config.resident_pages = resident;
   config.batch_pages = batch;
   config.proactive_batch_swap_in = pbs;
-  config.compression = static_cast<CompressionMode>(compression);
+  config.compression = compression == 0 ? CompressionMode::kOff
+                                        : CompressionMode::kFourGranularity;
   SweepRig rig(config);
 
   Rng rng(4242);
@@ -91,7 +94,7 @@ TEST_P(SwapSweep, MixedTraceKeepsEveryPageIntact) {
 INSTANTIATE_TEST_SUITE_P(
     ConfigGrid, SwapSweep,
     ::testing::Combine(::testing::Values<std::size_t>(1, 4, 8),
-                       ::testing::Values(0, 1, 2),  // off / 2-gran / 4-gran
+                       ::testing::Values(0, 2),  // off / 4-gran
                        ::testing::Values<std::uint64_t>(24, 48),
                        ::testing::Bool()));
 

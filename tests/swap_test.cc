@@ -643,9 +643,11 @@ TEST(SwapWorkerTest, SlowWorkerStallsTheAppAtTheStagingBound) {
 // A write-back put that lands after its manager is gone frees its entry,
 // as a compaction's landing does: nothing would ever name it. Without
 // compression the worker has no work, so each put goes out at its flush
-// deadline and is still in flight when the manager goes.
+// deadline and is still in flight when the manager goes. Four-page
+// batches make the 16 writes stage two of them.
 TEST(SwapWriteBackTest, PutLandingAfterDestructionFreesItsEntry) {
-  auto setup = make_system(SystemKind::kFastSwapAdaptive, 8);
+  auto setup = make_system(SystemKind::kFastSwap, 8);
+  setup.swap.batch_pages = 4;
   setup.ldmc.shm_fraction = 0.0;
   setup.swap.compression = CompressionMode::kOff;
   Rig rig(setup);
@@ -664,9 +666,8 @@ TEST(SwapWriteBackTest, PutLandingAfterDestructionFreesItsEntry) {
 
 // Remote memory without compression: every batch entry is an RDMA read
 // away, so a readahead has a fetch to hide.
-SystemSetup readahead_setup(SystemKind kind = SystemKind::kFastSwap,
-                            std::uint64_t resident = 32) {
-  auto setup = make_system(kind, resident);
+SystemSetup readahead_setup(std::uint64_t resident = 32) {
+  auto setup = make_system(SystemKind::kFastSwap, resident);
   setup.ldmc.shm_fraction = 0.0;
   setup.swap.compression = CompressionMode::kOff;
   return setup;
@@ -708,7 +709,7 @@ TEST(SwapReadaheadTest, SequentialScanOverRemoteMemoryHitsItsReadaheads) {
       rig.manager->metrics().counter_value("swap.pbs_batch_ins") - pbs_before;
   ASSERT_EQ(pbs, 32u);
   const std::uint64_t hits = readahead_counter(rig, "hits");
-  EXPECT_EQ(hits, pbs - 1 - SwapManager::kPatternHysteresis);
+  EXPECT_EQ(hits, pbs - 1 - SwapManager::kReadaheadStreak);
   // Each fetched entry is used, except the window left held at the end.
   EXPECT_EQ(readahead_counter(rig, "dropped"), 0u);
   EXPECT_EQ(readahead_counter(rig, "issued"),
@@ -781,79 +782,52 @@ TEST(SwapReadaheadTest, ZipfTraceOnTheKvSetupIssuesNone) {
   EXPECT_EQ(readahead_counter(rig, "issued"), 0u);
 }
 
-// FastSwap-Adaptive suppresses PBS under a random verdict, and a
-// suppressed fault fetches on demand, leaving any readahead held. This
-// builds that state: a scan posts readaheads of the entries of pages
-// 40..47 and 48..55, then cold faults far away turn the verdict random.
-// 16 resident pages cap the adaptive window at 8, so every entry holds 8
-// consecutive pages.
-SystemSetup adaptive_readahead_setup() {
-  return readahead_setup(SystemKind::kFastSwapAdaptive, 16);
-}
-
-void hold_readaheads_then_go_random(Rig& rig) {
-  write_sequentially(*rig.manager, 96);
-  for (std::uint64_t p = 0; p < 40; ++p)
-    ASSERT_TRUE(rig.manager->touch(p).ok());
-  ASSERT_EQ(rig.manager->readaheads_held(), 2u);
-  ASSERT_TRUE(rig.manager->readahead_covers(40));
-  ASSERT_TRUE(rig.manager->readahead_covers(48));
-  Rng rng(5);
-  for (int i = 0; i < 64 &&
-                  rig.manager->current_pattern() != AccessPattern::kRandom;
-       ++i)
-    ASSERT_TRUE(rig.manager->touch(1000 + rng.next_below(100000)).ok());
-  ASSERT_EQ(rig.manager->current_pattern(), AccessPattern::kRandom);
-  ASSERT_EQ(rig.manager->readaheads_held(), 2u);
-}
-
-// Every member of a read-ahead entry is rewritten through suppressed
-// faults, so the entry is freed with its readahead held: the readahead is
-// dropped, and the rewritten pages come back with their bytes.
-TEST(SwapReadaheadTest, ReadaheadOfAnEntryFreedByRewritesIsDropped) {
-  Rig rig(adaptive_readahead_setup());
-  hold_readaheads_then_go_random(rig);
-  for (std::uint64_t p = 40; p < 48; ++p)
-    ASSERT_TRUE(rig.manager->touch(p, /*write=*/true).ok());
-  EXPECT_GT(rig.manager->metrics().counter_value("swap.pbs.fanout_skips"),
-            7u);
-  // The fault on 46 began a rewrite of the entry (two live members); the
-  // last rewrite freed the entry before that rewrite could commit.
-  EXPECT_EQ(compact_counter(rig, "committed"), 0u);
-  EXPECT_EQ(readahead_counter(rig, "dropped"), 1u);
-  EXPECT_EQ(readahead_counter(rig, "hits"), 0u);
-  EXPECT_EQ(rig.manager->readaheads_held(), 1u);
-  EXPECT_TRUE(rig.manager->readahead_covers(48));
-  ASSERT_TRUE(rig.manager->flush_all().ok());
-  expect_no_orphans(rig);
-  expect_pages_intact(rig, 96);
-}
-
-// A read-ahead entry is compacted: a suppressed fault reads it whole when
-// two of its eight members are live, and the commit frees it with its
-// readahead held. The readahead is dropped, and the fault on the moved
-// member fetches the new entry on demand.
+// A read-ahead entry is compacted. Pages 40..47 come back as one entry and
+// 42..47 are rewritten, leaving 40 and 41 its live members. Then 40 goes
+// out while 41 stays: with nine resident pages, a scan over 0..39 that
+// touches 41 before each entry keeps it, and the PBS faults on 8, 16, 24
+// and 32 land on their predictions. The fault on 40 uses the entry's
+// readahead, drops 41 to make room, reads the entry with a quarter of it
+// live, which begins its rewrite, and reads it ahead again for 41. The
+// commit frees the entry with that readahead held: the readahead is
+// dropped, and the fault on 41 fetches the new entry on demand.
 TEST(SwapReadaheadTest, ReadaheadOfACompactedEntryIsDropped) {
-  Rig rig(adaptive_readahead_setup());
-  hold_readaheads_then_go_random(rig);
-  for (std::uint64_t p = 40; p < 46; ++p)
+  Rig rig(readahead_setup(/*resident=*/9));
+  write_sequentially(*rig.manager, 96);
+  ASSERT_TRUE(rig.manager->touch(40).ok());
+  for (std::uint64_t p = 42; p < 48; ++p)
     ASSERT_TRUE(rig.manager->touch(p, /*write=*/true).ok());
-  ASSERT_TRUE(rig.manager->touch(46).ok());  // 46 and 47 live: rewrite
+  // Two dirty cold pages: the second drops 40, and the scan's first fault
+  // writes them out with 42..47 as one full batch, so it stops short of 41.
+  ASSERT_TRUE(rig.manager->touch(200, /*write=*/true).ok());
+  ASSERT_TRUE(rig.manager->touch(201, /*write=*/true).ok());
+  ASSERT_FALSE(rig.manager->is_resident(40));
+  for (std::uint64_t p = 0; p < 40; ++p) {
+    if (p % 8 == 0) {
+      ASSERT_TRUE(rig.manager->touch(41).ok());
+    }
+    ASSERT_TRUE(rig.manager->touch(p).ok());
+  }
+  const std::uint64_t hits = readahead_counter(rig, "hits");
+  ASSERT_TRUE(rig.manager->touch(40).ok());
+  EXPECT_EQ(readahead_counter(rig, "hits"), hits + 1);
+  EXPECT_FALSE(rig.manager->is_resident(41));
   ASSERT_EQ(rig.manager->compactions_pending(), 1u);
-  ASSERT_TRUE(rig.manager->readahead_covers(47));
+  ASSERT_TRUE(rig.manager->readahead_covers(41));
+  const std::uint64_t dropped = readahead_counter(rig, "dropped");
   rig.system->run_for(1 * kMilli);
-  ASSERT_TRUE(rig.manager->touch(46).ok());  // resident hit: safe point
+  ASSERT_TRUE(rig.manager->touch(40).ok());  // resident hit: safe point
   EXPECT_EQ(compact_counter(rig, "committed"), 1u);
-  EXPECT_EQ(readahead_counter(rig, "dropped"), 1u);
-  EXPECT_FALSE(rig.manager->readahead_covers(47));
-  ASSERT_TRUE(rig.manager->is_backed(47));
+  EXPECT_EQ(readahead_counter(rig, "dropped"), dropped + 1);
+  EXPECT_FALSE(rig.manager->readahead_covers(41));
+  ASSERT_TRUE(rig.manager->is_backed(41));
   const std::uint64_t faults = rig.manager->faults();
-  ASSERT_TRUE(rig.manager->touch(47).ok());
+  ASSERT_TRUE(rig.manager->touch(41).ok());
   EXPECT_EQ(rig.manager->faults(), faults + 1);
-  auto bytes = rig.manager->resident_bytes(47);
+  EXPECT_EQ(readahead_counter(rig, "hits"), hits + 1);
+  auto bytes = rig.manager->resident_bytes(41);
   ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ(fnv1a(*bytes), expected_checksum(47));
-  EXPECT_EQ(readahead_counter(rig, "hits"), 0u);
+  EXPECT_EQ(fnv1a(*bytes), expected_checksum(41));
   ASSERT_TRUE(rig.manager->flush_all().ok());
   expect_no_orphans(rig);
   expect_pages_intact(rig, 96);
