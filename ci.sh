@@ -8,12 +8,13 @@
 # coherence soak run twice same-seed cross-process and diffed, plus the
 # storage-tiers ablation gate), a gcov-instrumented build gating
 # line coverage of the swap + compression + cxl + ec + storage layers,
-# then a perfbench stage pinning the benchmark's virtual numbers to a
-# golden.
+# a perfbench stage pinning the benchmark's virtual numbers to a
+# golden, then a figures stage running the nine paper benches (Table 1,
+# Figs 3-10) and failing if any exits non-zero.
 #
 # Usage: ./ci.sh [--lint-only|--plain-only|--sanitize-only|--obs-only|
 #                 --scale-only|--ec-only|--cxl-only|--coverage-only|
-#                 --perf-only]
+#                 --perf-only|--figures-only]
 #
 # The lint pass builds the tree with -DDM_WERROR=ON (so -Wall -Wextra
 # -Wshadow are hard errors in CI), runs tools/dm_lint over the source tree
@@ -284,8 +285,8 @@ PYEOF
 
 run_coverage() {
   local build_dir=build-cov
-  # The swap/compress test set: unit, sweep, adaptive-engine, the
-  # trace-replay model checker, and the crash-recovery suite (which is
+  # The swap/compress test set: unit, sweep, write-back staging and the
+  # default-config goldens, the trace-replay model checker, and the crash-recovery suite (which is
   # what reaches the write-back failure / degraded-fallback paths), plus
   # the codec battery (every remote byte goes through src/ec) and the
   # block device + extent allocator suite (every device-tier byte goes
@@ -359,6 +360,33 @@ run_perf() {
     --golden tests/goldens/perfbench_virt.json
 }
 
+# Smoke run of the paper's artifacts: Table 1 and Figs 3-10, built in the
+# tier-1 configuration. Each bench runs from the build directory, so the
+# BENCH_*.json snapshots some of them write stay out of the tree, and its
+# stdout is archived under artifacts/figures.
+run_figures() {
+  local build_dir=build
+  local benches=(bench_table1_applications bench_fig3_compression_ratio
+                 bench_fig4_compressibility bench_fig5_dm_compression
+                 bench_fig6_pbs_batching bench_fig7_ml_completion
+                 bench_fig8_distribution_ratio bench_fig9_memcached_timeline
+                 bench_fig10_dahi_spark)
+  cmake -B "$build_dir" -S .
+  cmake --build "$build_dir" -j "$jobs" --target "${benches[@]}"
+
+  rm -rf "$build_dir/artifacts/figures"
+  mkdir -p "$build_dir/artifacts/figures"
+  local bench
+  for bench in "${benches[@]}"; do
+    echo "==> figures: $bench"
+    (cd "$build_dir" &&
+     "./bench/$bench" > "artifacts/figures/$bench.out") || {
+      echo "==> FIGURES GATE FAILED: $bench exited non-zero"
+      exit 1
+    }
+  done
+}
+
 if [[ "$mode" == "all" || "$mode" == "--lint-only" ]]; then
   echo "==> lint build (-Werror) + dm_lint"
   run_lint
@@ -402,6 +430,11 @@ fi
 if [[ "$mode" == "all" || "$mode" == "--perf-only" ]]; then
   echo "==> perfbench virtual-number golden"
   run_perf
+fi
+
+if [[ "$mode" == "all" || "$mode" == "--figures-only" ]]; then
+  echo "==> paper figure + table benches (each must exit 0)"
+  run_figures
 fi
 
 echo "==> ci passed"
