@@ -89,7 +89,7 @@ LeaderElection::LeaderElection(sim::Simulator& simulator,
                   -> StatusOr<std::vector<std::byte>> {
                 const auto announced = static_cast<net::NodeId>(r.u32());
                 if (!r.ok()) return r.status();
-                adopt(announced);
+                leader_ = announced;
                 return std::vector<std::byte>{};
               });
 }
@@ -133,7 +133,6 @@ void LeaderElection::elect() {
   // announcements. Coordinator failure hands the role to the next-lowest
   // node via the same membership data, at the next tick.
   if (!is_coordinator()) return;
-  ++elections_;
   // Election rule (§IV.C): maximum advertised free memory among live
   // members, ties to the lowest node id.
   net::NodeId best = self_;
@@ -152,7 +151,7 @@ void LeaderElection::elect() {
       have = true;
     }
   }
-  adopt(best);
+  leader_ = best;
   net::WireWriter w;
   w.put_u32(best);
   for (net::NodeId m : members_) {
@@ -160,12 +159,6 @@ void LeaderElection::elect() {
     rpc_.call(m, kRpcAnnounceLeader, w.bytes(), 50 * kMilli,
               [](StatusOr<std::vector<std::byte>>) {});
   }
-}
-
-void LeaderElection::adopt(net::NodeId leader) {
-  if (leader == leader_) return;
-  leader_ = leader;
-  for (const auto& fn : listeners_) fn(leader_);
 }
 
 }  // namespace dm::cluster

@@ -89,16 +89,9 @@ class LeaderElection {
   bool is_coordinator() const;
 
   net::NodeId leader() const noexcept { return leader_; }
-  bool is_leader() const noexcept { return leader_ == self_; }
-  std::uint64_t elections_run() const noexcept { return elections_; }
-
-  void on_leader_change(std::function<void(net::NodeId)> listener) {
-    listeners_.push_back(std::move(listener));
-  }
 
  private:
   void elect();
-  void adopt(net::NodeId leader);
   void tick();
 
   sim::Simulator& sim_;
@@ -112,8 +105,6 @@ class LeaderElection {
   // Guards scheduled ticks against use-after-destruction: regrouping
   // replaces the election object while its periodic tick may be queued.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-  std::uint64_t elections_ = 0;
-  std::vector<std::function<void(net::NodeId)>> listeners_;
 };
 
 }  // namespace dm::cluster

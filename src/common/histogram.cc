@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/units.h"
-
 namespace dm {
 
 Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
@@ -97,15 +95,6 @@ void Histogram::reset() noexcept {
   sum_ = 0;
   min_ = ~0ULL;
   max_ = 0;
-}
-
-std::string Histogram::summary_duration() const {
-  std::string out = "n=" + std::to_string(count_);
-  out += " mean=" + format_duration(static_cast<SimTime>(mean()));
-  out += " p50=" + format_duration(static_cast<SimTime>(p50()));
-  out += " p99=" + format_duration(static_cast<SimTime>(p99()));
-  out += " max=" + format_duration(static_cast<SimTime>(max()));
-  return out;
 }
 
 }  // namespace dm

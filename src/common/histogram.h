@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace dm {
@@ -39,9 +38,6 @@ class Histogram {
   // standalone histogram: bucket-wise subtraction. The window's min/max are
   // approximated by its occupied bucket range. Used for SLO windows.
   Histogram delta_since(const Histogram& past) const noexcept;
-
-  // One-line summary: "n=1000 mean=1.2us p50=1.1us p99=3.0us max=5.5us"
-  std::string summary_duration() const;
 
  private:
   static std::size_t bucket_for(std::uint64_t value) noexcept;

@@ -90,9 +90,6 @@ inline Status DataLossError(std::string msg) {
 inline Status InternalError(std::string msg) {
   return {StatusCode::kInternal, std::move(msg)};
 }
-inline Status AbortedError(std::string msg) {
-  return {StatusCode::kAborted, std::move(msg)};
-}
 
 // StatusOr<T>: either a value or a non-OK Status. Access to value() on an
 // error is a programming error (asserted).

@@ -149,19 +149,18 @@ StatusOr<std::vector<std::byte>> KvStore::get(std::string_view key) {
     return DataLossError("kv entry key mismatch");
   ++metrics_.counter("kv.dm_hits");
 
+  // A disaggregated-tier hit is promoted back into the hot tier.
   std::vector<std::byte> value = std::move(decoded->second);
-  if (config_.promote_on_hit) {
-    DM_RETURN_IF_ERROR(client_.remove_sync(overflow->second));
-    overflow_.erase(overflow);
-    while (hot_used_ + value.size() > config_.hot_bytes) {
-      Status evicted = evict_one();
-      if (!evicted.ok()) break;
-    }
-    hot_used_ += value.size();
-    hot_[key_owned] = HotValue{value};
-    lru_.touch(key_owned);
-    ++metrics_.counter("kv.promotions");
+  DM_RETURN_IF_ERROR(client_.remove_sync(overflow->second));
+  overflow_.erase(overflow);
+  while (hot_used_ + value.size() > config_.hot_bytes) {
+    Status evicted = evict_one();
+    if (!evicted.ok()) break;
   }
+  hot_used_ += value.size();
+  hot_[key_owned] = HotValue{value};
+  lru_.touch(key_owned);
+  ++metrics_.counter("kv.promotions");
   return value;
 }
 

@@ -38,8 +38,6 @@ class KvStore {
     std::uint64_t hot_bytes = 16 * MiB;
     // Park overflow values in disaggregated memory (vs dropping them).
     bool use_disaggregated_memory = true;
-    // Promote disaggregated-tier hits back into the hot tier.
-    bool promote_on_hit = true;
   };
 
   KvStore(core::Ldmc& client, Config config);

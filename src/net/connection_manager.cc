@@ -17,15 +17,9 @@ Status ConnectionManager::establish(NodeId a, NodeId b, ChannelPair& out) {
     return FailedPreconditionError("peer endpoint not registered");
 
   auto data = fabric_.connect(a, b);
-  if (!data.ok()) {
-    log_.info("establish ", a, "<->", b,
-              " failed (data channel): ", data.status().to_string());
-    return data.status();
-  }
+  if (!data.ok()) return data.status();
   auto control = fabric_.connect(a, b);
   if (!control.ok()) {
-    log_.info("establish ", a, "<->", b,
-              " failed (control channel): ", control.status().to_string());
     fabric_.destroy_connection(*data);
     return control.status();
   }
@@ -44,8 +38,6 @@ StatusOr<QueuePair*> ConnectionManager::ensure_data_channel(NodeId a,
     if (!it->second.data_a->in_error() && !it->second.control_a->in_error())
       return it->second.data_a;
     // Repair: tear down the broken pair, fall through to re-establish.
-    log_.info("repairing channel pair ", a, "<->", b,
-              " (QP in error state)");
     if (auto* ep = endpoints_[a]) ep->detach_channel(b);
     if (auto* ep = endpoints_[b]) ep->detach_channel(a);
     fabric_.destroy_connection(it->second.data_a);
@@ -85,30 +77,6 @@ StatusOr<QueuePair*> ConnectionManager::ensure_data_channel(NodeId a,
 
 Status ConnectionManager::ensure_control_channel(NodeId a, NodeId b) {
   return ensure_data_channel(a, b).status();
-}
-
-void ConnectionManager::drop_node(NodeId node) {
-  for (auto it = channels_.begin(); it != channels_.end();) {
-    const auto [a, b] = it->first;
-    if (a == node || b == node) {
-      if (auto ep = endpoints_.find(a); ep != endpoints_.end())
-        ep->second->detach_channel(b);
-      if (auto ep = endpoints_.find(b); ep != endpoints_.end())
-        ep->second->detach_channel(a);
-      fabric_.destroy_connection(it->second.data_a);
-      fabric_.destroy_connection(it->second.control_a);
-      it = channels_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = backoff_.begin(); it != backoff_.end();) {
-    if (it->first.first == node || it->first.second == node) {
-      it = backoff_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace dm::net

@@ -16,7 +16,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/units.h"
@@ -43,9 +42,6 @@ class ConnectionManager {
   // Returns whether a usable control channel a->b exists or can be made.
   Status ensure_control_channel(NodeId a, NodeId b);
 
-  // Tears down all channels touching `node` (on permanent decommission).
-  void drop_node(NodeId node);
-
   // Paces re-establishment toward unreachable peers: after an establish
   // failure, further ensure_*() calls for that pair fail fast with
   // kUnavailable until the capped-exponential backoff window expires
@@ -58,12 +54,6 @@ class ConnectionManager {
   MetricsRegistry& metrics() noexcept { return metrics_; }
 
   std::size_t established_pairs() const noexcept { return channels_.size(); }
-
-  // Repair and establish-failure events are logged at info (failures to
-  // reach a crashed peer are routine retry traffic, so the default kWarn
-  // level keeps them quiet). Tests lower the level and redirect the sink
-  // via logger().set_sink() to observe the retry path.
-  Logger& logger() noexcept { return log_; }
 
  private:
   struct ChannelPair {
@@ -81,7 +71,6 @@ class ConnectionManager {
   Status establish(NodeId a, NodeId b, ChannelPair& out);
 
   Fabric& fabric_;
-  Logger log_{"net.cm"};
   RetryPolicy retry_;
   MetricsRegistry metrics_;
   std::unordered_map<NodeId, RpcEndpoint*> endpoints_;

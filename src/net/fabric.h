@@ -106,13 +106,11 @@ class Fabric {
   // Scales every transfer's NIC/wire time (latency-spike scenarios; 1.0 =
   // nominal). Applies from the next posted operation.
   void set_latency_scale(double scale) noexcept;
-  double latency_scale() const noexcept { return latency_scale_; }
   // Probability that a two-sided SEND message is silently dropped at
   // delivery (the sender's ack still completes, as with loss beyond the
   // local NIC): the receiver never sees it and the RPC above times out.
   // One-sided verbs are unaffected (RC retransmission hides loss there).
   void set_message_loss(double probability) noexcept;
-  double message_loss() const noexcept { return loss_probability_; }
 
   // --- topology -----------------------------------------------------------
   void add_node(NodeId node);

@@ -24,7 +24,6 @@ class WireWriter {
   void put_u16(std::uint16_t v) { put_raw(&v, sizeof(v)); }
   void put_u32(std::uint32_t v) { put_raw(&v, sizeof(v)); }
   void put_u64(std::uint64_t v) { put_raw(&v, sizeof(v)); }
-  void put_i64(std::int64_t v) { put_raw(&v, sizeof(v)); }
   void put_double(double v) { put_raw(&v, sizeof(v)); }
 
   void put_bytes(std::span<const std::byte> data) {
@@ -59,7 +58,6 @@ class WireReader {
   std::uint16_t u16() { return get_raw<std::uint16_t>(); }
   std::uint32_t u32() { return get_raw<std::uint32_t>(); }
   std::uint64_t u64() { return get_raw<std::uint64_t>(); }
-  std::int64_t i64() { return get_raw<std::int64_t>(); }
   double f64() { return get_raw<double>(); }
 
   std::span<const std::byte> bytes() {

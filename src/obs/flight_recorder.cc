@@ -11,7 +11,7 @@ namespace dm::obs {
 
 void FlightRecorder::push(std::uint32_t node, Record record) {
   Ring& ring = rings_[node];
-  if (ring.records.size() >= config_.capacity_per_node) {
+  if (ring.records.size() >= kCapacityPerNode) {
     ring.records.pop_front();
     ++ring.dropped;
   }

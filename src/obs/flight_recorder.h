@@ -33,14 +33,10 @@ class FlightRecorder {
     std::string name;       // span name / event detail
   };
 
-  struct Config {
-    std::size_t capacity_per_node = 256;
-  };
+  // Records each node's ring keeps before dropping its oldest.
+  static constexpr std::size_t kCapacityPerNode = 256;
 
-  explicit FlightRecorder(sim::Simulator& sim)
-      : FlightRecorder(sim, Config()) {}
-  FlightRecorder(sim::Simulator& sim, Config config)
-      : sim_(sim), config_(config) {}
+  explicit FlightRecorder(sim::Simulator& sim) : sim_(sim) {}
 
   void record_span(const SpanTracer::Span& span);
   void record_event(SimTime at, std::uint64_t trace, std::uint32_t node,
@@ -68,7 +64,6 @@ class FlightRecorder {
   void push(std::uint32_t node, Record record);
 
   sim::Simulator& sim_;
-  Config config_;
   std::map<std::uint32_t, Ring> rings_;
 };
 

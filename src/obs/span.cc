@@ -34,9 +34,6 @@ std::string span_trace_label(std::uint64_t trace) {
   return std::to_string(origin_plus_one - 1) + ":" + std::to_string(seq);
 }
 
-SpanTracer::SpanTracer(sim::Simulator& sim, Config config)
-    : sim_(sim), config_(config) {}
-
 std::uint64_t SpanTracer::begin_span(std::uint64_t trace, std::uint32_t node,
                                      std::string_view subsystem,
                                      std::string_view name) {
@@ -94,7 +91,7 @@ void SpanTracer::end_span(std::uint64_t span) {
   if (rec.open_stack.empty() && !rec.completed_listed) {
     rec.completed_listed = true;
     completed_order_.push_back(trace);
-    if (completed_order_.size() > config_.max_traces) evict_oldest_completed();
+    if (completed_order_.size() > kMaxTraces) evict_oldest_completed();
   }
 }
 

@@ -66,12 +66,10 @@ class SpanTracer final : public sim::SpanSink {
     Breakdown breakdown;
   };
 
-  struct Config {
-    std::size_t max_traces = 4096;  // completed traces retained before FIFO drop
-  };
+  // Completed traces retained before FIFO drop.
+  static constexpr std::size_t kMaxTraces = 4096;
 
-  explicit SpanTracer(sim::Simulator& sim) : SpanTracer(sim, Config()) {}
-  SpanTracer(sim::Simulator& sim, Config config);
+  explicit SpanTracer(sim::Simulator& sim) : sim_(sim) {}
 
   // sim::SpanSink. begin_span drops untraced (trace == 0) spans.
   std::uint64_t begin_span(std::uint64_t trace, std::uint32_t node,
@@ -115,7 +113,6 @@ class SpanTracer final : public sim::SpanSink {
   void evict_oldest_completed();
 
   sim::Simulator& sim_;
-  Config config_;
   FlightRecorder* recorder_ = nullptr;
   std::map<std::uint64_t, TraceRec> traces_;
   std::map<std::uint64_t, std::uint64_t> open_index_;  // span id -> trace

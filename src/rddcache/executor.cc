@@ -69,7 +69,6 @@ StatusOr<std::vector<Record>> Executor::get_partition(const RddPtr& rdd,
       }
       return deserialize(bytes);
     }
-    ++misses_;
   }
 
   // Compute from lineage.

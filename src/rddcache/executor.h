@@ -51,10 +51,8 @@ class Executor {
                                               std::size_t p);
 
   std::uint64_t cache_hits() const noexcept { return hits_; }
-  std::uint64_t cache_misses() const noexcept { return misses_; }
   std::uint64_t recomputes() const noexcept { return recomputes_; }
   std::uint64_t offheap_fetches() const noexcept { return offheap_fetches_; }
-  std::uint64_t heap_used() const noexcept { return heap_used_; }
 
  private:
   struct CacheKey {
@@ -93,7 +91,6 @@ class Executor {
   std::unordered_set<std::uint64_t> computed_before_;
   std::uint64_t heap_used_ = 0;
   std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
   std::uint64_t recomputes_ = 0;
   std::uint64_t offheap_fetches_ = 0;
 };

@@ -64,7 +64,6 @@ StatusOr<RddPtr> MiniSpark::reduce_by_key(
     const RddPtr& rdd, const std::function<std::uint64_t(Record)>& key,
     const std::function<Record(Record, Record)>& reduce,
     std::size_t out_partitions) {
-  ++shuffles_;
   auto& sim = system_.simulator();
   // Map side: materialize every parent partition (cache-aware) and bucket
   // records by target partition, combining per key as Spark's map-side
@@ -105,7 +104,6 @@ StatusOr<RddPtr> MiniSpark::join(
     const std::function<std::uint64_t(Record)>& right_key,
     const std::function<Record(Record, Record)>& combine,
     std::size_t out_partitions) {
-  ++shuffles_;
   auto& sim = system_.simulator();
   // Map side of both inputs: bucket records by key into the target
   // partition space (cache-aware partition materialization).

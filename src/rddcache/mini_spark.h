@@ -70,7 +70,6 @@ class MiniSpark {
       std::size_t out_partitions);
 
   // Aggregated executor statistics.
-  std::uint64_t shuffles() const noexcept { return shuffles_; }
   std::uint64_t total_hits() const;
   std::uint64_t total_recomputes() const;
   std::uint64_t total_offheap_fetches() const;
@@ -83,7 +82,6 @@ class MiniSpark {
   core::DmSystem& system_;
   Config config_;
   std::vector<std::unique_ptr<Executor>> executors_;
-  std::uint64_t shuffles_ = 0;
 };
 
 }  // namespace dm::rdd

@@ -58,36 +58,6 @@ struct LatencyModel {
   DiskModel disk{};
   // Fixed propagation component per fabric hop (same rack).
   SimTime link_propagation_ns = 300;
-
-  static LatencyModel Default() { return {}; }
-
-  // Named fabric generations (paper §IV.G lists InfiniBand SDR..FDR, RoCE,
-  // iWARP; the CXL-class row extrapolates §III's feasibility question).
-  static LatencyModel InfinibandFdr() { return {}; }  // the paper's testbed
-  static LatencyModel InfinibandQdr() {
-    LatencyModel m;
-    m.rdma = {3000, 3.5};
-    m.rdma_send = {3500, 3.5};
-    return m;
-  }
-  static LatencyModel Roce40G() {
-    LatencyModel m;
-    m.rdma = {2500, 4.5};
-    m.rdma_send = {3200, 4.5};
-    return m;
-  }
-  static LatencyModel Iwarp10G() {
-    LatencyModel m;
-    m.rdma = {10000, 1.0};
-    m.rdma_send = {12000, 1.0};
-    return m;
-  }
-  static LatencyModel CxlClass() {
-    LatencyModel m;
-    m.rdma = {300, 40.0};
-    m.rdma_send = {500, 40.0};
-    return m;
-  }
 };
 
 }  // namespace dm::sim

@@ -32,16 +32,15 @@ void ScenarioEngine::start(SimTime now) {
 }
 
 double ScenarioEngine::load_multiplier(SimTime now) const {
-  if (config_.diurnal_depth <= 0.0 || config_.diurnal_period <= 0) return 1.0;
   // Triangular wave through [1 - depth, 1 + depth]: rises over the first
   // half-period, falls over the second. Pure function of virtual time.
-  const SimTime period = config_.diurnal_period;
+  const SimTime period = kDiurnalPeriod;
   const SimTime phase = (now - start_) % period;
   const double unit =
       phase * 2 < period
           ? static_cast<double>(phase) * 2.0 / static_cast<double>(period)
           : 2.0 - static_cast<double>(phase) * 2.0 / static_cast<double>(period);
-  return 1.0 - config_.diurnal_depth + 2.0 * config_.diurnal_depth * unit;
+  return 1.0 - kDiurnalDepth + 2.0 * kDiurnalDepth * unit;
 }
 
 SimTime ScenarioEngine::draw_op_gap(SimTime now) {
@@ -70,7 +69,6 @@ ScenarioEngine::Op ScenarioEngine::spawn_tenant(SimTime at) {
   t.active = true;
   ++spawned_;
   ++active_;
-  peak_active_ = std::max(peak_active_, active_);
 
   Op op;
   op.kind = Op::Kind::kSpawn;
@@ -82,27 +80,8 @@ ScenarioEngine::Op ScenarioEngine::spawn_tenant(SimTime at) {
   return op;
 }
 
-void ScenarioEngine::retire_now(TenantId tenant) {
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || !it->second.active) return;
-  it->second.forced_retire = true;
-}
-
 ScenarioEngine::Op ScenarioEngine::next() {
   if (!started_) return Op{};
-
-  // Forced retirements jump the queue (their ops are already cancelled).
-  for (auto& [id, t] : tenants_) {
-    if (!t.active || !t.forced_retire) continue;
-    t.active = false;
-    ++retired_;
-    --active_;
-    Op op;
-    op.kind = Op::Kind::kRetire;
-    op.at = std::min(std::max(t.next_op, start_), horizon_);
-    op.tenant = id;
-    return op;
-  }
 
   // Earliest pending event across: the arrival clock, every active
   // tenant's next op, every active tenant's retirement. Ties resolve
@@ -164,8 +143,6 @@ ScenarioEngine::Op ScenarioEngine::next() {
     op.index = t.zipf->next(rng_);
     op.write = rng_.bernoulli(kWriteFraction);
     t.next_op = best_at + draw_op_gap(best_at);
-    ++ops_;
-    if (op.write) ++writes_;
     return op;
   }
 

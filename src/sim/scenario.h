@@ -65,10 +65,6 @@ class ScenarioEngine {
     // Pacing: per-tenant think time between ops is exponential around
     // `mean_op_gap`, divided by the diurnal multiplier.
     SimTime mean_op_gap = 2 * kMilli;
-    // Diurnal load curve: the op-rate multiplier follows a triangular wave
-    // through [1 - depth, 1 + depth] with this period (0 depth = flat).
-    double diurnal_depth = 0.5;
-    SimTime diurnal_period = 8 * kSecond;
     // Scenario horizon, relative to start(). No op is generated past it and
     // all tenants retire by it.
     SimTime duration = 30 * kSecond;
@@ -90,6 +86,11 @@ class ScenarioEngine {
     bool write = false;             // kAccess only
   };
 
+  // Diurnal load curve: the op-rate multiplier follows a triangular wave
+  // through [1 - kDiurnalDepth, 1 + kDiurnalDepth] with this period.
+  static constexpr double kDiurnalDepth = 0.5;
+  static constexpr SimTime kDiurnalPeriod = 8 * kSecond;
+
   explicit ScenarioEngine(Config config);
 
   // Anchors the scenario clock; ops are generated in [now, now + duration].
@@ -100,20 +101,13 @@ class ScenarioEngine {
   // forever. Callers typically: run_until(op.at), execute, repeat.
   Op next();
 
-  // Cancels a tenant's remaining ops (e.g. its spawn was rejected). Its
-  // retirement op is emitted immediately on the next next() call.
-  void retire_now(TenantId tenant);
-
   // Diurnal op-rate multiplier at absolute time `now` (exposed for tests).
   double load_multiplier(SimTime now) const;
 
   // --- accounting -----------------------------------------------------------
   std::uint64_t tenants_spawned() const noexcept { return spawned_; }
   std::uint64_t tenants_retired() const noexcept { return retired_; }
-  std::uint64_t ops_issued() const noexcept { return ops_; }
-  std::uint64_t writes_issued() const noexcept { return writes_; }
   std::uint32_t active_tenants() const noexcept { return active_; }
-  std::uint32_t peak_active() const noexcept { return peak_active_; }
 
  private:
   struct Tenant {
@@ -122,7 +116,6 @@ class ScenarioEngine {
     SimTime next_op = 0;
     SimTime retire_at = 0;
     bool active = false;
-    bool forced_retire = false;
     std::unique_ptr<ZipfGenerator> zipf;
   };
 
@@ -141,10 +134,7 @@ class ScenarioEngine {
   TenantId next_tenant_ = 0;
   std::uint64_t spawned_ = 0;
   std::uint64_t retired_ = 0;
-  std::uint64_t ops_ = 0;
-  std::uint64_t writes_ = 0;
   std::uint32_t active_ = 0;
-  std::uint32_t peak_active_ = 0;
 };
 
 }  // namespace dm::sim

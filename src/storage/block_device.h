@@ -54,8 +54,6 @@ class BlockDevice {
   Status read_sync(std::uint64_t offset, std::span<std::byte> dest);
   Status write_sync(std::uint64_t offset, std::span<const std::byte> src);
 
-  SimTime busy_until() const noexcept { return next_free_; }
-
  private:
   SimTime charge(std::uint64_t offset, std::uint64_t bytes);
 

@@ -1,15 +1,13 @@
 // Targeted tests for failure paths and maintenance machinery not covered
-// by the module suites: drain stalls, connection teardown, the §IV.F
-// policy-1 watermark drain end-to-end, and membership lifecycle.
+// by the module suites: drain stalls, the §IV.F policy-1 watermark drain
+// end-to-end, and membership lifecycle.
 #include <gtest/gtest.h>
 
 #include "common/checksum.h"
 #include "common/status.h"
 #include "core/dm_system.h"
 #include "core/node_service.h"
-#include "net/connection_manager.h"
 #include "net/fabric.h"
-#include "net/rpc.h"
 #include "sim/simulator.h"
 #include "workloads/page_content.h"
 
@@ -125,29 +123,6 @@ TEST(CoverageTest, EvictionPolicyOneDrainsUnderPressure) {
     ASSERT_TRUE(client0.get_sync(id, out).ok()) << id;
     ASSERT_EQ(fnv1a(out), fnv1a(page_data(id))) << id;
   }
-}
-
-TEST(CoverageTest, ConnectionManagerDropNodeTearsDownChannels) {
-  sim::Simulator sim;
-  net::Fabric fabric(sim);
-  fabric.add_node(0);
-  fabric.add_node(1);
-  fabric.add_node(2);
-  net::ConnectionManager cm(fabric);
-  net::RpcEndpoint ep0(sim, 0), ep1(sim, 1), ep2(sim, 2);
-  cm.register_endpoint(&ep0);
-  cm.register_endpoint(&ep1);
-  cm.register_endpoint(&ep2);
-  ASSERT_TRUE(cm.ensure_data_channel(0, 1).ok());
-  ASSERT_TRUE(cm.ensure_data_channel(0, 2).ok());
-  ASSERT_TRUE(cm.ensure_data_channel(1, 2).ok());
-  EXPECT_EQ(cm.established_pairs(), 3u);
-
-  cm.drop_node(2);
-  EXPECT_EQ(cm.established_pairs(), 1u);
-  EXPECT_FALSE(ep0.has_channel(2));
-  EXPECT_FALSE(ep2.has_channel(0));
-  EXPECT_TRUE(ep0.has_channel(1));
 }
 
 TEST(CoverageTest, MembershipStopHaltsHeartbeats) {

@@ -105,7 +105,6 @@ TEST(KvStoreTest, DisaggregationDisabledDropsOverflow) {
 TEST(KvStoreTest, PromotionBringsValueBackHot) {
   KvStore::Config config;
   config.hot_bytes = 8 * KiB;
-  config.promote_on_hit = true;
   KvRig rig(config);
   std::vector<std::byte> page(4096);
   for (int i = 0; i < 4; ++i) {
@@ -126,7 +125,6 @@ TEST(KvStoreTest, PromotionBringsValueBackHot) {
 TEST(KvStoreTest, HotHitsCheaperThanDmHits) {
   KvStore::Config config;
   config.hot_bytes = 8 * KiB;
-  config.promote_on_hit = false;
   KvRig rig(config);
   std::vector<std::byte> page(4096);
   for (int i = 0; i < 4; ++i) {

@@ -361,6 +361,23 @@ TEST_F(FabricTest, ConnectionManagerRepairsAfterRecovery) {
   EXPECT_FALSE((*repaired)->in_error());
 }
 
+TEST_F(FabricTest, ConnectionManagerCountsEstablishesAndFailedRepairs) {
+  RpcEndpoint ep0(sim_, 0), ep1(sim_, 1);
+  ConnectionManager cm(fabric_);
+  cm.register_endpoint(&ep0);
+  cm.register_endpoint(&ep1);
+
+  ASSERT_TRUE(cm.ensure_data_channel(0, 1).ok());
+  fabric_.set_node_up(1, false);
+  EXPECT_FALSE(cm.ensure_data_channel(0, 1).ok());  // repair attempt fails
+  fabric_.set_node_up(1, true);
+  EXPECT_TRUE(cm.ensure_data_channel(0, 1).ok());
+
+  // The first establish and the re-establish succeed; the repair fails.
+  EXPECT_EQ(cm.metrics().counter_value("cm.established"), 2u);
+  EXPECT_EQ(cm.metrics().counter_value("cm.establish_failed"), 1u);
+}
+
 // Passive sink recording each span's site, node and virtual interval.
 struct VerbSpans final : sim::SpanSink {
   struct Span {

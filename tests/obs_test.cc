@@ -3,7 +3,6 @@
 // tree, and histogram percentile boundary behaviour.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -333,34 +332,6 @@ TEST(Tracing, RpcAllocatesTraceIdWhenCallerPassesNone) {
   ASSERT_TRUE(sim.run_until_flag(done));
   EXPECT_NE(seen, net::kNoTrace);
   EXPECT_EQ(net::trace_origin(seen), 0u);  // first hop stamps the caller
-}
-
-// ---- logger sink capture ----------------------------------------------------
-
-TEST(Logging, ConnectionManagerRetryPathLogsToInjectedSink) {
-  sim::Simulator sim;
-  net::Fabric fabric(sim);
-  fabric.add_node(0);
-  fabric.add_node(1);
-  net::RpcEndpoint ep0(sim, 0), ep1(sim, 1);
-  net::ConnectionManager cm(fabric);
-  cm.register_endpoint(&ep0);
-  cm.register_endpoint(&ep1);
-
-  std::ostringstream captured;
-  cm.logger().set_sink(&captured);
-  cm.logger().set_level(LogLevel::kInfo);
-
-  ASSERT_TRUE(cm.ensure_data_channel(0, 1).ok());
-  fabric.set_node_up(1, false);
-  EXPECT_FALSE(cm.ensure_data_channel(0, 1).ok());  // repair attempt fails
-  fabric.set_node_up(1, true);
-  EXPECT_TRUE(cm.ensure_data_channel(0, 1).ok());
-
-  const std::string log = captured.str();
-  EXPECT_NE(log.find("net.cm"), std::string::npos);
-  EXPECT_NE(log.find("establish"), std::string::npos);
-  cm.logger().set_sink(nullptr);
 }
 
 }  // namespace

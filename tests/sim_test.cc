@@ -429,36 +429,16 @@ TEST(ScenarioEngineTest, OpsAreWellFormedAndTimeOrdered) {
   EXPECT_EQ(engine.active_tenants(), 0u);
 }
 
-TEST(ScenarioEngineTest, RetireNowCancelsATenantsRemainingOps) {
-  ScenarioEngine engine(small_scenario(3));
-  engine.start(0);
-  // First op is a spawn of tenant 0 at t=0.
-  auto first = engine.next();
-  ASSERT_EQ(first.kind, ScenarioEngine::Op::Kind::kSpawn);
-  engine.retire_now(first.tenant);
-  auto second = engine.next();
-  EXPECT_EQ(second.kind, ScenarioEngine::Op::Kind::kRetire);
-  EXPECT_EQ(second.tenant, first.tenant);
-  for (const auto& op : drain(engine)) EXPECT_NE(op.tenant, first.tenant);
-}
-
 TEST(ScenarioEngineTest, DiurnalWaveStaysInBandAndRepeats) {
-  auto config = small_scenario(1);
-  config.diurnal_depth = 0.5;
-  config.diurnal_period = 8 * kSecond;
-  ScenarioEngine engine(config);
+  ScenarioEngine engine(small_scenario(1));
   engine.start(0);
-  for (SimTime t = 0; t <= 2 * config.diurnal_period; t += 100 * kMilli) {
+  const SimTime period = ScenarioEngine::kDiurnalPeriod;
+  for (SimTime t = 0; t <= 2 * period; t += 100 * kMilli) {
     const double m = engine.load_multiplier(t);
-    EXPECT_GE(m, 1.0 - config.diurnal_depth);
-    EXPECT_LE(m, 1.0 + config.diurnal_depth);
-    EXPECT_DOUBLE_EQ(m, engine.load_multiplier(t + config.diurnal_period));
+    EXPECT_GE(m, 1.0 - ScenarioEngine::kDiurnalDepth);
+    EXPECT_LE(m, 1.0 + ScenarioEngine::kDiurnalDepth);
+    EXPECT_DOUBLE_EQ(m, engine.load_multiplier(t + period));
   }
-  auto flat = small_scenario(1);
-  flat.diurnal_depth = 0.0;
-  ScenarioEngine steady(flat);
-  steady.start(0);
-  EXPECT_DOUBLE_EQ(steady.load_multiplier(3 * kSecond), 1.0);
 }
 
 }  // namespace

@@ -94,16 +94,17 @@ TEST(SpanTracer, BreakdownAttributesEveryInstantExactlyOnce) {
 
 TEST(SpanTracer, CompletedTraceEvictionIsFifoAndCounted) {
   sim::Simulator sim;
-  obs::SpanTracer::Config config;
-  config.max_traces = 2;
-  obs::SpanTracer tracer(sim, config);
-  for (std::uint64_t trace = 1; trace <= 3; ++trace) {
+  obs::SpanTracer tracer(sim);
+  const std::uint64_t last = obs::SpanTracer::kMaxTraces + 1;
+  for (std::uint64_t trace = 1; trace <= last; ++trace) {
     const std::uint64_t span = tracer.begin_span(trace, 0, "swap", "x");
     tracer.end_span(span);
   }
   EXPECT_EQ(tracer.traces_evicted(), 1u);
   const auto completed = tracer.completed_traces();
-  EXPECT_EQ(completed, (std::vector<std::uint64_t>{2, 3}));
+  ASSERT_EQ(completed.size(), obs::SpanTracer::kMaxTraces);
+  EXPECT_EQ(completed.front(), 2u);
+  EXPECT_EQ(completed.back(), last);
   EXPECT_EQ(tracer.spans(1), nullptr);  // oldest trace evicted
 }
 
@@ -152,18 +153,20 @@ TEST(SpanTracer, DrainCompletedFeedsProfilerOnce) {
 
 TEST(FlightRecorder, RingIsBoundedPerNode) {
   sim::Simulator sim;
-  obs::FlightRecorder::Config config;
-  config.capacity_per_node = 4;
-  obs::FlightRecorder recorder(sim, config);
-  for (int i = 0; i < 10; ++i)
+  obs::FlightRecorder recorder(sim);
+  const int capacity = static_cast<int>(obs::FlightRecorder::kCapacityPerNode);
+  for (int i = 0; i < capacity + 6; ++i)
     recorder.record_event(i, 1, 0, "test", "event " + std::to_string(i));
-  EXPECT_EQ(recorder.record_count(0), 4u);
+  EXPECT_EQ(recorder.record_count(0), obs::FlightRecorder::kCapacityPerNode);
   EXPECT_EQ(recorder.dropped(0), 6u);
-  // Oldest-first dump keeps only the newest four records.
+  // Oldest-first dump keeps only the newest `capacity` records.
   const std::string json = recorder.dump_json(0, "test");
-  EXPECT_EQ(json.find("event 5"), std::string::npos);
-  EXPECT_NE(json.find("event 6"), std::string::npos);
-  EXPECT_NE(json.find("event 9"), std::string::npos);
+  const auto event = [](int i) {
+    return "\"event " + std::to_string(i) + "\"";
+  };
+  EXPECT_EQ(json.find(event(5)), std::string::npos);
+  EXPECT_NE(json.find(event(6)), std::string::npos);
+  EXPECT_NE(json.find(event(capacity + 5)), std::string::npos);
   EXPECT_NE(json.find("\"reason\": \"test\""), std::string::npos);
 }
 
