@@ -4,8 +4,27 @@
 #include "common/status.h"
 #include "core/node_service.h"
 #include "mem/memory_map.h"
+#include "sim/simulator.h"
 
 namespace dm::core {
+namespace {
+
+// The synchronous wrappers' body: hands `post` a completion, drives the
+// simulator until it fires, and returns its status.
+template <typename Post>
+Status post_and_wait(sim::Simulator& sim, Post post) {
+  bool completed = false;
+  Status result;
+  post([&completed, &result](const Status& s) {
+    result = s;
+    completed = true;
+  });
+  if (!sim.run_until_flag(completed))
+    return InternalError("simulation ran dry while waiting for completion");
+  return result;
+}
+
+}  // namespace
 
 Ldmc::Ldmc(NodeService& service, cluster::ServerId server, Config config)
     : service_(service), server_(server), config_(config) {}
@@ -148,12 +167,6 @@ StatusOr<std::size_t> Ldmc::stored_size(mem::EntryId entry) const {
   return static_cast<std::size_t>(location->stored_size);
 }
 
-Status Ldmc::wait(const bool& flag, const Status& result) {
-  if (!service_.node().simulator().run_until_flag(flag))
-    return InternalError("simulation ran dry while waiting for completion");
-  return result;
-}
-
 Status Ldmc::drain_until(const std::function<bool()>& done) {
   auto& sim = service_.node().simulator();
   while (!done()) {
@@ -165,53 +178,29 @@ Status Ldmc::drain_until(const std::function<bool()>& done) {
 
 Status Ldmc::put_sync(mem::EntryId entry, std::span<const std::byte> data,
                       net::TraceId trace) {
-  bool completed = false;
-  Status result;
-  put(entry, data,
-      [&](const Status& s) {
-        result = s;
-        completed = true;
-      },
-      trace);
-  return wait(completed, result);
+  return post_and_wait(service_.node().simulator(), [&](auto done) {
+    put(entry, data, std::move(done), trace);
+  });
 }
 
 Status Ldmc::get_sync(mem::EntryId entry, std::span<std::byte> out,
                       net::TraceId trace) {
-  bool completed = false;
-  Status result;
-  get(entry, out,
-      [&](const Status& s) {
-        result = s;
-        completed = true;
-      },
-      trace);
-  return wait(completed, result);
+  return post_and_wait(service_.node().simulator(), [&](auto done) {
+    get(entry, out, std::move(done), trace);
+  });
 }
 
 Status Ldmc::get_range_sync(mem::EntryId entry, std::uint64_t offset,
                             std::span<std::byte> out, net::TraceId trace) {
-  bool completed = false;
-  Status result;
-  get_range(entry, offset, out,
-            [&](const Status& s) {
-              result = s;
-              completed = true;
-            },
-            trace);
-  return wait(completed, result);
+  return post_and_wait(service_.node().simulator(), [&](auto done) {
+    get_range(entry, offset, out, std::move(done), trace);
+  });
 }
 
 Status Ldmc::remove_sync(mem::EntryId entry, net::TraceId trace) {
-  bool completed = false;
-  Status result;
-  remove(entry,
-         [&](const Status& s) {
-           result = s;
-           completed = true;
-         },
-         trace);
-  return wait(completed, result);
+  return post_and_wait(service_.node().simulator(), [&](auto done) {
+    remove(entry, std::move(done), trace);
+  });
 }
 
 }  // namespace dm::core

@@ -96,7 +96,6 @@ class Ldmc {
  private:
   friend class NodeService;  // migration/repair rewrite committed locations
 
-  Status wait(const bool& flag, const Status& result);
   // Hands `data` to the node service and commits the location it reports;
   // `routed` puts count in the per-tier counters.
   void store(mem::EntryId entry, std::span<const std::byte> data,
