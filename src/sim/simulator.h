@@ -8,16 +8,18 @@
 // network-simulator tradition.
 //
 // Blocking-style code (e.g. a page fault that must wait for a remote read)
-// uses run_until_flag(): post the asynchronous operation, then drain events
-// until its completion flips a bool.
+// uses run_until_complete(): post the asynchronous operation, then drain
+// events until its completion fires.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
+#include "common/status.h"
 #include "common/units.h"
 
 namespace dm::sim {
@@ -57,6 +59,30 @@ class Simulator {
   // self-perpetuating background work, e.g. heartbeats, masking a lost
   // completion). deadline < 0 means no deadline.
   bool run_until_flag(const bool& flag, SimTime deadline = -1);
+
+  // The body of a synchronous wrapper: calls `post(done)`, then runs events
+  // until `done` fires and returns the status it was given. `done` accepts
+  // a status plus any trailing arguments, which it ignores. An error `post`
+  // returns comes back at once; if the events run dry first the result is
+  // a `lost_code` status carrying `lost` (a lost completion).
+  template <typename Post>
+  Status run_until_complete(Post&& post, StatusCode lost_code,
+                            const char* lost) {
+    bool completed = false;
+    Status result;
+    auto done = [&completed, &result](const Status& s, auto&&...) {
+      result = s;
+      completed = true;
+    };
+    if constexpr (std::is_void_v<decltype(post(done))>) {
+      post(done);
+    } else {
+      Status posted = post(done);
+      if (!posted.ok()) return posted;
+    }
+    if (!run_until_flag(completed)) return Status(lost_code, lost);
+    return result;
+  }
 
   // Moves the clock forward by `delta` without running events (workload
   // drivers charge pure compute time this way). An event whose time the

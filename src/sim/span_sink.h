@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <utility>
 
 namespace dm::sim {
 
@@ -67,5 +68,23 @@ class SpanScope {
   SpanSink* sink_ = nullptr;
   std::uint64_t span_ = 0;
 };
+
+// The async counterpart of SpanScope, for a span that runs from posting an
+// operation to its completion: opens the span now and returns `done`
+// wrapped to close it, on the sink it was opened on, when the completion
+// fires (before `done` runs; a null `done` still closes it). With a null
+// sink or an untraced id no span opens and `done` comes back as it was.
+// `Done` is a std::function type.
+template <typename Done>
+Done span_completion(SpanSink* sink, std::uint64_t trace, std::uint32_t node,
+                     std::string_view subsystem, std::string_view name,
+                     Done done) {
+  if (sink == nullptr || trace == 0) return done;
+  return [sink, span = sink->begin_span(trace, node, subsystem, name),
+          inner = std::move(done)](auto&&... args) {
+    if (span != 0) sink->end_span(span);
+    if (inner) inner(std::forward<decltype(args)>(args)...);
+  };
+}
 
 }  // namespace dm::sim

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/units.h"
 #include "sim/chaos_schedule.h"
 #include "sim/scenario.h"
@@ -114,6 +115,42 @@ TEST(SimulatorTest, CountsExecutedEvents) {
   for (int i = 0; i < 7; ++i) sim.schedule_at(i, [] {});
   sim.run();
   EXPECT_EQ(sim.executed_events(), 7u);
+}
+
+TEST(SimulatorTest, RunUntilCompleteReturnsTheCompletionStatus) {
+  Simulator sim;
+  sim.schedule_at(1000, [] {});  // later work stays queued
+  const Status s = sim.run_until_complete(
+      [&](auto done) {
+        // Trailing completion arguments (a disk's completion time) are
+        // ignored.
+        sim.schedule_at(10, [done] { done(NotFoundError("gone"), 10); });
+      },
+      StatusCode::kInternal, "lost");
+  EXPECT_EQ(s.code(), StatusCode::kNotFound);
+  EXPECT_EQ(s.message(), "gone");
+  EXPECT_EQ(sim.now(), 10);
+  EXPECT_TRUE(sim.has_pending());
+}
+
+TEST(SimulatorTest, RunUntilCompleteReturnsAPostTimeErrorAtOnce) {
+  Simulator sim;
+  sim.schedule_at(10, [] {});
+  const Status s = sim.run_until_complete(
+      [](auto) { return InvalidArgumentError("bad offset"); },
+      StatusCode::kInternal, "lost");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(sim.executed_events(), 0u);
+}
+
+TEST(SimulatorTest, RunUntilCompleteReturnsTheCallersStatusWhenEventsRunDry) {
+  Simulator sim;
+  sim.schedule_at(10, [] {});
+  const Status s = sim.run_until_complete([](auto) {}, StatusCode::kTimeout,
+                                          "op lost completion");
+  EXPECT_EQ(s.code(), StatusCode::kTimeout);
+  EXPECT_EQ(s.message(), "op lost completion");
+  EXPECT_EQ(sim.executed_events(), 1u);
 }
 
 // ---- latency model -----------------------------------------------------------

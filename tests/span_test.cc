@@ -8,7 +8,10 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -147,6 +150,64 @@ TEST(SpanTracer, DrainCompletedFeedsProfilerOnce) {
   EXPECT_EQ(profiler.roots().at("swap.fault").count, 1u);
   EXPECT_EQ(profiler.roots().at("swap.fault").total_ns, 250);
   EXPECT_EQ(profiler.by_subsystem().at("swap"), 250);
+}
+
+// ---- sim::span_completion ---------------------------------------------------
+
+// Passive sink recording when each span opened and every close it got.
+struct RecordingSink final : sim::SpanSink {
+  explicit RecordingSink(sim::Simulator& simulator) : sim(simulator) {}
+  std::uint64_t begin_span(std::uint64_t, std::uint32_t, std::string_view,
+                           std::string_view) override {
+    begins.push_back(sim.now());
+    return begins.size();
+  }
+  void end_span(std::uint64_t span) override {
+    ends.emplace_back(span, sim.now());
+  }
+  void event(std::uint64_t, std::uint32_t, std::string_view,
+             std::string_view) override {}
+  sim::Simulator& sim;
+  std::vector<SimTime> begins;
+  std::vector<std::pair<std::uint64_t, SimTime>> ends;
+};
+
+TEST(SpanCompletion, ClosesOnceWhenTheCompletionFires) {
+  sim::Simulator sim;
+  RecordingSink sink(sim);
+  using Done = std::function<void(std::vector<int>, int)>;
+  Done done;
+  std::vector<int> got;
+  sim.schedule_at(100, [&] {
+    done = sim::span_completion(&sink, 7, 0, "net", "fabric.write",
+                                Done([&](std::vector<int> v, int tail) {
+                                  got = std::move(v);
+                                  got.push_back(tail);
+                                }));
+  });
+  sim.schedule_at(350, [&] { done({1, 2}, 3); });
+  sim.run();
+  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sink.begins, std::vector<SimTime>{100});
+  ASSERT_EQ(sink.ends.size(), 1u);
+  EXPECT_EQ(sink.ends[0].first, 1u);
+  EXPECT_EQ(sink.ends[0].second, 350);
+}
+
+TEST(SpanCompletion, UntracedOrSinklessCompletionRunsWithoutASpan) {
+  sim::Simulator sim;
+  obs::SpanTracer tracer(sim);
+  int fired = 0;
+  using Done = std::function<void()>;
+  Done untraced = sim::span_completion(&tracer, 0, 0, "net", "fabric.write",
+                                       Done([&] { ++fired; }));
+  Done sinkless = sim::span_completion(nullptr, 7, 0, "net", "fabric.write",
+                                       Done([&] { ++fired; }));
+  untraced();
+  sinkless();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(tracer.spans_recorded(), 0u);
+  EXPECT_EQ(tracer.spans_dropped(), 0u);
 }
 
 // ---- FlightRecorder ---------------------------------------------------------
