@@ -136,6 +136,23 @@ TEST(LintFixturesTest, MetricRegistryListsUniverseEmissions) {
       << result.metric_registry;
 }
 
+// span_completion.cc: a sim::span_completion call with literal names
+// registers <subsystem>.<name> (and not a literal inside the completion it
+// wraps), and a begin_span whose handle goes to a lambda in the same
+// statement lints clean.
+TEST(LintFixturesTest, SpanCompletionRegistersAndHandOffLintsClean) {
+  Options options;
+  options.root = DM_LINT_FIXTURE_DIR;
+  const RunResult result = run_full(options);
+  EXPECT_NE(result.metric_registry.find("\"fix.fix.landed\""),
+            std::string::npos)
+      << result.metric_registry;
+  EXPECT_EQ(result.metric_registry.find("fix.fix.body"), std::string::npos);
+  for (const Diagnostic& d : result.diagnostics) {
+    EXPECT_NE(d.file, "src/obs/span_completion.cc") << to_text({d});
+  }
+}
+
 // The real tree must stay violation-free: this is the same scan `ci.sh
 // --lint-only` runs, kept as a ctest so a stray rand() or layering
 // back-edge fails the default suite too, not just CI.

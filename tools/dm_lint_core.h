@@ -20,9 +20,9 @@
 //    time; the lint rule catches it in code that is not compiled in every
 //    configuration, e.g. fixtures and gated paths).
 //  * spans        — a raw member call to begin_span must have an end_span
-//    on every control-flow path to the function exit (async hand-offs that
-//    close the span elsewhere carry an explicit allow marker); prefer the
-//    sim::SpanScope guard, which the rule never flags.
+//    on every control-flow path to the function exit; prefer the
+//    sim::SpanScope guard, or sim::span_completion for a span a later
+//    completion closes, which the rule never flags.
 //  * lock-order   — lock acquisition sites form a global lock-order graph;
 //    cycles, unannotated callback-style acquisitions, and range locks that
 //    are not provably ascending are findings (dm_lint_flow.h).

@@ -27,6 +27,9 @@ bool token_at(const std::string& line, std::size_t at, std::size_t len) {
 struct CallLits {
   int line = 0;  // line of the call token
   std::vector<const StringLit*> lits;
+  // Literals before the call's last top-level argument (commas nested in
+  // parens, brackets or braces do not split arguments).
+  std::size_t lits_before_last_arg = 0;
 };
 
 std::vector<CallLits> find_calls(const SourceFile& file, std::string_view name,
@@ -71,14 +74,20 @@ std::vector<CallLits> find_calls(const SourceFile& file, std::string_view name,
       const std::size_t open_l = cl;
       const std::size_t open_c = cc;
       int depth = 0;
+      int nest = 0;  // all bracket kinds, for the top-level commas
       std::size_t end_l = open_l;
       std::size_t end_c = open_c;
+      auto last_comma = std::make_pair(open_l, open_c);
       bool closed = false;
       for (std::size_t l2 = open_l; l2 < file.code.size() && !closed; ++l2) {
         const std::string& l = file.code[l2];
         for (std::size_t c2 = l2 == open_l ? open_c : 0; c2 < l.size(); ++c2) {
-          if (l[c2] == '(') ++depth;
-          if (l[c2] == ')' && --depth == 0) {
+          const char c = l[c2];
+          if (c == '(' || c == '[' || c == '{') ++nest;
+          if (c == ')' || c == ']' || c == '}') --nest;
+          if (c == ',' && nest == 1) last_comma = {l2, c2};
+          if (c == '(') ++depth;
+          if (c == ')' && --depth == 0) {
             end_l = l2;
             end_c = c2;
             closed = true;
@@ -95,6 +104,7 @@ std::vector<CallLits> find_calls(const SourceFile& file, std::string_view name,
         if (p > std::make_pair(open_l, open_c) &&
             p < std::make_pair(end_l, end_c)) {
           call.lits.push_back(&lit);
+          if (p < last_comma) ++call.lits_before_last_arg;
         }
       }
       calls.push_back(std::move(call));
@@ -283,8 +293,8 @@ void check_span_flow(const SourceFile& file, const FileAnalysis& fa,
       if (leaked) {
         report(file, site_line, kRuleSpanUnclosed,
                "begin_span with no end_span on every path to the function "
-               "exit (prefer sim::SpanScope; async hand-offs that close the "
-               "span elsewhere need an explicit allow marker)");
+               "exit (use sim::SpanScope, or sim::span_completion for a span "
+               "that a later completion closes)");
       }
     }
   }
@@ -816,16 +826,27 @@ void collect_metric_contract(const SourceFile& file, const FileAnalysis& fa,
   // Spans: the first literal is the subsystem and every later one a name
   // under it (a ternary name has one literal per arm); with only the
   // subsystem literal present the name is dynamic, so record a prefix.
-  for (bool scoped : {false, true}) {
-    const char* token = scoped ? "SpanScope" : "begin_span";
-    for (const CallLits& call : find_calls(file, token, scoped)) {
-      if (call.lits.empty() || call.lits.front()->text.empty()) continue;
+  // sim::span_completion's last argument is the completion it wraps, whose
+  // body may hold literals of its own, so only the literals before it count.
+  struct SpanSite {
+    const char* token;
+    bool skip_var_ident;
+    bool drop_last_arg;
+  };
+  for (const SpanSite& site : {SpanSite{"begin_span", false, false},
+                               SpanSite{"SpanScope", true, false},
+                               SpanSite{"span_completion", false, true}}) {
+    for (const CallLits& call :
+         find_calls(file, site.token, site.skip_var_ident)) {
+      const std::size_t count =
+          site.drop_last_arg ? call.lits_before_last_arg : call.lits.size();
+      if (count == 0 || call.lits.front()->text.empty()) continue;
       const std::string& subsystem = call.lits.front()->text;
-      if (call.lits.size() == 1) {
+      if (count == 1) {
         add_emission(file, call.lits.front()->line, subsystem + ".", "span",
                      state, report);
       }
-      for (std::size_t i = 1; i < call.lits.size(); ++i) {
+      for (std::size_t i = 1; i < count; ++i) {
         add_emission(file, call.lits[i]->line,
                      subsystem + "." + call.lits[i]->text, "span", state,
                      report);

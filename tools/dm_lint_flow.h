@@ -20,8 +20,8 @@
 //    a handle() dispatch registration, and a call() site. A method with a
 //    missing leg is dead or unobservable protocol surface.
 //  * metric-contract — metric/span name literals are harvested at the
-//    known emission calls (counter(, histogram(, begin_span(, SpanScope)
-//    into a registry; a name emitted as both counter and histogram is a
+//    known emission calls (counter(, histogram(, begin_span(, SpanScope,
+//    span_completion() into a registry; a name emitted as both counter and histogram is a
 //    collision, a name violating the lowercase dotted convention is a
 //    finding, and a read site (counter_value(, find_histogram(,
 //    total_counter() or a metric-shaped token in ci.sh gate specs that
