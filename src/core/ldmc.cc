@@ -9,20 +9,8 @@
 namespace dm::core {
 namespace {
 
-// The synchronous wrappers' body: hands `post` a completion, drives the
-// simulator until it fires, and returns its status.
-template <typename Post>
-Status post_and_wait(sim::Simulator& sim, Post post) {
-  bool completed = false;
-  Status result;
-  post([&completed, &result](const Status& s) {
-    result = s;
-    completed = true;
-  });
-  if (!sim.run_until_flag(completed))
-    return InternalError("simulation ran dry while waiting for completion");
-  return result;
-}
+// The synchronous wrappers' lost-completion message.
+constexpr char kRanDry[] = "simulation ran dry while waiting for completion";
 
 }  // namespace
 
@@ -178,29 +166,29 @@ Status Ldmc::drain_until(const std::function<bool()>& done) {
 
 Status Ldmc::put_sync(mem::EntryId entry, std::span<const std::byte> data,
                       net::TraceId trace) {
-  return post_and_wait(service_.node().simulator(), [&](auto done) {
-    put(entry, data, std::move(done), trace);
-  });
+  return service_.node().simulator().run_until_complete(
+      [&](auto done) { put(entry, data, std::move(done), trace); },
+      StatusCode::kInternal, kRanDry);
 }
 
 Status Ldmc::get_sync(mem::EntryId entry, std::span<std::byte> out,
                       net::TraceId trace) {
-  return post_and_wait(service_.node().simulator(), [&](auto done) {
-    get(entry, out, std::move(done), trace);
-  });
+  return service_.node().simulator().run_until_complete(
+      [&](auto done) { get(entry, out, std::move(done), trace); },
+      StatusCode::kInternal, kRanDry);
 }
 
 Status Ldmc::get_range_sync(mem::EntryId entry, std::uint64_t offset,
                             std::span<std::byte> out, net::TraceId trace) {
-  return post_and_wait(service_.node().simulator(), [&](auto done) {
-    get_range(entry, offset, out, std::move(done), trace);
-  });
+  return service_.node().simulator().run_until_complete(
+      [&](auto done) { get_range(entry, offset, out, std::move(done), trace); },
+      StatusCode::kInternal, kRanDry);
 }
 
 Status Ldmc::remove_sync(mem::EntryId entry, net::TraceId trace) {
-  return post_and_wait(service_.node().simulator(), [&](auto done) {
-    remove(entry, std::move(done), trace);
-  });
+  return service_.node().simulator().run_until_complete(
+      [&](auto done) { remove(entry, std::move(done), trace); },
+      StatusCode::kInternal, kRanDry);
 }
 
 }  // namespace dm::core

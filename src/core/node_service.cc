@@ -450,16 +450,8 @@ void NodeService::put_device(std::span<const std::byte> data,
     done(offset.status());
     return;
   }
-  if (spans_ != nullptr && trace != net::kNoTrace) {
-    // dm-lint: allow(span-unclosed) — closed by the wrapped completion.
-    const std::uint64_t span =
-        spans_->begin_span(trace, node_.id(), "disk", dev->write_span);
-    done = [spans = spans_, span, inner = std::move(done)](
-               StatusOr<mem::EntryLocation> result) {
-      spans->end_span(span);
-      inner(std::move(result));
-    };
-  }
+  done = sim::span_completion(spans_, trace, node_.id(), "disk",
+                              dev->write_span, std::move(done));
   const std::uint64_t at = *offset;
   // Shared so the error path below can still invoke it if the device
   // rejects the I/O at post time (the lambda then never runs).
@@ -598,15 +590,8 @@ void NodeService::read_device(const mem::EntryLocation& location,
     done(FailedPreconditionError("entry on absent NVM tier"));
     return;
   }
-  if (spans_ != nullptr && trace != net::kNoTrace) {
-    // dm-lint: allow(span-unclosed) — closed by the wrapped completion.
-    const std::uint64_t span =
-        spans_->begin_span(trace, node_.id(), "disk", dev->read_span);
-    done = [spans = spans_, span, inner = std::move(done)](const Status& s) {
-      spans->end_span(span);
-      inner(s);
-    };
-  }
+  done = sim::span_completion(spans_, trace, node_.id(), "disk",
+                              dev->read_span, std::move(done));
   auto done_ptr = std::make_shared<DoneCallback>(std::move(done));
   Status posted = dev->block->read(
       location.disk_offset + offset, out,
@@ -1161,17 +1146,10 @@ void NodeService::charge_codec(bool encode, std::uint32_t bytes,
   const SimTime cost = (encode ? kEcEncodeCost : kEcDecodeCost).cost(bytes);
   metrics_.histogram(encode ? "ec.encode_ns" : "ec.decode_ns")
       .record(static_cast<std::uint64_t>(cost));
-  std::uint64_t span = 0;
-  if (spans_ != nullptr)
-    // dm-lint: allow(span-unclosed) — closed when the codec delay elapses.
-    span = spans_->begin_span(trace, node_.id(), "ec",
-                              encode ? "ec.encode" : "ec.decode");
   node_.simulator().schedule_after(
-      cost, [this, span, have_span = spans_ != nullptr,
-             next = std::move(next)]() {
-        if (have_span && spans_ != nullptr) spans_->end_span(span);
-        next();
-      });
+      cost, sim::span_completion(spans_, trace, node_.id(), "ec",
+                                 encode ? "ec.encode" : "ec.decode",
+                                 std::move(next)));
 }
 
 // ---- pressure accounting (§I imbalance signal) -------------------------------

@@ -255,13 +255,6 @@ class CxlAgent {
   // Exclusive, silent drop for Shared), then runs `then`.
   void release_line(LineId line, std::function<void()> then);
   void complete_after(SimTime delay, DoneCallback done, Status status);
-  DoneCallback wrap_span(net::TraceId trace, const char* name,
-                         DoneCallback done);
-  // The synchronous wrappers' body: hands `post` a completion, drives the
-  // simulator until it fires, and returns its status (a Timeout carrying
-  // `lost` if the simulator drains first).
-  Status wait_for(const std::function<void(DoneCallback)>& post,
-                  const char* lost);
 
   // Store-buffer drain pump (one in-flight drain at a time).
   void pump_store_buffer();

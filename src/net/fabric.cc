@@ -207,18 +207,6 @@ void Fabric::complete_with_error(QueuePair* qp, Status status,
   });
 }
 
-CompletionCallback Fabric::wrap_span(TraceId trace, NodeId at,
-                                     const char* name,
-                                     CompletionCallback done) {
-  if (spans_ == nullptr || trace == kNoTrace) return done;
-  // dm-lint: allow(span-unclosed) — closed by the wrapped completion.
-  const std::uint64_t span = spans_->begin_span(trace, at, "net", name);
-  return [spans = spans_, span, inner = std::move(done)](const Completion& c) {
-    spans->end_span(span);
-    if (inner) inner(c);
-  };
-}
-
 // ---- CXL-class load/store port ---------------------------------------------
 
 Status Fabric::cxl_read(NodeId src, NodeId dst, RKey rkey,
@@ -226,7 +214,8 @@ Status Fabric::cxl_read(NodeId src, NodeId dst, RKey rkey,
                         CompletionCallback done, TraceId trace) {
   if (!has_node(src) || !has_node(dst))
     return InvalidArgumentError("unknown node");
-  done = wrap_span(trace, src, "fabric.cxl_read", std::move(done));
+  done = sim::span_completion(spans_, trace, src, "net", "fabric.cxl_read",
+                              std::move(done));
   const SimTime posted_at = sim_.now();
   ++metrics_.counter("fabric.cxl_reads");
   if (!path_up(src, dst)) {
@@ -279,7 +268,8 @@ Status Fabric::cxl_write(NodeId src, NodeId dst, RKey rkey,
                          CompletionCallback done, TraceId trace) {
   if (!has_node(src) || !has_node(dst))
     return InvalidArgumentError("unknown node");
-  done = wrap_span(trace, src, "fabric.cxl_write", std::move(done));
+  done = sim::span_completion(spans_, trace, src, "net", "fabric.cxl_write",
+                              std::move(done));
   const SimTime posted_at = sim_.now();
   ++metrics_.counter("fabric.cxl_writes");
   auto arrival = model_transfer(src, dst, data.size(), config_.latency.cxl);
@@ -323,7 +313,8 @@ Status QueuePair::post_write(RKey rkey, std::uint64_t offset,
                              std::span<const std::byte> data,
                              CompletionCallback done, TraceId trace) {
   if (error_) return FailedPreconditionError("QP in error state");
-  done = fabric_.wrap_span(trace, local_, "fabric.write", std::move(done));
+  done = sim::span_completion(fabric_.spans_, trace, local_, "net",
+                              "fabric.write", std::move(done));
   const SimTime posted_at = fabric_.sim_.now();
   auto arrival = fabric_.model_transfer(local_, remote_, data.size(),
                                         fabric_.config().latency.rdma);
@@ -373,7 +364,8 @@ Status QueuePair::post_read(RKey rkey, std::uint64_t offset,
                             std::span<std::byte> dest, CompletionCallback done,
                             TraceId trace) {
   if (error_) return FailedPreconditionError("QP in error state");
-  done = fabric_.wrap_span(trace, local_, "fabric.read", std::move(done));
+  done = sim::span_completion(fabric_.spans_, trace, local_, "net",
+                              "fabric.read", std::move(done));
   const SimTime posted_at = fabric_.sim_.now();
   // Request hop (tiny control message), then data hop back.
   auto request_arrival =

@@ -182,10 +182,6 @@ class Fabric {
   // one (the CXL port has no connection to poison).
   void complete_with_error(QueuePair* qp, Status status,
                            CompletionCallback done);
-  // Wraps `done` in a "net"/`name` span from post to completion, on
-  // success and failure alike (no-op untraced).
-  CompletionCallback wrap_span(TraceId trace, NodeId at, const char* name,
-                               CompletionCallback done);
   NodeState* state_of(NodeId node);
   const NodeState* state_of(NodeId node) const;
   MemoryRegion* find_region(NodeId node, RKey rkey);

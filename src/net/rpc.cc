@@ -104,17 +104,16 @@ void RpcEndpoint::call_once(NodeId peer, RpcMethod method,
   }
   const std::uint64_t call_id = next_call_++;
   auto pending = std::make_shared<Pending>();
-  pending->done = std::move(done);
+  // Caller-side span, closed when settle() hands over the reply, error or
+  // timeout. The label is built only when a sink is attached.
+  pending->done = spans_ == nullptr
+                      ? std::move(done)
+                      : sim::span_completion(spans_, trace, self_, "net",
+                                             "rpc." + method_label(method),
+                                             std::move(done));
   pending->started = sim_.now();
   pending->method = method;
   pending_.emplace(call_id, pending);
-  if (spans_ != nullptr) {
-    // Caller-side span: open here, closed by settle() when the reply, error
-    // or timeout lands — the Pending record owns the handle across the async
-    // gap. dm-lint: allow(span-unclosed)
-    pending->span = spans_->begin_span(trace, self_, "net",
-                                       "rpc." + method_label(method));
-  }
   ++metrics_.counter("rpc.calls");
 
   WireWriter w;
@@ -213,7 +212,6 @@ void RpcEndpoint::settle(std::uint64_t call_id,
   if (rtt == nullptr)
     rtt = &metrics_.histogram("rpc.rtt." + method_label(pending->method));
   rtt->record(static_cast<std::uint64_t>(sim_.now() - pending->started));
-  if (spans_ != nullptr && pending->span != 0) spans_->end_span(pending->span);
   if (!result.ok()) {
     ++metrics_.counter(result.status().code() == StatusCode::kTimeout
                            ? "rpc.timeouts"

@@ -123,7 +123,6 @@ class RpcEndpoint {
     RpcResponseCallback done;
     SimTime started = 0;
     RpcMethod method = 0;
-    std::uint64_t span = 0;  // caller-side span handle
     bool settled = false;
   };
 

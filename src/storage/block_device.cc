@@ -62,28 +62,16 @@ Status BlockDevice::write(std::uint64_t offset, std::span<const std::byte> src,
 }
 
 Status BlockDevice::read_sync(std::uint64_t offset, std::span<std::byte> dest) {
-  bool completed = false;
-  Status result;
-  DM_RETURN_IF_ERROR(read(offset, dest, [&](const Status& s, SimTime) {
-    result = s;
-    completed = true;
-  }));
-  if (!sim_.run_until_flag(completed))
-    return InternalError("simulation ran dry during disk read");
-  return result;
+  return sim_.run_until_complete(
+      [&](auto done) { return read(offset, dest, std::move(done)); },
+      StatusCode::kInternal, "simulation ran dry during disk read");
 }
 
 Status BlockDevice::write_sync(std::uint64_t offset,
                                std::span<const std::byte> src) {
-  bool completed = false;
-  Status result;
-  DM_RETURN_IF_ERROR(write(offset, src, [&](const Status& s, SimTime) {
-    result = s;
-    completed = true;
-  }));
-  if (!sim_.run_until_flag(completed))
-    return InternalError("simulation ran dry during disk write");
-  return result;
+  return sim_.run_until_complete(
+      [&](auto done) { return write(offset, src, std::move(done)); },
+      StatusCode::kInternal, "simulation ran dry during disk write");
 }
 
 std::uint32_t ExtentAllocator::size_class(std::uint32_t size) noexcept {

@@ -460,20 +460,11 @@ void SwapManager::wb_post(mem::EntryId entry) {
     return;
   }
   net::TraceId trace = net::kNoTrace;
-  std::uint64_t span = 0;
-  if (spans_ != nullptr) {
-    trace = client_.service().node().next_trace_id();
-    // dm-lint: allow(span-unclosed) — closed when the put lands.
-    span = spans_->begin_span(trace, client_.service().node().id(), "swap",
-                              "swap.writeback");
-  }
+  if (spans_ != nullptr) trace = client_.service().node().next_trace_id();
   auto alive = alive_;
   core::Ldmc* client = &client_;
-  client_.put(
-      entry, it->second.buffer,
-      [this, alive, client, entry, spans = spans_,
-       span](const Status& stored) {
-        if (span != 0) spans->end_span(span);
+  std::function<void(const Status&)> landed =
+      [this, alive, client, entry](const Status& stored) {
         if (!*alive) {
           // The manager is gone; nothing will ever name this entry.
           if (stored.ok()) client->remove(entry, [](const Status&) {});
@@ -515,8 +506,12 @@ void SwapManager::wb_post(mem::EntryId entry) {
           }
         }
         wb_.erase(wb_it);
-      },
-      trace);
+      };
+  client_.put(entry, it->second.buffer,
+              sim::span_completion(spans_, trace,
+                                   client_.service().node().id(), "swap",
+                                   "swap.writeback", std::move(landed)),
+              trace);
 }
 
 Status SwapManager::wb_process_failures() {
@@ -781,13 +776,7 @@ void SwapManager::readahead_post(mem::EntryId entry,
   auto buffer =
       std::make_shared<std::vector<std::byte>>(location.stored_size);
   net::TraceId trace = net::kNoTrace;
-  std::uint64_t span = 0;
-  if (spans_ != nullptr) {
-    trace = client_.service().node().next_trace_id();
-    // dm-lint: allow(span-unclosed) — closed when the get lands.
-    span = spans_->begin_span(trace, client_.service().node().id(), "swap",
-                              "swap.readahead");
-  }
+  if (spans_ != nullptr) trace = client_.service().node().next_trace_id();
   // Held before the get is posted: a get that fails at once completes
   // inside the call.
   readahead_.emplace(entry,
@@ -795,17 +784,19 @@ void SwapManager::readahead_post(mem::EntryId entry,
                                std::nullopt});
   ++metrics_.counter("swap.readahead.issued");
   auto alive = alive_;
-  client_.get(
-      entry, *buffer,
-      [this, alive, entry, buffer, spans = spans_, span](const Status& got) {
-        if (span != 0) spans->end_span(span);
+  std::function<void(const Status&)> landed =
+      [this, alive, entry, buffer](const Status& got) {
         if (!*alive) return;
         // Only mark it landed: the page maps may be mid-walk in a fault.
         auto it = readahead_.find(entry);
         if (it != readahead_.end() && it->second.buffer == buffer)
           it->second.landed = got;
-      },
-      trace);
+      };
+  client_.get(entry, *buffer,
+              sim::span_completion(spans_, trace,
+                                   client_.service().node().id(), "swap",
+                                   "swap.readahead", std::move(landed)),
+              trace);
 }
 
 void SwapManager::compact_batch(mem::EntryId entry,
