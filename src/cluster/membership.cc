@@ -49,11 +49,11 @@ void Membership::set_peers(std::vector<net::NodeId> peers) {
 void Membership::start() {
   if (running_) return;
   running_ = true;
-  tick();
+  tick(generation_);
 }
 
-void Membership::tick() {
-  if (!running_) return;
+void Membership::tick(std::uint64_t generation) {
+  if (generation != generation_) return;  // stopped since it was scheduled
   for (net::NodeId peer : peers_) {
     rpc_.call(peer, kRpcHeartbeat, {}, kHeartbeatTimeout,
               [this, peer](StatusOr<std::vector<std::byte>> resp) {
@@ -65,7 +65,8 @@ void Membership::tick() {
               });
   }
   check_timeouts();
-  sim_.schedule_after(kHeartbeatPeriod, [this]() { tick(); });
+  sim_.schedule_after(kHeartbeatPeriod,
+                      [this, generation]() { tick(generation); });
 }
 
 void Membership::note_alive(net::NodeId peer, std::uint64_t free_bytes,

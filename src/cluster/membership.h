@@ -35,9 +35,14 @@ class Membership {
   void set_peers(std::vector<net::NodeId> peers);
   const std::vector<net::NodeId>& peers() const noexcept { return peers_; }
 
-  // Begins the periodic heartbeat loop.
+  // Begins the periodic heartbeat loop (no-op while it runs). A stop ends
+  // the loop's generation, so a start inside one heartbeat period does not
+  // leave the stopped loop's pending tick running beside the new one.
   void start();
-  void stop() noexcept { running_ = false; }
+  void stop() noexcept {
+    running_ = false;
+    ++generation_;
+  }
 
   bool alive(net::NodeId peer) const;
   std::uint64_t last_known_free(net::NodeId peer) const;
@@ -61,7 +66,7 @@ class Membership {
     bool alive = true;
   };
 
-  void tick();
+  void tick(std::uint64_t generation);
   void note_alive(net::NodeId peer, std::uint64_t free_bytes,
                   std::uint64_t pressure);
   void check_timeouts();
@@ -75,6 +80,7 @@ class Membership {
   std::vector<std::function<void(net::NodeId)>> down_listeners_;
   std::vector<std::function<void(net::NodeId)>> up_listeners_;
   bool running_ = false;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace dm::cluster

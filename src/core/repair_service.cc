@@ -15,15 +15,9 @@ void RepairService::start() {
   arm();
 }
 
-void RepairService::stop() { running_ = false; }
-
 void RepairService::arm() {
-  service_.node().simulator().schedule_after(config_.scan_period, [this]() {
-    if (!running_) return;
-    scan_tick([this]() {
-      if (running_) arm();
-    });
-  });
+  service_.node().simulator().schedule_after(
+      config_.scan_period, [this]() { scan_tick([this]() { arm(); }); });
 }
 
 void RepairService::scan_tick(std::function<void()> done) {

@@ -44,9 +44,9 @@ class RepairService {
   RepairService(const RepairService&) = delete;
   RepairService& operator=(const RepairService&) = delete;
 
-  // Starts the periodic scan (no-op unless Config::enabled).
+  // Starts the periodic scan (no-op unless Config::enabled, or when the
+  // scan already runs).
   void start();
-  void stop();
 
   // One scan pass: collect candidates, repair up to the budget, then invoke
   // `done` (exposed for deterministic tests; the periodic loop re-arms from
