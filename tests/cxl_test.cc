@@ -35,6 +35,8 @@
 #include <vector>
 
 #include "common/checksum.h"
+#include "common/histogram.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/units.h"
@@ -359,6 +361,56 @@ TEST(CxlEdgeTest, QueuedSameLineOpsHitAfterTheLockClears) {
   rig.sim.run_until(rig.sim.now() + kMilli);
   ASSERT_EQ(done_count, 4);
   EXPECT_GE(rig.agent(0).metrics().counter_value("cxl.store_hits"), 1u);
+}
+
+// Two back-to-back loads of one line from one agent: the second waits on
+// the line lock and the first one's fill serves it. Each load counts once,
+// as a miss or a hit, and records one latency sample from issue to
+// completion.
+TEST(CxlEdgeTest, LoadServedAfterTheLockWaitCountsOnceAsAHit) {
+  CxlRig rig;
+  std::array<std::byte, kLineBytes> out_a{};
+  std::array<std::byte, kLineBytes> out_b{};
+  SimTime latency_sum = 0;
+  auto note = [&](const Status& s) {
+    ASSERT_TRUE(s.ok());
+    latency_sum += rig.sim.now();
+  };
+  rig.agent(0).load(25, 0, out_a, note);
+  rig.agent(0).load(25, 0, out_b, note);
+  rig.sim.run_until(rig.sim.now() + kMilli);
+  const MetricsRegistry& m = rig.agent(0).metrics();
+  EXPECT_EQ(m.counter_value("cxl.loads"), 2u);
+  EXPECT_EQ(m.counter_value("cxl.load_misses"), 1u);
+  EXPECT_EQ(m.counter_value("cxl.load_hits"), 1u);
+  const Histogram* ns = m.find_histogram("cxl.load_ns");
+  ASSERT_NE(ns, nullptr);
+  EXPECT_EQ(ns->count(), 2u);
+  EXPECT_EQ(ns->sum(), static_cast<std::uint64_t>(latency_sum));  // issued at 0
+}
+
+// The store form of the test above: the second store finds the line
+// Exclusive in its own cache once the lock clears.
+TEST(CxlEdgeTest, StoreServedAfterTheLockWaitCountsOnceAsAHit) {
+  CxlRig rig;
+  const std::byte v{0x7E};
+  SimTime latency_sum = 0;
+  auto note = [&](const Status& s) {
+    ASSERT_TRUE(s.ok());
+    latency_sum += rig.sim.now();
+  };
+  rig.agent(0).store(26, 0, {&v, 1}, note);
+  rig.agent(0).store(26, 1, {&v, 1}, note);
+  rig.sim.run_until(rig.sim.now() + kMilli);
+  const MetricsRegistry& m = rig.agent(0).metrics();
+  EXPECT_EQ(m.counter_value("cxl.stores"), 2u);
+  EXPECT_EQ(m.counter_value("cxl.store_misses"), 1u);
+  EXPECT_EQ(m.counter_value("cxl.upgrades"), 0u);
+  EXPECT_EQ(m.counter_value("cxl.store_hits"), 1u);
+  const Histogram* ns = m.find_histogram("cxl.store_ns");
+  ASSERT_NE(ns, nullptr);
+  EXPECT_EQ(ns->count(), 2u);
+  EXPECT_EQ(ns->sum(), static_cast<std::uint64_t>(latency_sum));  // issued at 0
 }
 
 TEST(CxlEdgeTest, TeardownMidOperationReleasesEveryLock) {
