@@ -14,7 +14,6 @@ std::string_view to_string(StatusCode code) noexcept {
     case StatusCode::kTimeout: return "TIMEOUT";
     case StatusCode::kDataLoss: return "DATA_LOSS";
     case StatusCode::kInternal: return "INTERNAL";
-    case StatusCode::kAborted: return "ABORTED";
   }
   return "UNKNOWN";
 }

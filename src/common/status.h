@@ -16,7 +16,8 @@
 
 namespace dm {
 
-// Error taxonomy used across all modules. Values are stable for logging.
+// Error taxonomy used across all modules. Values go on the wire: RPC error
+// replies carry the code as a u16.
 enum class StatusCode {
   kOk = 0,
   kNotFound = 1,          // entry/key/slab absent
@@ -28,7 +29,6 @@ enum class StatusCode {
   kTimeout = 7,           // handshake or operation deadline exceeded
   kDataLoss = 8,          // all replicas lost / corruption detected
   kInternal = 9,          // invariant violation surfaced as error
-  kAborted = 10,          // transaction rolled back (e.g. replica quorum failed)
 };
 
 std::string_view to_string(StatusCode code) noexcept;
