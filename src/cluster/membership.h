@@ -18,6 +18,7 @@
 #include "cluster/protocol.h"
 #include "common/units.h"
 #include "net/rpc.h"
+#include "sim/periodic_task.h"
 #include "sim/simulator.h"
 
 namespace dm::cluster {
@@ -35,14 +36,10 @@ class Membership {
   void set_peers(std::vector<net::NodeId> peers);
   const std::vector<net::NodeId>& peers() const noexcept { return peers_; }
 
-  // Begins the periodic heartbeat loop (no-op while it runs). A stop ends
-  // the loop's generation, so a start inside one heartbeat period does not
-  // leave the stopped loop's pending tick running beside the new one.
-  void start();
-  void stop() noexcept {
-    running_ = false;
-    ++generation_;
-  }
+  // Begins the periodic heartbeat loop, whose first round runs at once
+  // (no-op while it runs).
+  void start() { heartbeats_.start(); }
+  void stop() noexcept { heartbeats_.stop(); }
 
   bool alive(net::NodeId peer) const;
   std::uint64_t last_known_free(net::NodeId peer) const;
@@ -66,7 +63,8 @@ class Membership {
     bool alive = true;
   };
 
-  void tick(std::uint64_t generation);
+  // One round: heartbeat every peer, then declare the silent ones down.
+  void heartbeat();
   void note_alive(net::NodeId peer, std::uint64_t free_bytes,
                   std::uint64_t pressure);
   void check_timeouts();
@@ -79,8 +77,7 @@ class Membership {
   std::unordered_map<net::NodeId, PeerState> state_;
   std::vector<std::function<void(net::NodeId)>> down_listeners_;
   std::vector<std::function<void(net::NodeId)>> up_listeners_;
-  bool running_ = false;
-  std::uint64_t generation_ = 0;
+  sim::PeriodicTask heartbeats_;
 };
 
 }  // namespace dm::cluster

@@ -124,19 +124,11 @@ Status SloMonitor::add_spec(std::string_view text) {
   return Status::Ok();
 }
 
-void SloMonitor::start() {
-  ++generation_;
-  const std::uint64_t generation = generation_;
-  sim_.schedule_after(kEvaluationPeriod,
-                      [this, generation]() { tick(generation); });
-}
-
-void SloMonitor::tick(std::uint64_t generation) {
-  if (generation != generation_) return;  // superseded or stopped
-  evaluate_now();
-  sim_.schedule_after(kEvaluationPeriod,
-                      [this, generation]() { tick(generation); });
-}
+SloMonitor::SloMonitor(sim::Simulator& sim, const MetricsHub& hub)
+    : sim_(sim), hub_(hub),
+      evaluations_(sim, kEvaluationPeriod,
+                   sim::PeriodicTask::First::kAfterPeriod,
+                   [this]() { evaluate_now(); }) {}
 
 void SloMonitor::evaluate_now() {
   if (specs_.empty()) return;

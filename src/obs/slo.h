@@ -43,6 +43,7 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "obs/metrics_hub.h"
+#include "sim/periodic_task.h"
 #include "sim/simulator.h"
 
 namespace dm::obs {
@@ -58,16 +59,19 @@ class SloMonitor {
     bool page = false;         // streak reached the burn threshold
   };
 
-  SloMonitor(sim::Simulator& sim, const MetricsHub& hub)
-      : sim_(sim), hub_(hub) {}
+  SloMonitor(sim::Simulator& sim, const MetricsHub& hub);
 
   // Parses and registers one spec; InvalidArgument on grammar errors.
   Status add_spec(std::string_view text);
   std::size_t spec_count() const noexcept { return specs_.size(); }
 
-  // Periodic evaluation in virtual time; start replaces any prior schedule.
-  void start();
-  void stop() { ++generation_; }
+  // Periodic evaluation in virtual time, first one period after start;
+  // start replaces any prior schedule.
+  void start() {
+    evaluations_.stop();
+    evaluations_.start();
+  }
+  void stop() { evaluations_.stop(); }
   // One evaluation pass at the current virtual time (also used by ticks).
   void evaluate_now();
 
@@ -101,7 +105,6 @@ class SloMonitor {
     std::uint64_t streak = 0;
   };
 
-  void tick(std::uint64_t generation);
   void evaluate_spec(Spec& spec, const MetricsRegistry& merged);
 
   sim::Simulator& sim_;
@@ -110,7 +113,7 @@ class SloMonitor {
   std::vector<Alert> alerts_;
   MetricsRegistry metrics_;
   std::function<void(const Alert&)> alert_hook_;
-  std::uint64_t generation_ = 0;
+  sim::PeriodicTask evaluations_;
 };
 
 }  // namespace dm::obs

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "sim/scenario.h"
 #include "sim/failure_injector.h"
 #include "sim/latency_model.h"
+#include "sim/periodic_task.h"
 #include "sim/simulator.h"
 
 namespace dm::sim {
@@ -151,6 +153,98 @@ TEST(SimulatorTest, RunUntilCompleteReturnsTheCallersStatusWhenEventsRunDry) {
   EXPECT_EQ(s.code(), StatusCode::kTimeout);
   EXPECT_EQ(s.message(), "op lost completion");
   EXPECT_EQ(sim.executed_events(), 1u);
+}
+
+// ---- periodic task -----------------------------------------------------------
+
+TEST(PeriodicTaskTest, FirstTickAtStartOrOnePeriodLaterThenEveryPeriod) {
+  Simulator sim;
+  std::vector<SimTime> at_start;
+  std::vector<SimTime> after_period;
+  PeriodicTask now(sim, 100, PeriodicTask::First::kAtStart,
+                   [&] { at_start.push_back(sim.now()); });
+  PeriodicTask later(sim, 100, PeriodicTask::First::kAfterPeriod,
+                     [&] { after_period.push_back(sim.now()); });
+  sim.run_until(20);
+  now.start();
+  later.start();
+  EXPECT_EQ(at_start, (std::vector<SimTime>{20}));  // inside start()
+  later.start();  // no-op while the chain runs
+  sim.run_until(350);
+  EXPECT_EQ(at_start, (std::vector<SimTime>{20, 120, 220, 320}));
+  EXPECT_EQ(after_period, (std::vector<SimTime>{120, 220, 320}));
+}
+
+TEST(PeriodicTaskTest, StopThenStartInsideOnePeriodLeavesOneChain) {
+  for (const auto first :
+       {PeriodicTask::First::kAtStart, PeriodicTask::First::kAfterPeriod}) {
+    Simulator sim;
+    std::vector<SimTime> ticks;
+    PeriodicTask task(sim, 100, first, [&] { ticks.push_back(sim.now()); });
+    task.start();
+    sim.run_until(150);
+    task.stop();
+    task.start();  // the stopped chain's tick at 200 stays queued
+    const std::size_t before = ticks.size();
+    sim.run_until(1000);
+    // One tick every period from the restart, not two.
+    EXPECT_EQ(ticks.size() - before, 8u);
+    EXPECT_EQ(ticks.back(), 950);
+    task.stop();
+    sim.run();
+    EXPECT_EQ(ticks.back(), 950);
+    EXPECT_FALSE(sim.has_pending());
+  }
+}
+
+TEST(PeriodicTaskTest, DestroyedOwnerRunsNoQueuedTickOrCompletion) {
+  // The ticks touch their owner, so a tick run after its destruction is a
+  // heap-use-after-free under ASan.
+  struct Owner {
+    Owner(Simulator& sim, int& counter)
+        : ticks(counter),
+          task(sim, 100, PeriodicTask::First::kAtStart, [this] { ++ticks; }),
+          async(sim, 100, PeriodicTask::First::kAfterPeriod,
+                [this](PeriodicTask::Done done) {
+                  ++ticks;
+                  pending = std::move(done);
+                }) {}
+    int& ticks;
+    PeriodicTask::Done pending;
+    PeriodicTask task;
+    PeriodicTask async;
+  };
+  Simulator sim;
+  int ticks = 0;
+  auto owner = std::make_unique<Owner>(sim, ticks);
+  owner->task.start();
+  owner->async.start();
+  sim.run_until(150);  // task ticks at 0 and 100; async's tick at 100 waits
+  EXPECT_EQ(ticks, 3);
+  PeriodicTask::Done completion = owner->pending;
+  owner.reset();  // task's tick at 200 is queued
+  completion();   // the in-flight tick completes after its owner is gone
+  sim.run();
+  EXPECT_EQ(ticks, 3);
+  EXPECT_FALSE(sim.has_pending());
+}
+
+TEST(PeriodicTaskTest, AsyncTickRearmsOnePeriodAfterItsCompletion) {
+  Simulator sim;
+  std::vector<SimTime> ticks;
+  PeriodicTask task(sim, 100, PeriodicTask::First::kAfterPeriod,
+                    [&](PeriodicTask::Done done) {
+                      ticks.push_back(sim.now());
+                      sim.schedule_after(30, std::move(done));
+                    });
+  task.start();
+  sim.run_until(370);
+  EXPECT_EQ(ticks, (std::vector<SimTime>{100, 230, 360}));
+  // The tick at 360 completes at 390, after stop(), and arms nothing.
+  task.stop();
+  sim.run();
+  EXPECT_EQ(sim.now(), 390);
+  EXPECT_EQ(ticks.size(), 3u);
 }
 
 // ---- latency model -----------------------------------------------------------
