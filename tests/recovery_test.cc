@@ -73,6 +73,71 @@ TEST(RecoveryTest, ShortOutageLeavesOneHeartbeatChain) {
   }
 }
 
+// A crashed node runs none of its loops: no repair scan, no candidate
+// refresh and no RPC attempt (each would fail with no channel) until it
+// recovers, and then they all run again. Node 0 is its group's leader, so
+// it refreshes its candidate set locally.
+TEST(RecoveryTest, CrashedNodeRunsNoLoopsUntilItRecovers) {
+  DmSystem::Config config;
+  config.repair.enabled = true;
+  config.repair.scan_period = 100 * kMilli;
+  config.service.leader_candidates = true;
+  config.service.eviction.enabled = true;
+  DmSystem system(config);
+  system.start();
+  auto& sim = system.simulator();
+  const MetricsRegistry& service = system.service(0).metrics();
+  const MetricsRegistry& rpc = system.node(0).rpc().metrics();
+  auto counts = [&]() {
+    return std::vector<std::uint64_t>{
+        service.counter_value("repair.scans"),
+        service.counter_value("candidates.local_refreshes"),
+        rpc.counter_value("rpc.no_channel"), rpc.counter_value("rpc.calls")};
+  };
+  system.crash_node(0);
+  const std::vector<std::uint64_t> at_crash = counts();
+  sim.run_until(sim.now() + 3 * kSecond);
+  EXPECT_EQ(counts(), at_crash);
+
+  system.recover_node(0);
+  sim.run_until(sim.now() + 3 * kSecond);
+  const std::vector<std::uint64_t> after = counts();
+  EXPECT_GT(after[0], at_crash[0]);
+  EXPECT_GT(after[1], at_crash[1]);
+  EXPECT_GT(after[3], at_crash[3]);
+}
+
+// Regrouping replaces the election of every member of the groups it
+// rewires, a crashed member's included. Recovery starts the election the
+// node holds then, so node 0, its group's coordinator, announces again:
+// one election a second to its four peers.
+TEST(RecoveryTest, ElectionReplacedDuringAnOutageRunsAfterRecovery) {
+  DmSystem::Config config;
+  config.node_count = 8;
+  config.group_size = 4;  // groups {0, 2, 4, 6} and {1, 3, 5, 7}
+  // Node 0's crash leaves its group 3/4 of its donatable memory.
+  config.regroup_low_watermark = 0.8;
+  DmSystem system(config);
+  system.start();
+  auto& sim = system.simulator();
+  system.crash_node(0);
+  const auto moved = system.regroup_tick();
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_EQ(system.groups().group_of(*moved), system.groups().group_of(0));
+
+  sim.run_until(sim.now() + 2 * kSecond);
+  system.recover_node(0);
+  sim.run_until(sim.now() + 1 * kSecond);
+  auto announces = [&]() -> std::uint64_t {
+    const Histogram* rtt = system.node(0).rpc().metrics().find_histogram(
+        "rpc.rtt.announce_leader");
+    return rtt == nullptr ? 0 : rtt->count();
+  };
+  const std::uint64_t before = announces();
+  sim.run_until(sim.now() + 5 * kSecond);
+  EXPECT_EQ(announces() - before, 20u);
+}
+
 // A node crashing in the middle of the §IV.D replicated-put transaction
 // must leave no partial state: either the put commits (and the data is
 // readable, failing over around the crashed replica) or it rolls back (and
