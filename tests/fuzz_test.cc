@@ -214,10 +214,13 @@ TEST(SystemPropertyFuzz, LiveKeysReadableAndReplicasBounded) {
   auto& client = system.create_server(0, 64 * MiB, options);
 
   // Flap only node 2: nodes 1 and 3 stay up, so with the min-replicas floor
-  // of 1 every remote entry keeps at least one live copy.
+  // of 1 every remote entry keeps at least one live copy. The storm starts
+  // now (start()'s warm-up has run past t = 0) and spans the 40 rounds.
   Rng flap_rng(9001);
   bool node2_up = true;
-  system.failures().poisson(flap_rng, 0, 400 * kMilli, 40 * kMilli, [&]() {
+  const SimTime storm = system.simulator().now();
+  system.failures().poisson(flap_rng, storm, storm + 400 * kMilli,
+                            40 * kMilli, [&]() {
     node2_up = !node2_up;
     if (node2_up)
       system.recover_node(2);
@@ -307,10 +310,13 @@ TEST(SystemPropertyFuzz, EcStripesBoundedAndKeysReadable) {
   auto& client = system.create_server(0, 64 * MiB, options);
 
   // Flap only node 2: the other hosts stay up, so every stripe keeps at
-  // least k live shards and remains readable throughout.
+  // least k live shards and remains readable throughout. The storm starts
+  // now (start()'s warm-up has run past t = 0) and spans the 40 rounds.
   Rng flap_rng(31337);
   bool node2_up = true;
-  system.failures().poisson(flap_rng, 0, 400 * kMilli, 40 * kMilli, [&]() {
+  const SimTime storm = system.simulator().now();
+  system.failures().poisson(flap_rng, storm, storm + 400 * kMilli,
+                            40 * kMilli, [&]() {
     node2_up = !node2_up;
     if (node2_up)
       system.recover_node(2);

@@ -252,10 +252,6 @@ int main(int argc, char** argv) {
     };
     chaos = std::make_unique<sim::ChaosSchedule>(system.failures(),
                                                  std::move(hooks));
-    // One mid-workload crash of the last node, healed shortly after.
-    chaos->crash(50 * kMilli, static_cast<sim::ChaosSchedule::NodeRef>(
-                                  system.node(opt.nodes - 1).id()),
-                 100 * kMilli);
   }
 
   // One server per node; a mixed shm/remote split (paper's FS-1:1 point)
@@ -271,6 +267,15 @@ int main(int argc, char** argv) {
   std::vector<std::byte> page(4096);
   std::vector<std::byte> out(4096);
   for (std::uint64_t op = 0; op < opt.ops; ++op) {
+    if (chaos != nullptr && op == opt.ops / 2) {
+      // Crash the last node halfway through the ops, now. The ops take a
+      // few virtual ms, so its recovery 100 ms later lands in the settle
+      // window below.
+      chaos->crash(system.simulator().now(),
+                   static_cast<sim::ChaosSchedule::NodeRef>(
+                       system.node(opt.nodes - 1).id()),
+                   100 * kMilli);
+    }
     auto& client = *clients[op % clients.size()];
     const mem::EntryId entry = op / clients.size();
     for (auto& b : page)
