@@ -23,7 +23,9 @@
 # LINT_REPORT.json + METRIC_REGISTRY.json with a byte-stability diff, and
 # runs the fixture suite proving every rule still fires.
 # The sanitizer pass uses the DM_SANITIZE cache option defined in the root
-# CMakeLists.txt (compiles the whole tree with -fsanitize=address,undefined).
+# CMakeLists.txt (compiles the whole tree with -fsanitize=address,undefined)
+# and sets RelWithDebInfo's flags to "-O2 -g", leaving out its -DNDEBUG, so
+# the runtime asserts in src/ run in that stage too.
 # The coverage pass uses DM_COVERAGE and fails CI if line coverage of the
 # .cc files under src/swap/ + src/compress/ + src/cxl/ + src/ec/ +
 # src/storage/ drops below the floor.
@@ -415,8 +417,9 @@ if [[ "$mode" == "all" || "$mode" == "--plain-only" ]]; then
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--sanitize-only" ]]; then
-  echo "==> sanitized build + tests (ASan + UBSan)"
-  run_suite build-asan -DDM_SANITIZE=address,undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  echo "==> sanitized build + tests (ASan + UBSan + asserts)"
+  run_suite build-asan -DDM_SANITIZE=address,undefined \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--obs-only" ]]; then
