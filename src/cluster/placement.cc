@@ -86,42 +86,21 @@ class WeightedRoundRobinPolicy final : public PlacementPolicy {
 
 // Power of two choices: sample two random candidates, keep the one with more
 // free memory; repeat per replica (Richa/Mitzenmacher/Sitaraman, paper [31]).
-class PowerOfTwoPolicy final : public PlacementPolicy {
- public:
-  StatusOr<std::vector<net::NodeId>> pick(
-      std::span<const CandidateNode> candidates, std::size_t count,
-      std::uint64_t size, Rng& rng) override {
-    auto pool = eligible(candidates, size);
-    if (pool.size() < count)
-      return ResourceExhaustedError("not enough eligible nodes");
-    std::vector<net::NodeId> out;
-    while (out.size() < count) {
-      const std::size_t a = static_cast<std::size_t>(rng.next_below(pool.size()));
-      std::size_t b = static_cast<std::size_t>(rng.next_below(pool.size()));
-      if (pool.size() > 1) {
-        while (b == a) b = static_cast<std::size_t>(rng.next_below(pool.size()));
-      }
-      const std::size_t chosen =
-          pool[a].free_bytes >= pool[b].free_bytes ? a : b;
-      out.push_back(pool[chosen].node);
-      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(chosen));
-    }
-    return out;
-  }
-};
-
-// Load-aware selection (§IV.E extended): power-of-two probing like
-// PowerOfTwoPolicy — and consuming the rng identically, so with all
-// pressures zero the two policies pick the same nodes — but the duel is
-// decided by the pressure-discounted score instead of raw free bytes.
+//
+// Load-aware selection (§IV.E extended) is the same duel decided by the
+// pressure-discounted score instead of raw free bytes, consuming the rng
+// identically, so with all pressures zero the two pick the same nodes.
 // Skewed tenant traffic raises the hot nodes' pressure, which repels new
 // placements before their pools are exhausted — the feedback loop that
 // keeps large-cluster p99 bounded. Random probing (rather than ranking or
 // weighted sampling over the whole set) matters: candidate free-memory
 // views are heartbeat-stale, and any policy that concentrates picks on the
 // advertised-richest donor dogpiles it between refreshes.
-class LoadAwarePolicy final : public PlacementPolicy {
+class TwoChoicePolicy final : public PlacementPolicy {
  public:
+  // kPowerOfTwoChoices or kLoadAware: which key decides the duel.
+  explicit TwoChoicePolicy(PlacementPolicyKind kind) : kind_(kind) {}
+
   StatusOr<std::vector<net::NodeId>> pick(
       std::span<const CandidateNode> candidates, std::size_t count,
       std::uint64_t size, Rng& rng) override {
@@ -135,13 +114,20 @@ class LoadAwarePolicy final : public PlacementPolicy {
       if (pool.size() > 1) {
         while (b == a) b = static_cast<std::size_t>(rng.next_below(pool.size()));
       }
-      const std::size_t chosen =
-          load_aware_score(pool[a]) >= load_aware_score(pool[b]) ? a : b;
+      const std::size_t chosen = key(pool[a]) >= key(pool[b]) ? a : b;
       out.push_back(pool[chosen].node);
       pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(chosen));
     }
     return out;
   }
+
+ private:
+  std::uint64_t key(const CandidateNode& c) const noexcept {
+    return kind_ == PlacementPolicyKind::kLoadAware ? load_aware_score(c)
+                                                    : c.free_bytes;
+  }
+
+  PlacementPolicyKind kind_;
 };
 
 }  // namespace
@@ -208,9 +194,8 @@ std::unique_ptr<PlacementPolicy> make_placement_policy(
     case PlacementPolicyKind::kWeightedRoundRobin:
       return std::make_unique<WeightedRoundRobinPolicy>();
     case PlacementPolicyKind::kPowerOfTwoChoices:
-      return std::make_unique<PowerOfTwoPolicy>();
     case PlacementPolicyKind::kLoadAware:
-      return std::make_unique<LoadAwarePolicy>();
+      return std::make_unique<TwoChoicePolicy>(kind);
   }
   return nullptr;
 }
