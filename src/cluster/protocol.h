@@ -11,7 +11,7 @@ namespace dm::cluster {
 enum RpcMethodId : net::RpcMethod {
   // membership / election
   kRpcHeartbeat = 1,       // req: {}      resp: u64 free_bytes, u64 pressure
-  kRpcAnnounceLeader = 3,  // req: u32 group, u32 leader   resp: {}
+  kRpcAnnounceLeader = 3,  // req: u32 leader   resp: {}
   kRpcQueryCandidates = 4, // req: {}
                            // resp: u32 n, (u32 node, u64 free, u64 pressure)*
 
