@@ -5,8 +5,9 @@
 # parse + determinism gates), a cluster-scale stage (the 128-node
 # multi-tenant soak run twice same-seed in separate processes with a
 # byte-identical snapshot diff), a CXL-tier stage (the litmus battery +
-# coherence soak run twice same-seed cross-process and diffed, plus the
-# storage-tiers ablation gate), a gcov-instrumented build gating
+# coherence soak run twice same-seed cross-process, diffed against each
+# other and against tests/goldens/cxl_battery.txt, plus the storage-tiers
+# ablation gate), a gcov-instrumented build gating
 # line coverage of the swap + compression + cxl + ec + storage layers,
 # a perfbench stage pinning the benchmark's virtual numbers to a
 # golden, then a figures stage running the nine paper benches (Table 1,
@@ -276,6 +277,16 @@ run_cxl() {
   echo "==> cxl: litmus battery + coherence soak x2 (same seed, separate processes)"
   diff_snapshot_runs cxl "$art" DM_CXL_SNAPSHOT snapshot.txt cxl_test.out \
     "battery dumps" ./"$build_dir"/tests/cxl_test
+
+  # The dump is also pinned: a change that moves one CXL event (a latency,
+  # a lock hand-off, a counter) fails here. A change meant to move it
+  # re-pins with a plain copy:
+  #   cp build/artifacts/cxl/run_a/snapshot.txt tests/goldens/cxl_battery.txt
+  echo "==> cxl: battery dump against tests/goldens/cxl_battery.txt"
+  diff tests/goldens/cxl_battery.txt "$art/run_a/snapshot.txt" || {
+    echo "==> CXL GATE FAILED: battery dump differs from the golden"
+    exit 1
+  }
 
   # The storage-tiers bench carries the CXL ablation; gate the tier
   # economics: the coherent tier must strictly beat DRAM->RDMA on the hot
