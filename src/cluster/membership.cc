@@ -49,6 +49,16 @@ void Membership::set_peers(std::vector<net::NodeId> peers) {
   }
 }
 
+void Membership::start() {
+  if (heartbeats_.running()) return;
+  // Replies that went unheard while the loop was stopped must not count
+  // against the peers: a node back from a long outage would otherwise
+  // declare every live peer down at once.
+  const SimTime now = sim_.now();
+  for (net::NodeId peer : peers_) state_[peer].last_seen = now;
+  heartbeats_.start();
+}
+
 void Membership::heartbeat() {
   for (net::NodeId peer : peers_) {
     rpc_.call(peer, kRpcHeartbeat, {}, kHeartbeatTimeout,

@@ -37,8 +37,9 @@ class Membership {
   const std::vector<net::NodeId>& peers() const noexcept { return peers_; }
 
   // Begins the periodic heartbeat loop, whose first round runs at once
-  // (no-op while it runs).
-  void start() { heartbeats_.start(); }
+  // (no-op while it runs). A stopped loop heard nothing, so every peer's
+  // silence clock starts at the (re)start.
+  void start();
   void stop() noexcept { heartbeats_.stop(); }
 
   bool alive(net::NodeId peer) const;

@@ -52,6 +52,7 @@ class PeriodicTask {
     else
       arm(state_, state_->chain);
   }
+  bool running() const noexcept { return state_->running; }
   void stop() noexcept {
     if (!state_->running) return;
     state_->running = false;

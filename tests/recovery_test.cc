@@ -73,6 +73,45 @@ TEST(RecoveryTest, ShortOutageLeavesOneHeartbeatChain) {
   }
 }
 
+// A node down for longer than the 700 ms failure timeout heard nothing
+// while it was down, so its peers' silence clock starts when it recovers.
+// It declares no live peer down at the recovery instant, and it still
+// declares a peer that died meanwhile, and only that one, within one
+// failure timeout plus one heartbeat period (900 ms). A start() on its
+// running loop in between changes nothing, or the declaration would slip
+// past that bound.
+TEST(RecoveryTest, RecoveredNodeStartsItsPeersSilenceClockAtRecovery) {
+  for (const bool peer_dies : {false, true}) {
+    SCOPED_TRACE(peer_dies ? "node 1 down too" : "every peer up");
+    DmSystem system(DmSystem::Config{});
+    system.start();
+    auto& sim = system.simulator();
+    std::vector<std::pair<net::NodeId, SimTime>> declared;
+    system.node(0).membership().on_peer_down([&](net::NodeId peer) {
+      declared.emplace_back(peer, sim.now());
+    });
+    system.crash_node(0);
+    if (peer_dies) system.crash_node(1);
+    sim.run_until(sim.now() + 2 * kSecond);
+    system.recover_node(0);
+    const SimTime recovered = sim.now();
+    sim.run_until(recovered + kMilli);
+    EXPECT_TRUE(declared.empty()) << declared.size() << " declared down";
+
+    sim.run_until(recovered + 100 * kMilli);
+    system.node(0).membership().start();  // already running: a no-op
+    sim.run_until(recovered + 2 * kSecond);
+    if (!peer_dies) {
+      EXPECT_TRUE(declared.empty());
+      continue;
+    }
+    ASSERT_EQ(declared.size(), 1u);
+    EXPECT_EQ(declared[0].first, system.node(1).id());
+    EXPECT_GT(declared[0].second, recovered);
+    EXPECT_LE(declared[0].second, recovered + 900 * kMilli);
+  }
+}
+
 // A crashed node runs none of its loops: no repair scan, no candidate
 // refresh and no RPC attempt (each would fail with no channel) until it
 // recovers, and then they all run again. Node 0 is its group's leader, so
