@@ -387,11 +387,7 @@ Status QueuePair::post_read(RKey rkey, std::uint64_t offset,
         offset + dest.size() > region->bytes.size()) {
       Status err = region == nullptr ? NotFoundError("remote MR invalid")
                                      : UnavailableError("remote down");
-      if (self != nullptr) self->error_ = true;
-      const SimTime when = fabric.sim_.now() + kFailureDetectNs;
-      fabric.sim_.schedule_at(when, [done = std::move(done), err, when]() {
-        if (done) done(Completion{err, when, 0});
-      });
+      fabric.complete_with_error(self, std::move(err), std::move(done));
       return;
     }
     // Snapshot remote bytes now; they travel back on the data hop.
@@ -400,12 +396,7 @@ Status QueuePair::post_read(RKey rkey, std::uint64_t offset,
     auto back = fabric.model_transfer(remote, local, payload.size(),
                                       fabric.config().latency.rdma);
     if (!back.ok()) {
-      self->error_ = true;
-      const SimTime when = fabric.sim_.now() + kFailureDetectNs;
-      fabric.sim_.schedule_at(when, [done = std::move(done), when,
-                                     st = back.status()]() {
-        if (done) done(Completion{st, when, 0});
-      });
+      fabric.complete_with_error(self, back.status(), std::move(done));
       return;
     }
     const SimTime deliver = std::max(*back, self->last_delivery_);

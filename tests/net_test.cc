@@ -335,6 +335,45 @@ TEST_F(FabricTest, InFlightWriteToCrashingNodeFails) {
                           [](std::byte b) { return b == std::byte{0}; }));
 }
 
+// A read whose target dies, or whose link back is cut, before its request
+// arrives fails the way every fabric failure does: one error completion
+// the 50 µs detection delay after the request finds the fault, the QP in
+// error, and one fabric.op_errors.
+TEST_F(FabricTest, FailedReadCompletesAfterTheDetectionDelayAndCounts) {
+  for (const bool target_dies : {true, false}) {
+    SCOPED_TRACE(target_dies ? "target down" : "link back cut");
+    sim::Simulator sim;
+    Fabric fabric(sim);
+    fabric.add_node(0);
+    fabric.add_node(1);
+    std::vector<std::byte> region = pattern(4096, 3);
+    auto rkey = fabric.register_memory(1, region);
+    auto qp = fabric.connect(0, 1);
+    ASSERT_TRUE(rkey.ok() && qp.ok());
+    std::vector<std::byte> dest(1024);
+    int completions = 0;
+    Completion completion;
+    ASSERT_TRUE((*qp)->post_read(*rkey, 0, dest,
+                                 [&](const Completion& c) {
+                                   completion = c;
+                                   ++completions;
+                                 })
+                    .ok());
+    if (target_dies)
+      fabric.set_node_up(1, false);
+    else
+      fabric.set_link_up(1, 0, false);
+    ASSERT_TRUE(sim.step());  // the request arrives and finds the fault
+    const SimTime found = sim.now();
+    sim.run();
+    ASSERT_EQ(completions, 1);
+    EXPECT_FALSE(completion.status.ok());
+    EXPECT_EQ(completion.completed_at, found + 50 * kMicro);
+    EXPECT_TRUE((*qp)->in_error());
+    EXPECT_EQ(fabric.metrics().counter_value("fabric.op_errors"), 1u);
+  }
+}
+
 TEST_F(FabricTest, LinkDownFailsPath) {
   fabric_.set_link_up(0, 1, false);
   EXPECT_FALSE(fabric_.connect(0, 1).ok());
