@@ -103,17 +103,16 @@ void RpcEndpoint::call_once(NodeId peer, RpcMethod method,
     return;
   }
   const std::uint64_t call_id = next_call_++;
-  auto pending = std::make_shared<Pending>();
   // Caller-side span, closed when settle() hands over the reply, error or
   // timeout. The label is built only when a sink is attached.
-  pending->done = spans_ == nullptr
-                      ? std::move(done)
-                      : sim::span_completion(spans_, trace, self_, "net",
-                                             "rpc." + method_label(method),
-                                             std::move(done));
-  pending->started = sim_.now();
-  pending->method = method;
-  pending_.emplace(call_id, pending);
+  pending_.emplace(
+      call_id,
+      Pending{spans_ == nullptr
+                  ? std::move(done)
+                  : sim::span_completion(spans_, trace, self_, "net",
+                                         "rpc." + method_label(method),
+                                         std::move(done)),
+              sim_.now(), method});
   ++metrics_.counter("rpc.calls");
 
   WireWriter w;
@@ -202,22 +201,21 @@ void RpcEndpoint::settle(std::uint64_t call_id,
                          StatusOr<std::vector<std::byte>> result) {
   auto it = pending_.find(call_id);
   if (it == pending_.end()) return;
-  auto pending = it->second;
+  // Only pending_ holds a call: once erased it cannot settle twice.
+  Pending pending = std::move(it->second);
   pending_.erase(it);
-  if (pending->settled) return;
-  pending->settled = true;
   // Round-trip latency per method, timeouts and error-settles included —
   // failure detection time is part of the paper's recovery story.
-  Histogram*& rtt = rtt_[pending->method];
+  Histogram*& rtt = rtt_[pending.method];
   if (rtt == nullptr)
-    rtt = &metrics_.histogram("rpc.rtt." + method_label(pending->method));
-  rtt->record(static_cast<std::uint64_t>(sim_.now() - pending->started));
+    rtt = &metrics_.histogram("rpc.rtt." + method_label(pending.method));
+  rtt->record(static_cast<std::uint64_t>(sim_.now() - pending.started));
   if (!result.ok()) {
     ++metrics_.counter(result.status().code() == StatusCode::kTimeout
                            ? "rpc.timeouts"
                            : "rpc.errors");
   }
-  pending->done(std::move(result));
+  pending.done(std::move(result));
 }
 
 }  // namespace dm::net

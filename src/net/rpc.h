@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -123,7 +122,6 @@ class RpcEndpoint {
     RpcResponseCallback done;
     SimTime started = 0;
     RpcMethod method = 0;
-    bool settled = false;
   };
 
   void call_once(NodeId peer, RpcMethod method,
@@ -144,7 +142,7 @@ class RpcEndpoint {
   std::unordered_map<RpcMethod, Histogram*> rtt_;
   std::function<Status(NodeId)> repairer_;
   std::unordered_map<NodeId, QueuePair*> channels_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Pending>> pending_;
+  std::unordered_map<std::uint64_t, Pending> pending_;
   std::uint64_t next_call_ = 1;
   std::uint32_t next_trace_ = 0;
   TraceId current_trace_ = kNoTrace;
