@@ -10,12 +10,17 @@
 //
 // Part 2 ablates the cache-coherent CXL-class tier (§III feasibility,
 // DESIGN.md §14) on a hot-working-set trace: DRAM -> RDMA baseline vs
-// DRAM -> CXL -> RDMA, same seed. Pages evicted from DRAM land in the
+// DRAM -> CXL -> RDMA, same seed, with FastSwap placing every batch in
+// remote memory (FS-RDMA). Pages evicted from DRAM land in the
 // line-addressable coherent pool, where sub-page faults cost a ~ns-scale
 // load/store transaction instead of a page-granular RDMA swap. The bench
 // writes BENCH_storage_tiers.json with the headline numbers plus a
 // baseline-repeat byte-identity bit (the tier defaults off and must not
-// perturb the failure-free schedule); ci.sh --cxl-only gates on both.
+// perturb the failure-free schedule); ci.sh --cxl-only gates on both. The
+// same pair with every batch in the app node's own shared memory (FS-SM)
+// is printed and recorded beside it, ungated: a page fault on the local
+// pool costs about what a line fill from the CXL home on another node
+// does, so there the tier has no latency to win back.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -49,9 +54,11 @@ struct TierRun {
   bool ok = false;
 };
 
-TierRun run_hot_set(bool with_cxl) {
+// `shm_fraction` places FastSwap's batches: 0 in remote memory (FS-RDMA),
+// 1 in the app node's shared memory (FS-SM).
+TierRun run_hot_set(bool with_cxl, double shm_fraction) {
   using namespace dm;
-  auto setup = swap::make_system(swap::SystemKind::kFastSwap, kTierResident);
+  auto setup = swap::make_fastswap_ratio(shm_fraction, kTierResident);
   core::DmSystem::Config config;
   config.node_count = 4;
   config.node.shm.arena_bytes = 32 * MiB;
@@ -181,10 +188,13 @@ int main() {
               "%llu of %llu pages):\n",
               static_cast<unsigned long long>(kTierHot),
               static_cast<unsigned long long>(kTierPages));
-  const TierRun baseline = run_hot_set(/*with_cxl=*/false);
-  const TierRun repeat = run_hot_set(/*with_cxl=*/false);
-  const TierRun cxl = run_hot_set(/*with_cxl=*/true);
-  if (!baseline.ok || !repeat.ok || !cxl.ok) {
+  const TierRun baseline = run_hot_set(/*with_cxl=*/false, 0.0);
+  const TierRun repeat = run_hot_set(/*with_cxl=*/false, 0.0);
+  const TierRun cxl = run_hot_set(/*with_cxl=*/true, 0.0);
+  const TierRun shm_baseline = run_hot_set(/*with_cxl=*/false, 1.0);
+  const TierRun shm_cxl = run_hot_set(/*with_cxl=*/true, 1.0);
+  if (!baseline.ok || !repeat.ok || !cxl.ok || !shm_baseline.ok ||
+      !shm_cxl.ok) {
     std::printf("CXL ablation run failed\n");
     return 1;
   }
@@ -201,6 +211,14 @@ int main() {
   std::printf("  baseline repeat byte-identical: %s (tier defaults off; the "
               "failure-free schedule must not move)\n",
               repeat_identical ? "yes" : "NO");
+  const double shm_speedup =
+      bench::ratio(shm_baseline.elapsed, shm_cxl.elapsed);
+  std::printf("  with every batch in the node's own shared memory (FS-SM), "
+              "ungated:\n");
+  std::printf("  DRAM -> SHM             %s\n",
+              format_duration(shm_baseline.elapsed).c_str());
+  std::printf("  DRAM -> CXL -> SHM      %s   (%.2fx)\n",
+              format_duration(shm_cxl.elapsed).c_str(), shm_speedup);
 
   FILE* f = std::fopen("BENCH_storage_tiers.json", "w");
   if (f == nullptr) return 1;
@@ -216,8 +234,13 @@ int main() {
                static_cast<unsigned long long>(cxl.line_hits));
   std::fprintf(f, "\"promotions\": %llu,\n",
                static_cast<unsigned long long>(cxl.promotions));
-  std::fprintf(f, "\"demotions\": %llu\n",
+  std::fprintf(f, "\"demotions\": %llu,\n",
                static_cast<unsigned long long>(cxl.demotions));
+  std::fprintf(f, "\"shm_baseline_elapsed_ns\": %llu,\n",
+               static_cast<unsigned long long>(shm_baseline.elapsed));
+  std::fprintf(f, "\"shm_cxl_elapsed_ns\": %llu,\n",
+               static_cast<unsigned long long>(shm_cxl.elapsed));
+  std::fprintf(f, "\"shm_speedup\": %.4f\n", shm_speedup);
   std::fprintf(f, "}\n}\n");
   std::fclose(f);
   std::printf("\nwrote BENCH_storage_tiers.json\n");
