@@ -1,5 +1,7 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "common/units.h"
@@ -8,13 +10,15 @@ namespace dm::sim {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  // priority_queue::top() is const; the event is copied out so the callback
-  // may schedule further events (including at the same timestamp).
-  Event ev = queue_.top();
-  queue_.pop();
-  // Defensive monotonicity: advance() may have moved the clock past a
-  // queued event; such an event fires "late" rather than rewinding time.
-  if (ev.when > now_) now_ = ev.when;
+  // The event is moved out of the heap before it runs, so the callback may
+  // schedule further events (including at the same timestamp).
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event ev = std::move(queue_.back());
+  queue_.pop_back();
+  // schedule_at never queues an event in the past, and the clock only
+  // moves to the next event or to a deadline short of it.
+  assert(ev.when >= now_);
+  now_ = ev.when;
   ++executed_;
   ev.fn();
   return true;
@@ -26,7 +30,7 @@ void Simulator::run() {
 }
 
 void Simulator::run_until(SimTime deadline) {
-  while (!queue_.empty() && queue_.top().when <= deadline) step();
+  while (!queue_.empty() && queue_.front().when <= deadline) step();
   if (now_ < deadline) now_ = deadline;
 }
 

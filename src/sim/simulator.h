@@ -12,10 +12,10 @@
 // events until its completion fires.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <type_traits>
 #include <vector>
 
@@ -33,7 +33,8 @@ class Simulator {
   // Schedules fn at absolute virtual time `when` (>= now).
   void schedule_at(SimTime when, Callback fn) {
     assert(when >= now_);
-    queue_.push(Event{when, next_seq_++, std::move(fn)});
+    queue_.push_back(Event{when, next_seq_++, std::move(fn)});
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
   }
 
   // Schedules fn `delay` nanoseconds from now.
@@ -84,15 +85,6 @@ class Simulator {
     return result;
   }
 
-  // Moves the clock forward by `delta` without running events (workload
-  // drivers charge pure compute time this way). An event whose time the
-  // clock skips is not lost: it fires late, at the clock's new time, when
-  // the loop next runs.
-  void advance(SimTime delta) {
-    assert(delta >= 0);
-    now_ += delta;
-  }
-
   std::uint64_t executed_events() const noexcept { return executed_; }
 
  private:
@@ -108,7 +100,9 @@ class Simulator {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  // A binary heap under Later (std::push_heap / std::pop_heap, as
+  // std::priority_queue runs it), so step() can move the next event out.
+  std::vector<Event> queue_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
