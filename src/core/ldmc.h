@@ -47,7 +47,10 @@ class Ldmc {
   void get(mem::EntryId entry, std::span<std::byte> out,
            std::function<void(const Status&)> done,
            net::TraceId trace = net::kNoTrace);
-  // Sub-range read at `offset` within the stored bytes.
+  // Sub-range read at `offset` within the stored bytes. Nothing checks the
+  // range against the entry checksum, which covers the whole entry: the
+  // caller verifies what it reads (the swap layer checks a one-page read
+  // against the page's own checksum).
   void get_range(mem::EntryId entry, std::uint64_t offset,
                  std::span<std::byte> out,
                  std::function<void(const Status&)> done,

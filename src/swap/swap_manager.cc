@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/checksum.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "compress/page_compressor.h"
@@ -374,6 +375,8 @@ Status SwapManager::store_batch(
       metrics_.counter("swap.compressed_bytes") += compressed.bucket;
       metrics_.counter("swap.logical_bytes") += kPageBytes;
     }
+    info.checksum = word_checksum(
+        std::span<const std::byte>(buffer).subspan(info.offset, info.length));
     backed_.emplace(page, info);
     batch.pages.push_back(page);
   }
@@ -679,19 +682,38 @@ Status SwapManager::fault_in(std::uint64_t page) {
     return fault_in_wb(page, wb_it->second.buffer);
 
   if (config_.proactive_batch_swap_in) {
-    // PBS: fetch the whole batch entry with one disaggregated-memory read
-    // and repopulate the members the fan-out allows. The swap-cache copies
-    // stay valid (pages come back clean).
+    // PBS: restore the members the fan-out allows; they come back clean,
+    // so their swap-cache copies stay valid. A fault that restores several
+    // reads the whole batch entry with one disaggregated-memory read. One
+    // that restores the faulted page alone reads only that page's slice,
+    // unless the entry is read whole anyway: a readahead holds it, or it
+    // is due for compaction, whose rewrite slices the live members from
+    // the whole entry.
     const std::vector<std::uint64_t> members =
         pbs_members(page, batch_it->second);
+    auto size = client_.stored_size(info.batch);
+    if (!size.ok()) return size.status();
+    const bool whole = members.size() > 1 ||
+                       readahead_.count(info.batch) > 0 ||
+                       compaction_due(batch_it->second, *size);
     std::vector<std::byte> buffer;
-    DM_RETURN_IF_ERROR(fetch_batch(info.batch, buffer));
+    if (whole) {
+      DM_RETURN_IF_ERROR(fetch_batch(info.batch, buffer));
+    } else {
+      ++metrics_.counter("swap.pbs.page_reads");
+      DM_RETURN_IF_ERROR(read_page(info, buffer));
+    }
     DM_RETURN_IF_ERROR(make_room(members.size()));
     if (config_.extra_op_overhead > 0)
       charge(config_.extra_op_overhead *
              static_cast<SimTime>(members.size()));
-    DM_RETURN_IF_ERROR(restore(page, members, buffer));
-    compact_batch(info.batch, buffer);
+    if (whole) {
+      DM_RETURN_IF_ERROR(restore(page, members, buffer));
+      compact_batch(info.batch, buffer);
+    } else {
+      DM_RETURN_IF_ERROR(materialize(page, buffer, info.lz));
+      if (info.lz) charge_decode();
+    }
     read_ahead(page);
     return Status::Ok();
   }
@@ -700,25 +722,32 @@ Status SwapManager::fault_in(std::uint64_t page) {
   // holds the window), so the fault fetches the batch entry but restores
   // only the faulted page — its siblings stay down-tier and each pays the
   // same fetch again on its own fault. This is exactly the waste PBS
-  // removes. Batches of one page degenerate to a cheap sub-read.
+  // removes. Batches of one page degenerate to a one-page read.
   if (config_.extra_op_overhead > 0) charge(config_.extra_op_overhead);
   if (batch_it->second.pages.size() > 1) {
-    auto size = client_.stored_size(info.batch);
-    if (!size.ok()) return size.status();
-    std::vector<std::byte> buffer(*size);
-    DM_RETURN_IF_ERROR(client_.get_sync(info.batch, buffer, active_trace_));
+    std::vector<std::byte> buffer;
+    DM_RETURN_IF_ERROR(fetch_batch(info.batch, buffer));
     DM_RETURN_IF_ERROR(make_room(1));
     DM_RETURN_IF_ERROR(restore(page, {page}, buffer));
     compact_batch(info.batch, buffer);
   } else {
-    std::vector<std::byte> stored(info.length);
-    DM_RETURN_IF_ERROR(client_.get_range_sync(info.batch, info.offset,
-                                              stored, active_trace_));
+    std::vector<std::byte> stored;
+    DM_RETURN_IF_ERROR(read_page(info, stored));
     DM_RETURN_IF_ERROR(make_room(1));
     DM_RETURN_IF_ERROR(materialize(page, stored, info.lz));
     if (info.lz) charge_decode();
   }
   ++metrics_.counter("swap.single_page_ins");
+  return Status::Ok();
+}
+
+Status SwapManager::read_page(const Backing& info,
+                              std::vector<std::byte>& stored) {
+  stored.resize(info.length);
+  DM_RETURN_IF_ERROR(client_.get_range_sync(info.batch, info.offset, stored,
+                                            active_trace_));
+  if (word_checksum(stored) != info.checksum)
+    return DataLossError("page checksum mismatch on a one-page read");
   return Status::Ok();
 }
 
@@ -829,6 +858,13 @@ void SwapManager::readahead_post(mem::EntryId entry,
               trace);
 }
 
+bool SwapManager::compaction_due(const BatchInfo& batch,
+                                 std::size_t stored_bytes) const {
+  std::uint64_t live = 0;
+  for (std::uint64_t member : batch.pages) live += backed_.at(member).length;
+  return live * kCompactionRatio <= stored_bytes;
+}
+
 void SwapManager::compact_batch(mem::EntryId entry,
                                 std::span<const std::byte> stored) {
   auto batch_it = batches_.find(entry);
@@ -841,16 +877,13 @@ void SwapManager::compact_batch(mem::EntryId entry,
   if (!location.ok() || (location->tier != mem::Tier::kSharedMemory &&
                          location->tier != mem::Tier::kRemote))
     return;
-  std::uint64_t live = 0;
-  for (std::uint64_t member : batch_it->second.pages)
-    live += backed_.at(member).length;
-  if (live * kCompactionRatio > stored.size()) return;
+  if (!compaction_due(batch_it->second, stored.size())) return;
 
   const mem::EntryId target = next_batch_++;
   Compaction compaction;
   compaction.source = entry;
   std::vector<std::byte> buffer;
-  buffer.reserve(live);
+  buffer.reserve(stored.size() / kCompactionRatio);
   for (std::uint64_t member : batch_it->second.pages) {
     Backing moved = backed_.at(member);
     const auto bytes = stored.subspan(moved.offset, moved.length);

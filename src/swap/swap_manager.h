@@ -19,7 +19,14 @@
 // (compressed) into ONE disaggregated-memory entry, so one RDMA message
 // carries the window. PBS makes a fault fetch that whole entry back and
 // repopulate every page in it — this is why Memcached recovers to peak
-// throughput quickly in Fig 9.
+// throughput quickly in Fig 9. The batch is fetched because the batch gets
+// used, so a PBS fault that restores the faulted page alone (see the
+// fan-out below) reads only that page's stored bytes, as one range read;
+// swap.pbs.page_reads counts these faults. It reads the entry whole in two
+// cases: a readahead holds the entry, or the entry is due for compaction.
+// Every restored byte is verified: a whole-entry read against the entry
+// checksum its put committed, and a one-page read against the page
+// checksum taken when the batch was assembled.
 //
 // The PBS fan-out is sized by how many restored siblings get used, as
 // Leap and the kernel's swapin_nr_pages() size readahead by its hits. A
@@ -28,9 +35,9 @@
 // previous one predicted (see PBS readahead) also counts one use, so a
 // stream that turns sequential regrows the fan-out. While
 // kFanOutUseWeight x uses >= wastes, a PBS fault restores every
-// non-resident member. Otherwise it still fetches the whole entry but
-// restores only the faulted page, and the siblings stay backed in the
-// entry, as under FastSwap w/o PBS. Both counts halve once their sum
+// non-resident member. Otherwise it restores only the faulted page, and
+// the siblings stay backed in the entry, as under FastSwap w/o PBS, which
+// still fetches the whole entry for it. Both counts halve once their sum
 // reaches kFanOutWindow. The registry counts each kind of outcome,
 // undecayed: siblings used (swap.pbs.siblings_used) and wasted
 // (swap.pbs.siblings_wasted), PBS faults on the predicted page
@@ -48,14 +55,16 @@
 //
 // Batch compaction (copy-forward cleaning, as in LFS and RAMCloud): a
 // rewritten page leaves a dead copy in its batch entry, and the entry is
-// freed only once every member is dead. When a fault has read a whole
-// shared-memory or remote entry whose live members hold at most a third of
-// its stored bytes, their stored bytes — sliced from the buffer the fault
-// already holds, so no extra read and no recompression — go out as a new
-// entry in the same tier with exactly those members, off the app's clock
-// on a fresh trace. The rewrite commits at the next safe point (top of
-// touch(), flush_all): members still backed by the old entry move to the
-// new one and the old entry is freed. Frees never wait on the fault path.
+// freed only once every member is dead. An entry whose live members hold
+// at most a third of its stored bytes is due, and a fault on it reads it
+// whole even when it restores one page. When that shared-memory or remote
+// entry is read, the live members' stored bytes — sliced from the buffer
+// the fault already holds, so no extra read and no recompression — go out
+// as a new entry in the same tier with exactly those members, off the
+// app's clock on a fresh trace. The rewrite commits at the next safe point
+// (top of touch(), flush_all): members still backed by the old entry move
+// to the new one and the old entry is freed. Frees never wait on the fault
+// path.
 //
 // Write-back staging and the swap worker. Every swap-out batch is staged in
 // a bounded DRAM buffer (the paper's Fig 1 send buffer) and flushed
@@ -245,10 +254,14 @@ class SwapManager {
   }
   // Readahead fetches held: in flight, or landed and not yet used.
   std::size_t readaheads_held() const noexcept { return readahead_.size(); }
+  // The batch entry backing `page`, or 0 when it has no stored copy.
+  mem::EntryId backing_entry(std::uint64_t page) const {
+    auto it = backed_.find(page);
+    return it != backed_.end() ? it->second.batch : 0;
+  }
   // Whether a readahead of the batch entry backing `page` is held.
   bool readahead_covers(std::uint64_t page) const {
-    auto it = backed_.find(page);
-    return it != backed_.end() && readahead_.count(it->second.batch) > 0;
+    return readahead_.count(backing_entry(page)) > 0;
   }
   // Whether a backed page or a pending compaction names `entry`. Every
   // entry in the client's map must be named (the no-orphan invariant).
@@ -276,6 +289,8 @@ class SwapManager {
     std::uint32_t offset = 0;  // byte offset within the batch entry
     std::uint32_t length = 0;  // stored bytes
     bool lz = false;  // the stored bytes are an LZ stream, not the raw page
+    // word_checksum of the stored bytes, checked by a one-page read.
+    std::uint64_t checksum = 0;
   };
   struct BatchInfo {
     std::vector<std::uint64_t> pages;  // pages still stored in this entry
@@ -310,6 +325,10 @@ class SwapManager {
   };
 
   Status fault_in(std::uint64_t page);
+  // Reads the stored bytes of one page's slice of its batch entry into
+  // `stored` and checks them against the page checksum (DataLoss on a
+  // mismatch). The fault paths that restore one page read it this way.
+  Status read_page(const Backing& info, std::vector<std::byte>& stored);
   Status fault_in_zswap(std::uint64_t page);
   // Serves a sub-page fault on a CXL-pooled page as a coherent line
   // access; promotes the page back to DRAM once it proves hot. Sets
@@ -397,9 +416,10 @@ class SwapManager {
   Status wb_process_failures();
 
   // Batch compaction. compact_batch runs after a fault read all of
-  // `entry` into `stored` and issues the rewrite when the entry is sparse
-  // enough; its put completion only marks the compaction landed. The page
-  // maps move exclusively in compact_commit, at safe points.
+  // `entry` into `stored` and issues the rewrite when the entry is due
+  // (compaction_due); its put completion only marks the compaction landed.
+  // The page maps move exclusively in compact_commit, at safe points.
+  bool compaction_due(const BatchInfo& batch, std::size_t stored_bytes) const;
   void compact_batch(mem::EntryId entry, std::span<const std::byte> stored);
   void compact_commit();
   // Frees an entry without waiting: the map erase is the commit point. A

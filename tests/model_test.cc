@@ -6,7 +6,7 @@
 // simulator, real tiers, real compression) and, in lockstep, through
 // SwapOracle — a pure-function reference that mirrors the paging layer's
 // membership semantics (resident set, dirty set, swap-cache backing, batch
-// composition, LRU order and the PBS fan-out). Numbered properties P1–P18
+// composition, LRU order and the PBS fan-out). Numbered properties P1–P19
 // are asserted along the trace (P14, the retired adaptive-window check,
 // keeps its number unused); see SwapModelChecker::check_*.
 #include <gtest/gtest.h>
@@ -589,6 +589,10 @@ class SwapModelChecker {
                                     1));
     // P18: PBS readahead holds at most its window of fetches.
     ASSERT_LE(manager_->readaheads_held(), SwapManager::kReadaheadBatches);
+    // P19: a PBS fault reads one page's bytes only when it restores that
+    // page alone, so one-page reads are a subset of the PBS faults.
+    ASSERT_LE(m.counter_value("swap.pbs.page_reads"),
+              m.counter_value("swap.pbs_batch_ins"));
   }
 
   void check_full(int step) {
@@ -653,13 +657,15 @@ SystemSetup small_setup(SystemKind kind, std::uint64_t resident = 32) {
 
 // Batch compaction runs in every shared-memory and remote configuration;
 // it keeps membership sets, so the oracle stays exact with it on. These two
-// also prove the trace exercises it.
+// also prove the trace exercises it, and this one that its narrowed PBS
+// faults read one page.
 TEST(SwapModelTest, FastSwapFixedWindowMatchesOracle) {
   SwapModelChecker checker(small_setup(SystemKind::kFastSwap), 1001);
   checker.run(1500);
-  EXPECT_GT(checker.manager().metrics().counter_value(
-                "swap.compact.committed"),
-            0u);
+  const auto& m = checker.manager().metrics();
+  EXPECT_GT(m.counter_value("swap.compact.committed"), 0u);
+  EXPECT_GT(m.counter_value("swap.pbs.narrowed_ins"), 0u);
+  EXPECT_GT(m.counter_value("swap.pbs.page_reads"), 0u);
 }
 
 // Sequential phases only, over remote memory and a page space eight times
@@ -693,6 +699,7 @@ TEST(SwapModelTest, FanOutNarrowsOnRandomAndRegrowsOnSequential) {
   ASSERT_FALSE(HasFatalFailure());
   EXPECT_FALSE(checker.manager().pbs_fan_out_full());
   EXPECT_GT(m.counter_value("swap.pbs.narrowed_ins"), 0u);
+  EXPECT_GT(m.counter_value("swap.pbs.page_reads"), 0u);
   checker.run_phase(/*sequential*/ 0, 5 * 128);
   ASSERT_FALSE(HasFatalFailure());
   EXPECT_TRUE(checker.manager().pbs_fan_out_full());

@@ -150,16 +150,20 @@ struct Golden {
 // takes more faults (368 -> 388) but swaps in far fewer pages (1225 ->
 // 678) and out fewer batches (34 -> 26), and finishes sooner; the dump
 // gains the swap.pbs.* counters. FastSwap-noPBS makes no PBS fault, so it
-// keeps every byte.
+// keeps every byte. The same three were re-pinned when a PBS fault that
+// restores one page came to read only that page's stored bytes: the fault
+// and swap counts are untouched, elapsed time falls by the bytes those
+// faults no longer read, and the dump gains swap.pbs.page_reads.
+// FastSwap-noPBS still reads whole entries, so it keeps every byte.
 constexpr Golden kSeedGoldens[] = {
-    {"FastSwap", 388ull, 678ull, 26ull, 1000496493ull,
-     18026228229138094225ull},
+    {"FastSwap", 388ull, 678ull, 26ull, 1000434202ull,
+     8179644820500592452ull},
     {"FastSwap-noPBS", 430ull, 334ull, 23ull, 1000512880ull,
      15550872554880824175ull},
-    {"Infiniswap", 388ull, 678ull, 26ull, 1007252258ull,
-     10791021609230060367ull},
-    {"Linux", 388ull, 678ull, 26ull, 1587862906ull,
-     1456081227867315725ull},
+    {"Infiniswap", 388ull, 678ull, 26ull, 1006568776ull,
+     7966231764193588534ull},
+    {"Linux", 388ull, 678ull, 26ull, 1587811265ull,
+     11142728084693918111ull},
 };
 
 TEST(SwapGoldenTest, DefaultPresetsMatchSeedGoldensByteForByte) {
