@@ -1,20 +1,8 @@
 #include "obs/profiler.h"
 
-#include <cstdio>
-
-#include "common/units.h"
 #include "obs/span.h"
 
 namespace dm::obs {
-namespace {
-
-std::string fixed3(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
-}  // namespace
 
 void Profiler::ingest(const SpanTracer::Completed& done) {
   ++traces_;
@@ -35,62 +23,6 @@ std::size_t Profiler::ingest_all(SpanTracer& tracer) {
   const auto completed = tracer.drain_completed();
   for (const SpanTracer::Completed& done : completed) ingest(done);
   return completed.size();
-}
-
-double Profiler::events_per_virtual_second() const {
-  const SimTime window = window_ns();
-  if (window <= 0) return 0.0;
-  return static_cast<double>(window_events()) /
-         (static_cast<double>(window) / 1e9);
-}
-
-std::string Profiler::to_json(std::string_view name, std::uint64_t seed) const {
-  std::string out = "{\n";
-  out += "  \"tool\": \"dm_profile\",\n";
-  out += "  \"name\": \"" + std::string(name) + "\",\n";
-  out += "  \"seed\": " + std::to_string(seed) + ",\n";
-  out += "  \"window_virtual_ns\": " + std::to_string(window_ns()) + ",\n";
-  out += "  \"window_events\": " + std::to_string(window_events()) + ",\n";
-  out += "  \"events_per_virtual_sec\": " + fixed3(events_per_virtual_second()) +
-         ",\n";
-  out += "  \"traces\": " + std::to_string(traces_) + ",\n";
-  out += "  \"attributed_ns\": " + std::to_string(attributed_ns_) + ",\n";
-
-  out += "  \"roots\": {";
-  bool first = true;
-  for (const auto& [root_name, root] : roots_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    const double per = root.count == 0
-                           ? 0.0
-                           : static_cast<double>(root.total_ns) /
-                                 static_cast<double>(root.count);
-    out += "    \"" + root_name + "\": {\"count\": " +
-           std::to_string(root.count) + ", \"total_ns\": " +
-           std::to_string(root.total_ns) + ", \"ns_per\": " + fixed3(per) + "}";
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"by_subsystem_ns\": {";
-  first = true;
-  for (const auto& [subsystem, ns] : by_subsystem_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + subsystem + "\": " + std::to_string(ns);
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"sites\": {";
-  first = true;
-  for (const auto& [site, s] : sites_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + site + "\": {\"calls\": " + std::to_string(s.calls) +
-           ", \"self_ns\": " + std::to_string(s.self_ns) + "}";
-  }
-  out += first ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
 }
 
 }  // namespace dm::obs

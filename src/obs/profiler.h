@@ -5,19 +5,14 @@
 // critical-path breakdown is folded into per-subsystem and per-site
 // accumulators, and root spans (e.g. "swap.fault") are tallied so callers
 // can report ns-per-fault. The event-loop side reads
-// Simulator::executed_events() deltas over the profiled window, giving a
-// host-independent events-per-virtual-second figure — the before/after
-// scoreboard for the raw-speed refactor.
-//
-// to_json() is deterministic for a seeded run (ordered maps, fixed-point
-// doubles, virtual time only) and is what bench_profile_substrate writes
-// as BENCH_profile_substrate.json.
+// Simulator::executed_events() deltas over the profiled window. The
+// perfbench driver folds its fault traces here to report each layer's
+// share of the mean fault.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 
 #include "common/units.h"
 #include "obs/span.h"
@@ -61,11 +56,6 @@ class Profiler {
   std::uint64_t window_events() const {
     return sim_.executed_events() - window_start_events_;
   }
-  double events_per_virtual_second() const;
-
-  // Full profile document: window stats, root tallies, per-subsystem and
-  // per-site attribution, plus ns-per-root for each root span name.
-  std::string to_json(std::string_view name, std::uint64_t seed) const;
 
  private:
   sim::Simulator& sim_;

@@ -14,7 +14,7 @@
 // by a trace's root spans to exactly one span — the deepest open one, ties
 // broken by latest begin then highest id — so the per-subsystem components
 // sum exactly to the root span durations in integer nanoseconds. That is
-// the property BENCH_profile_substrate.json checks against the measured
+// the property `perfbench/run.py --selftest` checks against the measured
 // end-to-end swap.fault_ns.
 //
 // Exports are deterministic: ordered containers, fixed-precision doubles,
