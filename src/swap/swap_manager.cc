@@ -50,13 +50,6 @@ void SwapManager::charge(SimTime cost) {
   sim.run_until(sim.now() + cost);
 }
 
-void SwapManager::charge_decode() {
-  sim::SpanScope decompress_span(spans_, active_trace_,
-                                 client_.service().node().id(), "compress",
-                                 "decompress.page");
-  charge(config_.decompress_ns);
-}
-
 SimTime SwapManager::worker_run(SimTime cost) {
   const SimTime now = client_.service().node().simulator().now();
   worker_free_at_ = std::max(worker_free_at_, now) + cost;
@@ -567,35 +560,35 @@ Status SwapManager::wb_barrier() {
   return wb_process_failures();
 }
 
-Status SwapManager::materialize(std::uint64_t page,
-                                std::span<const std::byte> stored, bool lz) {
-  std::vector<std::byte> bytes(kPageBytes);
-  DM_RETURN_IF_ERROR(compress::decode_page(stored, lz, bytes));
-  resident_.insert_or_assign(page, std::move(bytes));
-  lru_.touch(page);
-  ++swap_ins_;
-  return Status::Ok();
-}
-
 Status SwapManager::restore(std::uint64_t page,
                             const std::vector<std::uint64_t>& members,
-                            std::span<const std::byte> batch) {
+                            std::span<const std::byte> bytes,
+                            std::uint32_t base) {
   const SimTime now = client_.service().node().simulator().now();
   bool own_lz = false;
   for (std::uint64_t member : members) {
     const Backing& info = backed_.at(member);
-    DM_RETURN_IF_ERROR(materialize(
-        member, batch.subspan(info.offset, info.length), info.lz));
+    std::vector<std::byte> decoded(kPageBytes);
+    DM_RETURN_IF_ERROR(compress::decode_page(
+        bytes.subspan(info.offset - base, info.length), info.lz, decoded));
+    resident_.insert_or_assign(member, std::move(decoded));
+    lru_.touch(member);
+    ++swap_ins_;
     if (member == page) {
       own_lz = info.lz;
     } else if (info.lz) {
-      decoding_[member] = worker_run(config_.decompress_ns);
+      decoding_[member] = worker_run(kDecompressNs);
       ++metrics_.counter("swap.worker.decoded_pages");
     } else {
       decoding_[member] = now;
     }
   }
-  if (own_lz) charge_decode();
+  if (own_lz) {
+    sim::SpanScope decompress_span(spans_, active_trace_,
+                                   client_.service().node().id(), "compress",
+                                   "decompress.page");
+    charge(kDecompressNs);
+  }
   return Status::Ok();
 }
 
@@ -633,7 +626,7 @@ void SwapManager::count_fan_out(FanOutOutcome outcome) {
 Status SwapManager::fault_in_zswap(std::uint64_t page) {
   // Load from the pool BEFORE making room: eviction below may push other
   // pages into zswap and write this very entry back down-tier.
-  charge(config_.decompress_ns);
+  charge(kDecompressNs);
   std::vector<std::byte> bytes(kPageBytes);
   if (!zswap_->take(page, bytes))
     return InternalError("zswap entry vanished during fault");
@@ -647,97 +640,59 @@ Status SwapManager::fault_in_zswap(std::uint64_t page) {
   return Status::Ok();
 }
 
-Status SwapManager::fault_in_wb(std::uint64_t page,
-                                const std::vector<std::byte>& staged) {
-  // Copy first: a flush completion may erase the staged buffer while the
-  // decompress/make_room charges below drive the simulator.
-  const std::vector<std::byte> buffer = staged;
-  const Backing info = backed_.at(page);
-  auto batch_it = batches_.find(info.batch);
-  if (batch_it == batches_.end())
-    return InternalError("staged page references unknown batch");
-
-  std::vector<std::uint64_t> members;
-  if (config_.proactive_batch_swap_in) {
-    members = pbs_members(page, batch_it->second);
-  } else {
-    members.push_back(page);
-    ++metrics_.counter("swap.single_page_ins");
-  }
-  DM_RETURN_IF_ERROR(make_room(members.size()));
-  DM_RETURN_IF_ERROR(restore(page, members, buffer));
-  ++metrics_.counter("swap.wb.hits");
-  if (config_.proactive_batch_swap_in) read_ahead(page);
-  return Status::Ok();
-}
-
 Status SwapManager::fault_in(std::uint64_t page) {
   const Backing info = backed_.at(page);
   auto batch_it = batches_.find(info.batch);
   if (batch_it == batches_.end())
     return InternalError("backed page references unknown batch");
-
-  // Still in the write-back staging buffer: serve straight from DRAM.
-  if (auto wb_it = wb_.find(info.batch); wb_it != wb_.end())
-    return fault_in_wb(page, wb_it->second.buffer);
-
-  if (config_.proactive_batch_swap_in) {
-    // PBS: restore the members the fan-out allows; they come back clean,
-    // so their swap-cache copies stay valid. A fault that restores several
-    // reads the whole batch entry with one disaggregated-memory read. One
-    // that restores the faulted page alone reads only that page's slice,
-    // unless the entry is read whole anyway: a readahead holds it, or it
-    // is due for compaction, whose rewrite slices the live members from
-    // the whole entry.
-    const std::vector<std::uint64_t> members =
-        pbs_members(page, batch_it->second);
-    auto size = client_.stored_size(info.batch);
-    if (!size.ok()) return size.status();
-    const bool whole = members.size() > 1 ||
-                       readahead_.count(info.batch) > 0 ||
-                       compaction_due(batch_it->second, *size);
-    std::vector<std::byte> buffer;
-    if (whole) {
-      DM_RETURN_IF_ERROR(fetch_batch(info.batch, buffer));
-    } else {
-      ++metrics_.counter("swap.pbs.page_reads");
-      DM_RETURN_IF_ERROR(read_page(info, buffer));
-    }
-    DM_RETURN_IF_ERROR(make_room(members.size()));
-    if (config_.extra_op_overhead > 0)
-      charge(config_.extra_op_overhead *
-             static_cast<SimTime>(members.size()));
-    if (whole) {
-      DM_RETURN_IF_ERROR(restore(page, members, buffer));
-      compact_batch(info.batch, buffer);
-    } else {
-      DM_RETURN_IF_ERROR(materialize(page, buffer, info.lz));
-      if (info.lz) charge_decode();
-    }
-    read_ahead(page);
-    return Status::Ok();
-  }
-
-  // Non-PBS: the batch is still the unit of storage (one §IV.H message
-  // holds the window), so the fault fetches the batch entry but restores
-  // only the faulted page — its siblings stay down-tier and each pays the
-  // same fetch again on its own fault. This is exactly the waste PBS
-  // removes. Batches of one page degenerate to a one-page read.
-  if (config_.extra_op_overhead > 0) charge(config_.extra_op_overhead);
-  if (batch_it->second.pages.size() > 1) {
-    std::vector<std::byte> buffer;
-    DM_RETURN_IF_ERROR(fetch_batch(info.batch, buffer));
-    DM_RETURN_IF_ERROR(make_room(1));
-    DM_RETURN_IF_ERROR(restore(page, {page}, buffer));
-    compact_batch(info.batch, buffer);
+  const bool pbs = config_.proactive_batch_swap_in;
+  std::vector<std::uint64_t> members;
+  if (pbs) {
+    members = pbs_members(page, batch_it->second);
   } else {
-    std::vector<std::byte> stored;
-    DM_RETURN_IF_ERROR(read_page(info, stored));
-    DM_RETURN_IF_ERROR(make_room(1));
-    DM_RETURN_IF_ERROR(materialize(page, stored, info.lz));
-    if (info.lz) charge_decode();
+    members.push_back(page);
+    ++metrics_.counter("swap.single_page_ins");
   }
-  ++metrics_.counter("swap.single_page_ins");
+
+  // `bytes` holds the entry from offset `base` on. A staged batch is
+  // copied: a flush completion may erase the buffer while make_room runs
+  // the simulator.
+  std::vector<std::byte> bytes;
+  std::uint32_t base = 0;
+  bool whole = false;
+  const auto staged_it = wb_.find(info.batch);
+  const bool staged = staged_it != wb_.end();
+  if (staged) {
+    bytes = staged_it->second.buffer;
+  } else {
+    if (pbs) {
+      auto size = client_.stored_size(info.batch);
+      if (!size.ok()) return size.status();
+      whole = members.size() > 1 || readahead_.count(info.batch) > 0 ||
+              compaction_due(batch_it->second, *size);
+    } else {
+      // Never whole just to compact: a compaction rides a whole read.
+      whole = batch_it->second.pages.size() > 1;
+    }
+    if (whole) {
+      DM_RETURN_IF_ERROR(fetch_batch(info.batch, bytes));
+    } else {
+      if (pbs) ++metrics_.counter("swap.pbs.page_reads");
+      DM_RETURN_IF_ERROR(read_page(info, bytes));
+      base = info.offset;
+    }
+  }
+
+  DM_RETURN_IF_ERROR(make_room(members.size()));
+  if (!staged && config_.extra_op_overhead > 0)
+    charge(config_.extra_op_overhead * static_cast<SimTime>(members.size()));
+  DM_RETURN_IF_ERROR(restore(page, members, bytes, base));
+  if (staged) {
+    ++metrics_.counter("swap.wb.hits");
+  } else if (whole) {
+    compact_batch(info.batch, bytes);
+  }
+  if (pbs) read_ahead(page);
   return Status::Ok();
 }
 

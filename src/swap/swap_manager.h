@@ -17,16 +17,28 @@
 //
 // Batching (§IV.H): swap-out packs up to `batch_pages` dirty victim pages
 // (compressed) into ONE disaggregated-memory entry, so one RDMA message
-// carries the window. PBS makes a fault fetch that whole entry back and
+// carries the window. PBS makes a fault bring that batch back and
 // repopulate every page in it — this is why Memcached recovers to peak
-// throughput quickly in Fig 9. The batch is fetched because the batch gets
-// used, so a PBS fault that restores the faulted page alone (see the
-// fan-out below) reads only that page's stored bytes, as one range read;
-// swap.pbs.page_reads counts these faults. It reads the entry whole in two
-// cases: a readahead holds the entry, or the entry is due for compaction.
-// Every restored byte is verified: a whole-entry read against the entry
-// checksum its put committed, and a one-page read against the page
-// checksum taken when the batch was assembled.
+// throughput quickly in Fig 9.
+//
+// The swap-in path. Every fault on a backed page runs one sequence,
+// fault_in: pick the members to restore and where their bytes come from,
+// then make room, pay the block-stack tax, restore, compact and read ahead.
+// Under PBS the members are those the fan-out below allows; without PBS,
+// the faulted page alone (swap.single_page_ins), and each sibling pays its
+// own fetch later — the waste PBS removes. A batch still in the staging
+// buffer is served from a copy of it, with no read, tax or compaction
+// (swap.wb.hits). Otherwise, since the batch is fetched because it gets
+// used, a PBS fault reads the whole entry only when it restores several
+// members, a readahead holds the entry, or the entry is due for
+// compaction, and else reads the page's stored slice as one range read
+// (swap.pbs.page_reads). Without PBS the batch is still the unit of
+// storage, so a fault reads the whole entry while the batch holds another
+// live member, and the slice otherwise. restore() is the one place a
+// backed page is installed from stored bytes. Every restored byte is
+// verified: a whole-entry read against the entry checksum its put
+// committed, and a slice against the page checksum taken when the batch
+// was assembled.
 //
 // The PBS fan-out is sized by how many restored siblings get used, as
 // Leap and the kernel's swapin_nr_pages() size readahead by its hits. A
@@ -36,11 +48,10 @@
 // stream that turns sequential regrows the fan-out. While
 // kFanOutUseWeight x uses >= wastes, a PBS fault restores every
 // non-resident member. Otherwise it restores only the faulted page, and
-// the siblings stay backed in the entry, as under FastSwap w/o PBS, which
-// still fetches the whole entry for it. Both counts halve once their sum
-// reaches kFanOutWindow. The registry counts each kind of outcome,
-// undecayed: siblings used (swap.pbs.siblings_used) and wasted
-// (swap.pbs.siblings_wasted), PBS faults on the predicted page
+// the siblings stay backed in the entry, as under FastSwap w/o PBS. Both
+// counts halve once their sum reaches kFanOutWindow. The registry counts
+// each kind of outcome, undecayed: siblings used (swap.pbs.siblings_used)
+// and wasted (swap.pbs.siblings_wasted), PBS faults on the predicted page
 // (swap.pbs.predicted_faults, the other uses), and the PBS faults that
 // restored one page (swap.pbs.narrowed_ins, a subset of
 // swap.pbs_batch_ins). So siblings_used / (siblings_used +
@@ -56,21 +67,22 @@
 // Batch compaction (copy-forward cleaning, as in LFS and RAMCloud): a
 // rewritten page leaves a dead copy in its batch entry, and the entry is
 // freed only once every member is dead. An entry whose live members hold
-// at most a third of its stored bytes is due, and a fault on it reads it
-// whole even when it restores one page. When that shared-memory or remote
-// entry is read, the live members' stored bytes — sliced from the buffer
-// the fault already holds, so no extra read and no recompression — go out
-// as a new entry in the same tier with exactly those members, off the
-// app's clock on a fresh trace. The rewrite commits at the next safe point
-// (top of touch(), flush_all): members still backed by the old entry move
-// to the new one and the old entry is freed. Frees never wait on the fault
-// path.
+// at most a third of its stored bytes is due, and a PBS fault on it reads
+// it whole even when it restores one page. When a fault reads a due
+// shared-memory or remote entry whole, the live members' stored bytes —
+// sliced from the buffer the fault already holds, so no extra read and no
+// recompression — go out as a new entry in the same tier with exactly
+// those members, off the app's clock on a fresh trace. A fault served from
+// the staging buffer never compacts. The rewrite commits at the next safe
+// point (top of touch(), flush_all): members still backed by the old entry
+// move to the new one and the old entry is freed. Frees never wait on the
+// fault path.
 //
 // Write-back staging and the swap worker. Every swap-out batch is staged in
 // a bounded DRAM buffer (the paper's Fig 1 send buffer) and flushed
 // asynchronously: at writeback_flush_delay after staging, or at once when
-// staging would exceed writeback_batches. A fault on a staged page is served
-// straight from the buffer. A page rewritten while its batch is still staged
+// staging would exceed writeback_batches. A fault on a staged page takes its
+// bytes from the buffer. A page rewritten while its batch is still staged
 // is coalesced: if a whole batch is invalidated before its flush, the put is
 // skipped entirely. wb_barrier() (called by flush_all) is the
 // crash-consistency point: it drains every staged batch, and a failed flush
@@ -148,15 +160,16 @@ class SwapManager {
   // sum reaches kFanOutWindow. DESIGN.md §7 has the settings tried.
   static constexpr std::uint64_t kFanOutUseWeight = 2;
   static constexpr std::uint64_t kFanOutWindow = 1024;
+  // CPU cost of decompressing one 4 KiB page (LZO-class speed).
+  static constexpr SimTime kDecompressNs = 500;
 
   struct Config {
     std::uint64_t resident_pages = 1024;
     std::size_t batch_pages = 8;  // swap-out window d (1 = per-page)
     bool proactive_batch_swap_in = true;
     CompressionMode compression = CompressionMode::kFourGranularity;
-    // CPU cost of (de)compressing one 4 KiB page (LZO-class speeds).
+    // CPU cost of compressing one 4 KiB page (LZO-class speed).
     SimTime compress_ns = 1 * kMicro;
-    SimTime decompress_ns = 500;
     // Infiniswap-style asynchronous whole-page disk backup of every landed
     // batch, into the ring the node service sets aside over the top half
     // of the node's disk (NodeService::reserve_backup_ring).
@@ -324,10 +337,11 @@ class SwapManager {
     std::optional<Status> landed;  // the get's result, once it completes
   };
 
+  // The swap-in path of every fault on a backed page (see file comment).
   Status fault_in(std::uint64_t page);
   // Reads the stored bytes of one page's slice of its batch entry into
   // `stored` and checks them against the page checksum (DataLoss on a
-  // mismatch). The fault paths that restore one page read it this way.
+  // mismatch).
   Status read_page(const Backing& info, std::vector<std::byte>& stored);
   Status fault_in_zswap(std::uint64_t page);
   // Serves a sub-page fault on a CXL-pooled page as a coherent line
@@ -338,10 +352,6 @@ class SwapManager {
   // pooled page to the backend first when full).
   Status cxl_demote(std::uint64_t page, std::span<const std::byte> bytes);
   Status cxl_spill_coldest();
-  // Serves a fault for a page whose batch is still in the write-back
-  // staging buffer — no backend I/O at all.
-  Status fault_in_wb(std::uint64_t page,
-                     const std::vector<std::byte>& staged);
   Status make_room(std::uint64_t incoming_pages);
   Status evict_for_space();
   Status write_out_batch(const std::vector<std::uint64_t>& pages);
@@ -350,15 +360,13 @@ class SwapManager {
   Status store_batch(std::vector<std::pair<std::uint64_t,
                                            std::vector<std::byte>>> pages);
   Status invalidate_backing(std::uint64_t page);
-  // Decodes `stored` into a resident page. Charges no CPU: the caller pays
-  // for the decode, on the faulting thread or on the worker.
-  Status materialize(std::uint64_t page, std::span<const std::byte> stored,
-                     bool lz);
-  // Restores `members` of one batch from `batch` (the entry's stored
-  // bytes) in member order. The faulting thread decodes `page`; the worker
-  // decodes every LZ sibling, and each sibling is ready when it is done.
+  // Installs `members` of one batch as resident pages, in member order,
+  // decoded from `bytes`: the entry's stored bytes from entry offset `base`
+  // on (0 for the whole entry or its staging buffer, the page's offset for
+  // its slice). The faulting thread decodes `page`; the worker decodes
+  // every LZ sibling, and each sibling is ready when it is done.
   Status restore(std::uint64_t page, const std::vector<std::uint64_t>& members,
-                 std::span<const std::byte> batch);
+                 std::span<const std::byte> bytes, std::uint32_t base);
   // Counts a PBS fault on `page` and returns the members it restores from
   // `batch`: every non-resident one while the fan-out is full, else `page`
   // alone. It moves the readahead streak, and a fault on the predicted
@@ -380,8 +388,6 @@ class SwapManager {
   Status roll_back(mem::EntryId entry, std::span<const std::byte> buffer);
   // Runs the faulting thread for `cost` virtual ns.
   void charge(SimTime cost);
-  // The faulting thread decodes one LZ page.
-  void charge_decode();
 
   // The swap worker. worker_run queues `cost` ns behind the work already
   // on it and returns when that cost is paid; batch_cost is the worker's

@@ -62,17 +62,35 @@ TEST(SwapStagingTest, RewriteHeavyTraceCoalescesStagedPages) {
   EXPECT_GT(m.counter_value("swap.wb.staged"), 0u);
 }
 
+// A fault on a page whose batch is still staged takes its bytes from the
+// staging buffer and reads nothing down-tier. Without PBS it restores the
+// faulted page alone.
 TEST(SwapStagingTest, StagedFaultsServedFromBuffer) {
-  auto setup = make_system(SystemKind::kFastSwap, 16);
-  setup.swap.writeback_batches = 8;
-  setup.swap.writeback_flush_delay = 500 * kMicro;
-  Rig rig(setup);
-  // Fill past the budget so pages 0.. get staged, then fault them back
-  // immediately — before the flush deadline.
-  for (std::uint64_t p = 0; p < 32; ++p)
-    ASSERT_TRUE(rig.manager->touch(p, true).ok());
-  ASSERT_TRUE(rig.manager->touch(0).ok());
-  EXPECT_GT(rig.manager->metrics().counter_value("swap.wb.hits"), 0u);
+  for (const SystemKind kind :
+       {SystemKind::kFastSwap, SystemKind::kFastSwapNoPbs}) {
+    SCOPED_TRACE(to_string(kind));
+    auto setup = make_system(kind, 16);
+    setup.swap.writeback_batches = 8;
+    setup.swap.writeback_flush_delay = 500 * kMicro;
+    Rig rig(setup);
+    // Fill past the budget so pages 0.. get staged, then fault them back
+    // immediately — before the flush deadline.
+    for (std::uint64_t p = 0; p < 32; ++p)
+      ASSERT_TRUE(rig.manager->touch(p, true).ok());
+    const auto& m = rig.manager->metrics();
+    const auto& shm = rig.system->node(0).shm().metrics();
+    const std::uint64_t hits = m.counter_value("swap.wb.hits");
+    const std::uint64_t singles = m.counter_value("swap.single_page_ins");
+    const std::uint64_t gets = shm.counter_value("shm.gets");
+    const std::uint64_t ins = rig.manager->swap_ins();
+    ASSERT_TRUE(rig.manager->touch(0).ok());
+    EXPECT_EQ(m.counter_value("swap.wb.hits"), hits + 1);
+    EXPECT_EQ(shm.counter_value("shm.gets"), gets);
+    if (kind == SystemKind::kFastSwapNoPbs) {
+      EXPECT_EQ(m.counter_value("swap.single_page_ins"), singles + 1);
+      EXPECT_EQ(rig.manager->swap_ins(), ins + 1);
+    }
+  }
 }
 
 TEST(SwapStagingTest, BarrierDrainsStagingBuffer) {

@@ -595,7 +595,8 @@ TEST(SwapWorkerTest, BusyTimeIsTheSwapCpuItTookOver) {
   EXPECT_GT(m.counter_value("swap.wb.cancelled_batches"), 0u);
   const auto& swap = rig.setup.swap;
   EXPECT_EQ(m.counter_value("swap.worker.busy_ns"),
-            compressed * swap.compress_ns + decoded * swap.decompress_ns +
+            compressed * swap.compress_ns +
+                decoded * SwapManager::kDecompressNs +
                 swapped_out * swap.extra_op_overhead);
 }
 
@@ -1170,6 +1171,31 @@ TEST(SwapPageReadTest, NoPbsOnePageReadCatchesACorruptedCopy) {
   EXPECT_FALSE(rig.manager->is_resident(0));
   ASSERT_TRUE(rig.manager->touch(1).ok());
   expect_page_intact(rig, 1);
+}
+
+// Without PBS a fault reads its entry whole only while the batch holds
+// another live member; an entry due for compaction does not change that.
+// Rewriting 0..6 while their batch is staged leaves page 7 the one live
+// member of its 32 KiB entry, an eighth of it, so the entry is due, and
+// the fault on 7 reads only its slice: nothing is rewritten.
+TEST(SwapPageReadTest, NoPbsFaultNeverReadsAnEntryWholeToCompactIt) {
+  auto setup = make_system(SystemKind::kFastSwapNoPbs, 8);
+  setup.swap.compression = CompressionMode::kOff;
+  Rig rig(setup);
+  for (std::uint64_t p = 0; p < 16; ++p)
+    ASSERT_TRUE(rig.manager->touch(p).ok());  // 0..7 go out as one batch
+  for (std::uint64_t p = 0; p < 7; ++p)
+    ASSERT_TRUE(rig.manager->touch(p, /*write=*/true).ok());
+  ASSERT_TRUE(rig.manager->wb_barrier().ok());
+  ASSERT_EQ(compact_counter(rig, "issued"), 0u);
+  const mem::EntryId entry = rig.manager->backing_entry(7);
+  ASSERT_NE(entry, 0u);
+  ASSERT_TRUE(rig.manager->touch(7).ok());
+  EXPECT_EQ(compact_counter(rig, "issued"), 0u);
+  rig.system->run_for(1 * kMilli);
+  ASSERT_TRUE(rig.manager->touch(7).ok());  // resident hit: safe point
+  EXPECT_EQ(rig.manager->backing_entry(7), entry);
+  expect_page_intact(rig, 7);
 }
 
 // ---- zswap -----------------------------------------------------------------
