@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
 # CI entry point: a lint stage (dm_lint + -Werror build), plain build +
 # tests, an ASan/UBSan build + tests, an observability-artifact stage
-# (flight dumps, span traces and micro-substrate JSON, with parse +
-# determinism gates), a cluster-scale stage (the 128-node
-# multi-tenant soak run twice same-seed in separate processes with a
-# byte-identical snapshot diff), a CXL-tier stage (the litmus battery +
-# coherence soak run twice same-seed cross-process, diffed against each
-# other and against tests/goldens/cxl_battery.txt, plus the storage-tiers
-# ablation gate), a gcov-instrumented build gating
-# line coverage of the swap + compression + cxl + ec + storage layers,
-# a perfbench stage pinning the benchmark's virtual numbers to a golden
-# and running its traced selftest (span attribution of fault time within
-# 1% of swap.fault_ns), then a figures stage running the nine paper
-# benches (Table 1, Figs 3-10) and failing if any exits non-zero.
+# (flight dumps and span traces, with parse + determinism gates), a
+# cluster-scale stage (the 128-node multi-tenant soak run twice same-seed
+# in separate processes with a byte-identical snapshot diff), a CXL-tier
+# stage (the litmus battery + coherence soak run twice same-seed
+# cross-process, diffed against each other and against
+# tests/goldens/cxl_battery.txt, plus the storage-tiers ablation gate), a
+# gcov-instrumented build gating line coverage of the swap + compression +
+# cxl + ec + storage layers, a perfbench stage pinning the benchmark's
+# virtual numbers to a golden and running its traced selftest (span
+# attribution of fault time within 1% of swap.fault_ns), then a figures
+# stage running the nine paper benches (Table 1, Figs 3-10) and failing
+# if any exits non-zero.
 #
 # Usage: ./ci.sh [--lint-only|--plain-only|--sanitize-only|--obs-only|
 #                 --scale-only|--ec-only|--cxl-only|--coverage-only|
@@ -103,8 +103,7 @@ run_obs() {
   local build_dir=build
   local art="$build_dir/artifacts"
   cmake -B "$build_dir" -S .
-  cmake --build "$build_dir" -j "$jobs" \
-    --target dm_top bench_micro_substrate
+  cmake --build "$build_dir" -j "$jobs" --target dm_top
 
   rm -rf "$art"
   mkdir -p "$art/run_a" "$art/run_b"
@@ -133,14 +132,6 @@ run_obs() {
     echo "==> OBS GATE FAILED: same-seed runs differ"
     exit 1
   }
-
-  # The micro-substrate bench measures host-CPU throughput of the simulation
-  # substrate itself (wall-clock, inherently run-to-run noisy), so its JSON
-  # is archived and parse-checked but exempt from the byte-identical gate.
-  echo "==> obs: micro-substrate benchmark JSON"
-  ./"$build_dir"/bench/bench_micro_substrate --benchmark_min_time=0.01 \
-    --benchmark_out="$art/BENCH_micro_substrate.json" \
-    --benchmark_out_format=json > /dev/null
 
   echo "==> obs: every emitted JSON artifact parses"
   python3 - "$art" <<'EOF'
@@ -445,7 +436,7 @@ if [[ "$mode" == "all" || "$mode" == "--sanitize-only" ]]; then
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--obs-only" ]]; then
-  echo "==> observability artifacts (flight/trace/micro JSON)"
+  echo "==> observability artifacts (flight/trace JSON)"
   run_obs
 fi
 
