@@ -150,6 +150,26 @@ TEST(ZipfTest, LowThetaIsNearUniform) {
   EXPECT_NEAR(static_cast<double>(top10) / n, 0.10, 0.05);
 }
 
+// Pins the draws, which set every KV workload's key stream: 100,000 each of
+// the Memcached set-up's (2048, 0.99) and of (128, 0.8).
+TEST(ZipfTest, DrawsMatchGolden) {
+  std::vector<std::byte> sink;
+  std::uint64_t sum = 0;
+  for (const auto& [n, theta] :
+       {std::pair<std::uint64_t, double>{2048, 0.99}, {128, 0.8}}) {
+    ZipfGenerator zipf(n, theta);
+    Rng rng(23);
+    for (int i = 0; i < 100000; ++i) {
+      const std::uint64_t key = zipf.next(rng);
+      sum += key;
+      for (int b = 0; b < 8; ++b)
+        sink.push_back(static_cast<std::byte>(key >> (8 * b)));
+    }
+  }
+  EXPECT_EQ(sum, 28008734u);
+  EXPECT_EQ(fnv1a(sink), 0x3915f78296670419ULL);
+}
+
 // ---- Histogram ----------------------------------------------------------------
 
 TEST(HistogramTest, EmptyHistogram) {

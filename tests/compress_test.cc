@@ -3,16 +3,67 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string_view>
 #include <tuple>
 
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "compress/lz.h"
 #include "compress/page_compressor.h"
+#include "workloads/app_catalog.h"
 #include "workloads/page_content.h"
 
 namespace dm::compress {
 namespace {
+
+// Appends `bytes` to `sink` behind their length as 8 little-endian bytes,
+// so a digest of the sink pins each stream's size as well as its bytes.
+void append_framed(std::vector<std::byte>& sink,
+                   std::span<const std::byte> bytes) {
+  const std::uint64_t size = bytes.size();
+  for (int i = 0; i < 8; ++i)
+    sink.push_back(static_cast<std::byte>(size >> (8 * i)));
+  sink.insert(sink.end(), bytes.begin(), bytes.end());
+}
+
+// Appends one match item's token (offset 1..2048, length 3..34).
+void push_match(std::vector<std::byte>& stream, std::size_t offset,
+                std::size_t length) {
+  const std::size_t packed = ((offset - 1) << 5) | (length - kMinMatch);
+  stream.push_back(static_cast<std::byte>(packed & 0xff));
+  stream.push_back(static_cast<std::byte>(packed >> 8));
+}
+
+// A control byte of all literals followed by eight literal bytes, `first`
+// and the seven letters after it.
+void push_literal_group(std::vector<std::byte>& stream, char first = 'A') {
+  stream.push_back(std::byte{0});
+  for (int i = 0; i < 8; ++i)
+    stream.push_back(static_cast<std::byte>(first + i));
+}
+
+// What the tests fill an output buffer with, to see which bytes a decode
+// wrote.
+constexpr std::byte kUnwritten{0xee};
+
+struct Decoded {
+  Status status;
+  std::vector<std::byte> out;
+};
+
+Decoded decode(std::span<const std::byte> stream, std::size_t out_size) {
+  Decoded decoded{Status::Ok(), std::vector<std::byte>(out_size, kUnwritten)};
+  decoded.status = lz_decompress(stream, decoded.out);
+  return decoded;
+}
+
+// True when bytes [from, out.size()) are as `decode` left them.
+bool unwritten_from(const std::vector<std::byte>& out, std::size_t from) {
+  for (std::size_t i = from; i < out.size(); ++i)
+    if (out[i] != kUnwritten) return false;
+  return true;
+}
 
 TEST(LzTest, EmptyInput) {
   auto compressed = lz_compress({});
@@ -64,11 +115,222 @@ TEST(LzTest, TruncatedStreamDetected) {
 
 TEST(LzTest, GarbageStreamDoesNotCrash) {
   Rng rng(77);
-  std::vector<std::byte> garbage(512);
-  for (auto& b : garbage) b = static_cast<std::byte>(rng.next_u64() & 0xff);
   std::vector<std::byte> out(4096);
-  // Must either succeed (valid by chance) or fail cleanly — never UB.
-  (void)lz_decompress(garbage, out);
+  for (int round = 0; round < 64; ++round) {
+    std::vector<std::byte> garbage(rng.next_below(1024));
+    for (auto& b : garbage) b = static_cast<std::byte>(rng.next_u64() & 0xff);
+    // Must either succeed (valid by chance) or fail cleanly — never UB.
+    const Status s = lz_decompress(garbage, out);
+    EXPECT_TRUE(s.ok() || s.code() == StatusCode::kDataLoss) << s;
+  }
+}
+
+// ---- one case per DataLossError of lz_decompress ------------------------------
+// Each stream fails once in its first group and once after a full group of
+// eight literals, and no byte past the last complete item is written.
+
+TEST(LzTest, StreamEndingBeforeAControlByteIsTruncated) {
+  auto empty = decode({}, 1);
+  EXPECT_EQ(empty.status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(empty.status.message(), "compressed stream truncated");
+  EXPECT_TRUE(unwritten_from(empty.out, 0));
+
+  std::vector<std::byte> stream;
+  push_literal_group(stream);
+  auto after_group = decode(stream, 9);
+  EXPECT_EQ(after_group.status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(after_group.status.message(), "compressed stream truncated");
+  EXPECT_EQ(after_group.out[7], std::byte{'H'});
+  EXPECT_TRUE(unwritten_from(after_group.out, 8));
+}
+
+TEST(LzTest, MatchTokenCutShortIsTruncated) {
+  const std::vector<std::byte> first{std::byte{0x01}};
+  auto in_first = decode(first, 8);
+  EXPECT_EQ(in_first.status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(in_first.status.message(), "truncated match token");
+  EXPECT_TRUE(unwritten_from(in_first.out, 0));
+
+  std::vector<std::byte> stream;
+  push_literal_group(stream);
+  stream.push_back(std::byte{0x01});
+  stream.push_back(std::byte{0x00});
+  auto after_group = decode(stream, 20);
+  EXPECT_EQ(after_group.status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(after_group.status.message(), "truncated match token");
+  EXPECT_TRUE(unwritten_from(after_group.out, 8));
+}
+
+TEST(LzTest, LiteralMissingFromTheStreamIsTruncated) {
+  const std::vector<std::byte> first{std::byte{0x00}};
+  auto in_first = decode(first, 1);
+  EXPECT_EQ(in_first.status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(in_first.status.message(), "truncated literal");
+  EXPECT_TRUE(unwritten_from(in_first.out, 0));
+
+  // An all-literal group holding seven of its eight literals: the first
+  // seven are written, the eighth fails.
+  std::vector<std::byte> stream;
+  push_literal_group(stream);
+  stream.pop_back();
+  auto seven = decode(stream, 8);
+  EXPECT_EQ(seven.status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(seven.status.message(), "truncated literal");
+  EXPECT_EQ(seven.out[6], std::byte{'G'});
+  EXPECT_TRUE(unwritten_from(seven.out, 7));
+}
+
+TEST(LzTest, MatchReachingBeforeTheStartIsRejected) {
+  std::vector<std::byte> first{std::byte{0x01}};
+  push_match(first, 1, 3);
+  auto in_first = decode(first, 8);
+  EXPECT_EQ(in_first.status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(in_first.status.message(), "match offset before start");
+  EXPECT_TRUE(unwritten_from(in_first.out, 0));
+
+  std::vector<std::byte> stream;
+  push_literal_group(stream);
+  stream.push_back(std::byte{0x01});
+  push_match(stream, 9, 8);
+  auto after_group = decode(stream, 30);
+  EXPECT_EQ(after_group.status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(after_group.status.message(), "match offset before start");
+  EXPECT_TRUE(unwritten_from(after_group.out, 8));
+}
+
+TEST(LzTest, MatchOverrunningTheOutputIsRejected) {
+  std::vector<std::byte> first{std::byte{0x02}, std::byte{'a'}};
+  push_match(first, 1, 3);
+  auto in_first = decode(first, 3);
+  EXPECT_EQ(in_first.status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(in_first.status.message(), "match overruns output");
+  EXPECT_EQ(in_first.out[0], std::byte{'a'});
+  EXPECT_TRUE(unwritten_from(in_first.out, 1));
+
+  // A long match at an offset of 8 that ends one byte past the output.
+  std::vector<std::byte> stream;
+  push_literal_group(stream);
+  stream.push_back(std::byte{0x01});
+  push_match(stream, 8, kMaxMatch);
+  auto after_group = decode(stream, 8 + kMaxMatch - 1);
+  EXPECT_EQ(after_group.status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(after_group.status.message(), "match overruns output");
+  EXPECT_TRUE(unwritten_from(after_group.out, 8));
+}
+
+// Streams whose last item ends 0..8 bytes before the end of the input
+// (trailing bytes the decoder never needs) or of the output (the stream
+// runs out first): every load and copy runs right up to both ends.
+TEST(LzTest, StreamsEndingNearEitherBufferEndDecodeExactly) {
+  Rng rng(31);
+  std::vector<std::size_t> sizes;
+  for (std::size_t size = 1; size <= 48; ++size) sizes.push_back(size);
+  for (std::size_t size = 4088; size <= 4104; ++size) sizes.push_back(size);
+  for (std::size_t size : sizes) {
+    std::vector<std::byte> literals(size);
+    for (auto& b : literals) b = static_cast<std::byte>(rng.next_u64() & 0xff);
+    std::vector<std::byte> runs(size);
+    workloads::fill_page(runs, size, 0.3, 5);
+    std::vector<std::byte> zeros(size, std::byte{0});
+    for (const auto* input : {&literals, &runs, &zeros}) {
+      const auto stream = lz_compress(*input);
+      for (std::size_t slack = 0; slack <= 8; ++slack) {
+        auto padded = stream;
+        padded.insert(padded.end(), slack, std::byte{0xff});
+        std::vector<std::byte> out(size);
+        ASSERT_TRUE(lz_decompress(padded, out).ok()) << size << "+" << slack;
+        ASSERT_EQ(out, *input) << size << "+" << slack;
+
+        auto longer = decode(stream, size + slack);
+        ASSERT_TRUE(std::equal(input->begin(), input->end(),
+                               longer.out.begin()))
+            << size << "+" << slack;
+        ASSERT_TRUE(unwritten_from(longer.out, size)) << size << "+" << slack;
+        if (slack == 0) {
+          ASSERT_TRUE(longer.status.ok());
+          continue;
+        }
+        ASSERT_EQ(longer.status.code(), StatusCode::kDataLoss);
+        const std::string_view message = longer.status.message();
+        ASSERT_TRUE(message == "compressed stream truncated" ||
+                    message == "truncated literal")
+            << message;
+      }
+    }
+  }
+}
+
+// Matches at offsets below their length copy bytes they have just written
+// (RLE-style); every offset and length expands as a byte-at-a-time copy.
+TEST(LzTest, SelfOverlappingMatchesExpandLikeAByteCopy) {
+  for (std::size_t offset = 1; offset <= 16; ++offset) {
+    for (std::size_t length = kMinMatch; length <= kMaxMatch; ++length) {
+      // Sixteen distinct literals, the match, then one literal after it.
+      std::vector<std::byte> stream;
+      push_literal_group(stream, 'A');
+      push_literal_group(stream, 'I');
+      stream.push_back(std::byte{0x01});
+      push_match(stream, offset, length);
+      stream.push_back(std::byte{'z'});
+      std::vector<std::byte> expect;
+      for (int i = 0; i < 16; ++i)
+        expect.push_back(static_cast<std::byte>('A' + i));
+      for (std::size_t i = 0; i < length; ++i)
+        expect.push_back(expect[expect.size() - offset]);
+      expect.push_back(std::byte{'z'});
+
+      std::vector<std::byte> out(expect.size());
+      ASSERT_TRUE(lz_decompress(stream, out).ok()) << offset << "/" << length;
+      ASSERT_EQ(out, expect) << offset << "/" << length;
+      // Without the trailing literal the match ends the output exactly.
+      auto ends = decode(std::span(stream).first(stream.size() - 1),
+                         expect.size() - 1);
+      ASSERT_TRUE(ends.status.ok()) << offset << "/" << length;
+      ASSERT_TRUE(std::equal(ends.out.begin(), ends.out.end(), expect.begin()))
+          << offset << "/" << length;
+    }
+  }
+}
+
+// Pins the codec's bytes: stored sizes drive virtual time, so every stream
+// must stay byte-identical. Catalog pages at three seeds, plus zero, random
+// and short-period inputs at lengths around the 8-byte and page edges; each
+// stream also round-trips.
+TEST(LzTest, CompressedBytesMatchGolden) {
+  std::vector<std::byte> sink;
+  auto add = [&](const std::vector<std::byte>& input) {
+    const auto stream = lz_compress(input);
+    std::vector<std::byte> out(input.size());
+    ASSERT_TRUE(lz_decompress(stream, out).ok());
+    ASSERT_EQ(out, input);
+    append_framed(sink, stream);
+  };
+  std::vector<std::byte> page(kPageSize);
+  for (const auto& app : workloads::app_catalog()) {
+    for (std::uint64_t seed : {1u, 7u, 424242u}) {
+      for (std::uint64_t id = 0; id < 64; ++id) {
+        workloads::fill_page(page, id, app.random_fraction, seed);
+        add(page);
+      }
+    }
+  }
+  Rng rng(2025);
+  std::vector<std::size_t> sizes{4095, 4096, 4097, 9000};
+  for (std::size_t size = 0; size <= 9; ++size) sizes.push_back(size);
+  for (std::size_t size : sizes) {
+    std::vector<std::byte> input(size, std::byte{0});
+    add(input);
+    for (auto& b : input) b = static_cast<std::byte>(rng.next_u64() & 0xff);
+    add(input);
+    for (std::size_t period = 1; period <= 13; ++period) {
+      std::vector<std::byte> motif(period);
+      for (auto& b : motif) b = static_cast<std::byte>(rng.next_u64() & 0xff);
+      for (std::size_t i = 0; i < size; ++i) input[i] = motif[i % period];
+      add(input);
+    }
+  }
+  EXPECT_EQ(sink.size(), 2151519u);
+  EXPECT_EQ(fnv1a(sink), 0xa198722d4e423f8cULL);
 }
 
 // Property sweep: round-trip over (random_fraction, size) grid.

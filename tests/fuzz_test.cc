@@ -1,14 +1,17 @@
 // Adversarial/fuzz tests: torn control-plane messages, garbage RPC frames,
-// random fault storms, and random operation sequences checked against
-// reference models. Everything is seeded and deterministic.
+// random fault storms, random operation sequences checked against
+// reference models, and corrupted LZ page streams. Everything is seeded
+// and deterministic.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/units.h"
+#include "compress/lz.h"
 #include "core/dm_system.h"
 #include "core/node_service.h"
 #include "core/repair_service.h"
@@ -376,3 +379,45 @@ TEST(SystemPropertyFuzz, EcStripesBoundedAndKeysReadable) {
 
 }  // namespace
 }  // namespace dm::core
+
+// ---- corrupted LZ page streams ------------------------------------------------
+
+namespace dm::compress {
+namespace {
+
+// Valid page streams with a few bits flipped, half of them also cut short:
+// every decode ends Ok or kDataLoss, and the sequence of (code, message,
+// output digest) is pinned, so the decoder reacts to each corruption the
+// same way on every build.
+TEST(LzStreamFuzz, FlippedAndTruncatedPageStreamsFailCleanly) {
+  Rng rng(0x5eed1a);
+  std::vector<std::byte> page(4096);
+  std::vector<std::byte> out(4096);
+  std::vector<std::byte> log;
+  int ok = 0;
+  for (std::uint64_t round = 0; round < 600; ++round) {
+    workloads::fill_page(page, round, 0.1 * static_cast<double>(round % 11),
+                         /*seed=*/3);
+    auto stream = lz_compress(page);
+    const std::uint64_t flips = 1 + rng.next_below(3);
+    for (std::uint64_t f = 0; f < flips; ++f)
+      stream[rng.next_below(stream.size())] ^=
+          static_cast<std::byte>(1u << rng.next_below(8));
+    if (rng.bernoulli(0.5)) stream.resize(rng.next_below(stream.size() + 1));
+    std::fill(out.begin(), out.end(), std::byte{0});
+    const Status s = lz_decompress(stream, out);
+    ASSERT_TRUE(s.ok() || s.code() == StatusCode::kDataLoss)
+        << "round " << round << ": " << s;
+    if (s.ok()) ++ok;
+    log.push_back(static_cast<std::byte>(s.code()));
+    for (char c : s.message()) log.push_back(static_cast<std::byte>(c));
+    const std::uint64_t digest = fnv1a(out);
+    for (int b = 0; b < 8; ++b)
+      log.push_back(static_cast<std::byte>(digest >> (8 * b)));
+  }
+  EXPECT_EQ(ok, 225);
+  EXPECT_EQ(fnv1a(log), 0xd24d52d6ac6ab86eULL);
+}
+
+}  // namespace
+}  // namespace dm::compress

@@ -40,6 +40,26 @@ TEST(PageContentTest, RandomFractionControlsCompressedSize) {
   }
 }
 
+// Pins the generator's bytes, which every page the simulator stores is
+// made of: every catalog app plus both extremes, at sizes that end inside
+// and on a 64-byte run and on and past a page.
+TEST(PageContentTest, FillPageMatchesGolden) {
+  std::vector<double> fractions{0.0, 1.0};
+  for (const auto& app : app_catalog()) fractions.push_back(app.random_fraction);
+  std::vector<std::byte> sink;
+  for (double r : fractions) {
+    for (std::size_t size : {7u, 63u, 4096u, 4100u}) {
+      std::vector<std::byte> page(size);
+      for (std::uint64_t id = 0; id < 8; ++id) {
+        fill_page(page, id, r, /*seed=*/424242);
+        sink.insert(sink.end(), page.begin(), page.end());
+      }
+    }
+  }
+  EXPECT_EQ(sink.size(), 793536u);
+  EXPECT_EQ(fnv1a(sink), 0xa28e089d6d79d75aULL);
+}
+
 TEST(AppCatalogTest, TenAppsWithPaperScaleNumbers) {
   auto apps = app_catalog();
   ASSERT_EQ(apps.size(), 10u);
