@@ -19,13 +19,14 @@ ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta)
   alpha_ = 1.0 / (1.0 - theta);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
          (1.0 - zeta2theta_ / zetan_);
+  second_bound_ = 1.0 + std::pow(0.5, theta);
 }
 
 std::uint64_t ZipfGenerator::next(Rng& rng) noexcept {
   const double u = rng.next_double();
   const double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < second_bound_) return 1;
   const auto idx = static_cast<std::uint64_t>(
       static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   return idx >= n_ ? n_ - 1 : idx;

@@ -115,6 +115,7 @@ class ZipfGenerator {
   double zetan_;
   double eta_;
   double zeta2theta_;
+  double second_bound_;  // 1 + 0.5^theta: a scaled draw below it is key 1
 };
 
 }  // namespace dm

@@ -1,8 +1,17 @@
 #include "workloads/page_content.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
 #include "common/rng.h"
 
 namespace dm::workloads {
+
+// A motif run copies the motif word's bytes in memory order, which must be
+// its little-endian bytes, lowest first.
+static_assert(std::endian::native == std::endian::little,
+              "fill_page's motif copies assume a little-endian host");
 
 void fill_page(std::span<std::byte> out, std::uint64_t page_id,
                double random_fraction, std::uint64_t seed) {
@@ -14,14 +23,15 @@ void fill_page(std::span<std::byte> out, std::uint64_t page_id,
   std::size_t pos = 0;
   while (pos < out.size()) {
     const std::size_t run = std::min(kRun, out.size() - pos);
+    std::byte* const p = out.data() + pos;
     if (rng.next_double() < random_fraction) {
       for (std::size_t i = 0; i < run; ++i)
-        out[pos + i] = static_cast<std::byte>(rng.next_u64() & 0xff);
+        p[i] = static_cast<std::byte>(rng.next_u64() & 0xff);
     } else {
-      for (std::size_t i = 0; i < run; ++i) {
-        const auto shift = (i % 8) * 8;
-        out[pos + i] = static_cast<std::byte>((motif >> shift) & 0xff);
-      }
+      // The motif restarts at every run: whole words, then its first bytes.
+      std::size_t i = 0;
+      for (; i + 8 <= run; i += 8) std::memcpy(p + i, &motif, 8);
+      std::memcpy(p + i, &motif, run - i);
     }
     pos += run;
   }
